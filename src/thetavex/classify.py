@@ -78,13 +78,12 @@ def classify_by_corners(
 
 
 def classify_by_triple(
-    w: SignedPermutation,
+    w: SignedPermutation, cs: Optional[CornerSet] = None
 ) -> Tuple[bool, Optional[theta.ThetaTriple]]:
-    """Recover a candidate triple, validate it, and rebuild w from it."""
-    candidate = theta.recover(w)
+    """Recover a candidate triple and rebuild w from it; `construct`
+    validates the candidate on the way."""
+    candidate = theta.recover(w, cs)
     if candidate is None:
-        return False, None
-    if not theta.validate(candidate).ok:
         return False, None
     try:
         rebuilt = theta.construct(candidate, w.n)
@@ -175,7 +174,7 @@ def build_report(w: SignedPermutation) -> ClassificationReport:
     cs = corners(w)
     by_pat, pat_witness = classify_by_patterns(w)
     by_cor, cor_witness = classify_by_corners(w, cs)
-    by_tri, triple = classify_by_triple(w)
+    by_tri, triple = classify_by_triple(w, cs)
     records = cs.corners
     if triple is not None and triple.s:
         optional = {
@@ -223,10 +222,11 @@ def _verify_chunk(args: Tuple[int, int, int]) -> Tuple[int, List[Tuple[int, ...]
     mismatches: List[Tuple[int, ...]] = []
     for win in iter_windows(n, lo, hi):
         w = SignedPermutation(win)
+        cs = corners(w)
         verdicts = (
             classify_by_patterns(w)[0],
-            classify_by_corners(w)[0],
-            classify_by_triple(w)[0],
+            classify_by_corners(w, cs)[0],
+            classify_by_triple(w, cs)[0],
         )
         if verdicts[0] != verdicts[1] or verdicts[0] != verdicts[2]:
             mismatches.append(win)

@@ -3,7 +3,9 @@
 Six subcommands: classify, diagram, construct, recover, verify, and
 enumerate.  Exit codes follow a pipeline-friendly contract: 0 for
 success (and for "yes, theta-vexillary"), 1 for a negative verdict or
-verification mismatches, 2 for unusable input.  All output is plain
+verification mismatches, 2 for unusable input.  When the reader of
+stdout goes away early (a pipe into `head`), the command stops quietly
+with 141, the status of a writer killed by SIGPIPE.  All output is plain
 ASCII and deterministic, including across worker counts.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -129,6 +132,16 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetavex",
@@ -163,7 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check all three classifiers over W_n")
     p.add_argument("rank", type=int)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1, help="parallel worker processes"
+    )
     p.add_argument("--allow-large", action="store_true", help="lift the rank guard")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -183,7 +198,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (
         ValueError,  # covers bad windows, bad triples, and both triple errors
         RankTooLargeError,

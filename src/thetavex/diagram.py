@@ -146,14 +146,7 @@ def build_extended_diagram(w: SignedPermutation) -> ExtendedDiagram:
         for c in range(-n, 0):
             if w(c) > r and winv(r) > c:
                 boxes.add((r, c))
-    diagram = ExtendedDiagram(n, dots, frozenset(crosses), frozenset(boxes))
-    # the crossed boxes inside the surviving region are exactly those the
-    # three-condition membership test rejects
-    assert diagram.diagram_boxes == {
-        (r, c) for (r, c) in boxes if winv(-r) > c
-    }
-    assert len(diagram.diagram_boxes) == w.length()
-    return diagram
+    return ExtendedDiagram(n, dots, frozenset(crosses), frozenset(boxes))
 
 
 def is_se_corner(full: FullPermutation, a: int, b: int) -> bool:
@@ -183,69 +176,76 @@ def full_corners(full: FullPermutation) -> Tuple[CornerRecord, ...]:
     return tuple(found)
 
 
-def _minimal(records: Iterable[CornerRecord]) -> set:
-    """Positions minimal in the order (p, q) < (p', q') iff p > p', q < q'."""
-    recs = list(records)
-    out = set()
-    for t in recs:
-        if not any(u.p > t.p and u.q < t.q for u in recs):
-            out.add(t.position)
-    return out
-
-
-def _is_unessential(t: CornerRecord, ne_positions: set) -> bool:
-    if t.q >= 0:
+def _is_unessential(p: int, q: int, ne_positions: list) -> bool:
+    if q >= 0:
         return False
-    has_column_mate = any(p1 == t.p and q1 < t.q for (p1, q1) in ne_positions)
-    has_row_mate = any(q2 == -t.q + 1 and p2 > 0 for (p2, q2) in ne_positions)
-    has_smaller = any(p3 > t.p and q3 < t.q for (p3, q3) in ne_positions)
+    has_column_mate = any(p1 == p and q1 < q for (p1, q1) in ne_positions)
+    has_row_mate = any(q2 == -q + 1 and p2 > 0 for (p2, q2) in ne_positions)
+    has_smaller = any(p3 > p and q3 < q for (p3, q3) in ne_positions)
     return has_column_mate and has_row_mate and has_smaller
 
 
 def corners(w: SignedPermutation) -> CornerSet:
     """The corner set of a signed permutation, classified and sorted.
 
-    A position (p, q) with p in [1, n] is kept when the box (q-1, -p) is
-    an SE corner of the embedded diagram, except the positions with
-    p = 1 and q < 0 (their boxes sit in the column that the reflection
-    argument already accounts for).
+    A position (p, q) with p in [1, n] is a corner when the box
+    (q-1, -p) is an SE corner of the embedded diagram.  In terms of the
+    full form (with w(0) = 0) and its inverse v, that box needs
+    w(p-1) > w(p), so p-1 is a descent, and q in [1 - w(p-1), -w(p)];
+    each such candidate is then a corner exactly when
+    v(q-1) > -p >= v(q).  The work is one pass over the descents plus
+    one O(1) test per candidate, never a scan of all boxes.
+
+    So no position with p = 1 and q < 0 needs excluding: for p = 1 the
+    candidate range starts at q = 1 - w(0) = 1, and the exclusion of
+    those positions is vacuous.
+
+    The NE path is the set of positions minimal in the order
+    (p, q) < (p', q') iff p > p' and q < q'; a corner off the path is
+    unessential when q < 0 and the path has a mate in its column below
+    it, a mate in row -q + 1, and a position smaller than it.  Records
+    come out sorted p desc, then q desc.
     """
-    n = w.n
-    full = w.embed_odd()
-    raw = []
-    for p in range(1, n + 1):
-        for q in range(-n + 1, n + 1):
-            if p == 1 and q < 0:
-                continue
-            if is_se_corner(full, q - 1, -p):
-                raw.append(CornerRecord(rank(w, p, q), p, q))
-    raw.sort(key=lambda t: (-t.p, -t.q))
+    win = w.window
+    n = len(win)
+    # inverse of the full form on [-n, n], stored at offset n
+    inv = [0] * (2 * n + 1)
+    for i, v in enumerate(win, start=1):
+        inv[n + v] = i
+        inv[n - v] = -i
+    found = []  # (k, p, q), already in p desc, q desc order
+    for p in range(n, 0, -1):
+        left, here = (win[p - 2] if p > 1 else 0), win[p - 1]
+        if left < here:
+            continue
+        tail = win[p - 1:]
+        for q in range(-here, -left, -1):
+            if inv[n + q - 1] > -p >= inv[n + q]:
+                found.append((sum(1 for x in tail if x <= -q), p, q))
 
-    ne_positions = _minimal(raw)
-    classified = []
-    for t in raw:
-        if t.position in ne_positions:
-            classified.append(t.with_kind(CornerClass.NE_PATH))
-        elif _is_unessential(t, ne_positions):
-            classified.append(t.with_kind(CornerClass.UNESSENTIAL))
+    # with p descending, (p, q) is minimal iff no corner at a strictly
+    # larger p has a smaller q
+    ne_positions = []
+    min_q_seen = min_q_larger_p = n + 1
+    prev_p = None
+    for _, p, q in found:
+        if p != prev_p:
+            min_q_larger_p, prev_p = min_q_seen, p
+        if q <= min_q_larger_p:
+            ne_positions.append((p, q))
+        min_q_seen = min(min_q_seen, q)
+    ne_set = set(ne_positions)
+
+    records = []
+    for k, p, q in found:
+        if (p, q) in ne_set:
+            kind = CornerClass.NE_PATH
+        elif _is_unessential(p, q, ne_positions):
+            kind = CornerClass.UNESSENTIAL
         else:
-            classified.append(t.with_kind(CornerClass.OTHER))
-    cs = CornerSet(tuple(classified))
-
-    # the sorted NE path must be simultaneously monotone in p and q
-    path = cs.ne_path
-    assert all(path[i].p >= path[i + 1].p for i in range(len(path) - 1))
-    assert all(path[i].q >= path[i + 1].q for i in range(len(path) - 1))
-    return cs
-
-
-def ne_path(cs: CornerSet) -> Tuple[CornerRecord, ...]:
-    """Minimal corners, sorted with p and q simultaneously decreasing."""
-    return cs.ne_path
-
-
-def unessential_corners(cs: CornerSet) -> Tuple[CornerRecord, ...]:
-    return cs.unessential
+            kind = CornerClass.OTHER
+        records.append(CornerRecord(k, p, q, kind))
+    return CornerSet(tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -510,8 +510,8 @@ def optional_corners(
     A corner position (p, q) not in the triple is optional when there
     are indices a <= i <= s and 1 <= j < a with p = p_i and
     q_{i-1} >= q = -q_j + 1 > q_i.  Each one must also satisfy the rank
-    relation q - q_i = k_i - k + k_j - k_{R(i)}, which is asserted here
-    rather than used as a filter.
+    relation q - q_i = k_i - k + k_j - k_{R(i)}; this is checked, not
+    used as a filter, and a corner that breaks it raises ValueError.
     """
     if cs is None:
         cs = corners(w)
@@ -536,10 +536,14 @@ def optional_corners(
             if not hit_js:
                 continue
             k_r = 0 if der.R[i] == 0 else t.k[der.R[i] - 1]
-            assert any(
+            if not any(
                 rec.q - t.q[i - 1] == t.k[i - 1] - rec.k + t.k[j - 1] - k_r
                 for j in hit_js
-            ), f"optional corner {rec} violates the rank relation"
+            ):
+                raise ValueError(
+                    f"optional corner ({rec.k}, {rec.p}, {rec.q}) violates "
+                    f"the rank relation"
+                )
             found.append(rec)
             break
     return tuple(found)
@@ -549,10 +553,9 @@ def optional_corners(
 # recovery
 
 
-NOT_THETA_VEXILLARY = None  # sentinel spelled out for readers of call sites
-
-
-def recover(w: SignedPermutation) -> Optional[ThetaTriple]:
+def recover(
+    w: SignedPermutation, cs: Optional[CornerSet] = None
+) -> Optional[ThetaTriple]:
     """The unique triple constructing w, or None when there is none.
 
     The corner set must split into NE path plus unessential corners;
@@ -562,10 +565,12 @@ def recover(w: SignedPermutation) -> Optional[ThetaTriple]:
     The equality test runs with boundary sentinels (k_0, p_0, q_0) =
     (0, n, n) and (k_{s+1}, p_{s+1}, q_{s+1}) = (n, 1, -n), with R of
     the upper sentinel fixed at 0, which makes the last test coincide
-    with the B3 boundary.
+    with the B3 boundary.  Pass `cs` when the corner set of w is already
+    known.
     """
     n = w.n
-    cs = corners(w)
+    if cs is None:
+        cs = corners(w)
     if cs.other:
         return None
     path = cs.ne_path
@@ -810,7 +815,9 @@ def triple_from_json(obj: dict) -> ThetaTriple:
         k, p, q = obj["k"], obj["p"], obj["q"]
     except KeyError as missing:
         raise ValueError(f"triple object lacks key {missing}") from None
-    n = obj.get("n") or max((1, *map(abs, (*k, *p, *q))))
+    n = obj.get("n")
+    if n is None:
+        n = max((1, *map(abs, (*k, *p, *q))))
     t = ThetaTriple(tuple(k), tuple(p), tuple(q), n)
     report = validate(t)
     if not report.ok:

@@ -189,6 +189,28 @@ def test_verify_is_deterministic_across_jobs():
     assert verify_equivalence(4, jobs=3) == verify_equivalence(4, jobs=1)
 
 
+def test_corner_set_computed_once_per_window(monkeypatch):
+    """Every route reads one shared corner set: the sweep and a report
+    each compute it once per window, and `recover` never recomputes it."""
+    from thetavex import classify, diagram
+
+    calls = {"classify": 0, "theta": 0}
+
+    def counting(module):
+        def corners(w):
+            calls[module] += 1
+            return diagram.corners(w)
+
+        return corners
+
+    monkeypatch.setattr(classify, "corners", counting("classify"))
+    monkeypatch.setattr(theta, "corners", counting("theta"))
+    assert verify_equivalence(4).total == 384
+    assert calls == {"classify": 384, "theta": 0}
+    build_report(BIG)
+    assert calls == {"classify": 385, "theta": 0}
+
+
 def test_verify_respects_rank_guard():
     with pytest.raises(RankTooLargeError, match="allow-large"):
         verify_equivalence(9)

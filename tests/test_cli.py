@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import thetavex
 from thetavex import cli
 from thetavex.classify import VerifySummary
 
@@ -181,6 +185,13 @@ def test_verify_output_identical_across_jobs(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_verify_rejects_non_positive_jobs(capsys, jobs):
+    code, out, err = run(capsys, "verify", "3", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs: must be at least 1" in err
+
+
 def test_verify_reports_mismatches(capsys, monkeypatch):
     fake = VerifySummary(6, 46080, 15968, ((3, 5, 1, 6, -2, 4),))
     monkeypatch.setattr(cli, "verify_equivalence", lambda *a, **kw: fake)
@@ -226,3 +237,39 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "Classify, construct" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# closed pipes
+
+
+def start_cli(*argv):
+    env = dict(os.environ)
+    src = str(Path(thetavex.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "thetavex", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def test_enumerate_into_closed_pipe_exits_quietly():
+    # like `thetavex enumerate 6 | head -2`: the reader leaves long before
+    # the 15,964 lines are written
+    proc = start_cli("enumerate", "6")
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head == [b"-6 -5 -4 -3 -2 -1\n", b"-6 -5 -4 -3 -2 1\n"]
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_verify_into_closed_pipe_exits_quietly():
+    # like `thetavex verify 3 | head -0`: the reader is gone before the
+    # summary is printed
+    proc = start_cli("verify", "3")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")

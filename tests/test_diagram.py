@@ -1,4 +1,5 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,40 @@ def naive_minimal_positions(positions):
         for (p, q) in positions
         if not any(p2 > p and q2 < q for (p2, q2) in positions)
     }
+
+
+def reference_corners(w):
+    """Brute-force corner set: every box (q-1, -p) of the extended diagram
+    tested with `is_se_corner` on the full form, ranked with `rank`, and
+    classified by the written taxonomy.  Sorted p desc, q desc."""
+    n = w.n
+    full = w.embed_odd()
+    found = [
+        (rank(w, p, q), p, q)
+        for p in range(n, 0, -1)
+        for q in range(n + 1, -n, -1)
+        if is_se_corner(full, q - 1, -p)
+    ]
+    ne = naive_minimal_positions({(p, q) for _, p, q in found})
+    out = []
+    for k, p, q in found:
+        if (p, q) in ne:
+            kind = CornerClass.NE_PATH
+        elif (
+            q < 0
+            and any(p1 == p and q1 < q for (p1, q1) in ne)
+            and any(q2 == -q + 1 and p2 > 0 for (p2, q2) in ne)
+            and any(p3 > p and q3 < q for (p3, q3) in ne)
+        ):
+            kind = CornerClass.UNESSENTIAL
+        else:
+            kind = CornerClass.OTHER
+        out.append((k, p, q, kind))
+    return out
+
+
+def corner_tuples(w):
+    return [(c.k, c.p, c.q, c.kind) for c in corners(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +122,18 @@ def test_diagram_box_count_equals_length_exhaustive():
         for w in enumerate_group(n):
             d = build_extended_diagram(w)
             assert len(d.diagram_boxes) == w.length()
+
+
+def test_crossed_boxes_are_the_membership_rejects_exhaustive():
+    """Inside the surviving region, the crossed boxes are exactly those
+    the three-condition membership test rejects."""
+    for n in (1, 2, 3, 4):
+        for w in enumerate_group(n):
+            d = build_extended_diagram(w)
+            winv = w.inverse()
+            assert d.diagram_boxes == {
+                (r, c) for (r, c) in d.boxes if winv(-r) > c
+            }
 
 
 @given(signed_permutations(max_n=6))
@@ -193,6 +240,37 @@ def test_ne_path_is_minimal_set_exhaustive():
             assert {c.position for c in cs.ne_path} == naive_minimal_positions(
                 positions
             )
+            # the sorted NE path is monotone in p and q at once
+            path = cs.ne_path
+            assert all(a.p >= b.p and a.q >= b.q for a, b in zip(path, path[1:]))
+
+
+def test_corners_match_brute_force_exhaustive():
+    for n in (1, 2, 3, 4, 5):
+        for w in enumerate_group(n):
+            assert corner_tuples(w) == reference_corners(w), w
+
+
+def test_corners_match_brute_force_large_rank():
+    rng = random.Random(20180723)
+    for n in (20, 20, 35, 50, 50, 100, 200):
+        values = rng.sample(range(1, n + 1), n)
+        w = SignedPermutation([v * rng.choice((1, -1)) for v in values])
+        assert corner_tuples(w) == reference_corners(w), w
+    for n in (20, 50, 100, 200):
+        longest = SignedPermutation([-i for i in range(1, n + 1)])
+        expected = reference_corners(longest)
+        assert corner_tuples(longest) == expected
+        assert len(expected) == n
+
+
+def test_no_corner_in_column_one_above_row_zero():
+    """The box (q-1, -1) needs w(-1) > q-1 >= w(0) = 0, so column -1 has
+    no corner with q <= 0; a rule excluding p = 1, q < 0 never fires."""
+    for n in (1, 2, 3, 4, 5):
+        for w in enumerate_group(n):
+            full = w.embed_odd()
+            assert not any(is_se_corner(full, q - 1, -1) for q in range(-n, 1))
 
 
 @given(signed_permutations(max_n=6))

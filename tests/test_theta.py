@@ -251,6 +251,21 @@ def test_optional_corners_big():
     assert [c.triple for c in opts] == [(7, 2, -3)]
 
 
+def test_optional_corners_rank_relation_is_checked():
+    # the optional corner of BIG with a wrong rank value must be refused,
+    # also under python -O
+    from thetavex.diagram import CornerRecord, CornerSet, corners
+
+    forged = CornerSet(
+        tuple(
+            CornerRecord(8, c.p, c.q, c.kind) if c.position == (2, -3) else c
+            for c in corners(BIG)
+        )
+    )
+    with pytest.raises(ValueError, match=r"\(8, 2, -3\) violates the rank"):
+        optional_corners(BIG, BIG_T, forged)
+
+
 def test_optional_corners_empty_triple():
     w = SignedPermutation.identity(3)
     assert optional_corners(w, ThetaTriple((), (), (), 3)) == ()
@@ -379,3 +394,10 @@ def test_json_round_trip():
     assert triple_from_json(obj) == BIG_T
     with pytest.raises(ValueError, match="lacks key"):
         triple_from_json({"k": [1], "p": [1]})
+
+
+def test_json_rank_zero_is_rejected():
+    # an explicit rank of 0 is not "absent": it fails as non-positive
+    with pytest.raises(ValueError, match="ambient rank must be positive"):
+        triple_from_json({"k": [1], "p": [2], "q": [-1], "n": 0})
+    assert triple_from_json({"k": [1], "p": [2], "q": [-1]}).n == 2
