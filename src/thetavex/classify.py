@@ -235,6 +235,13 @@ def _verify_chunk(args: Tuple[int, int, int]) -> Tuple[int, List[Tuple[int, ...]
     return count, mismatches
 
 
+def chunk_bounds(total: int, jobs: int) -> List[Tuple[int, int]]:
+    """The contiguous window ranges [lo, hi) that `verify_equivalence`
+    hands to a pool of `jobs` workers: about four per worker."""
+    chunk = max(1, -(-total // (jobs * 4)))
+    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+
+
 def verify_equivalence(
     n: int, jobs: int = 1, *, allow_large: bool = False
 ) -> VerifySummary:
@@ -250,8 +257,7 @@ def verify_equivalence(
         count, mismatches = _verify_chunk((n, 0, total))
         return VerifySummary(n, total, count, tuple(mismatches))
 
-    chunk = max(1, -(-total // (jobs * 4)))
-    tasks = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    tasks = [(n, lo, hi) for lo, hi in chunk_bounds(total, jobs)]
     count = 0
     mismatches: List[Tuple[int, ...]] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -259,18 +259,50 @@ def group_order(n: int) -> int:
     return (2 ** n) * factorial(n)
 
 
-def _window_stream(n: int, prefix: list, used: set) -> Iterator[Tuple[int, ...]]:
-    if len(prefix) == n:
-        yield tuple(prefix)
-        return
-    for v in range(-n, n + 1):
-        if v == 0 or abs(v) in used:
-            continue
-        prefix.append(v)
-        used.add(abs(v))
-        yield from _window_stream(n, prefix, used)
-        prefix.pop()
-        used.remove(abs(v))
+def _window_stream(n: int, first: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Windows of W_n in lexicographic order from the window `first` on:
+    on the path to `first` each depth begins its scan at first's entry
+    instead of at -n."""
+    prefix: list = []
+    used: set = set()
+
+    def walk(depth: int, on_first: bool) -> Iterator[Tuple[int, ...]]:
+        if depth == n:
+            yield tuple(prefix)
+            return
+        lo = first[depth] if on_first else -n
+        for v in range(lo, n + 1):
+            if v == 0 or abs(v) in used:
+                continue
+            prefix.append(v)
+            used.add(abs(v))
+            yield from walk(depth + 1, on_first and v == lo)
+            prefix.pop()
+            used.remove(abs(v))
+
+    return walk(0, True)
+
+
+def unrank_window(n: int, index: int) -> Tuple[int, ...]:
+    """The window at position `index` (0-based) of the lexicographic
+    order of W_n, without walking the windows before it.
+
+    Each choice at depth d is followed by 2^m * m! completions, where
+    m = n - d - 1, so the entry at depth d is the (index // that)-th
+    value still available, in the order -n < ... < -1 < 1 < ... < n.
+    """
+    if not 0 <= index < group_order(n):
+        raise ValueError(f"window index {index} out of range for rank {n}")
+    free = list(range(1, n + 1))  # unused absolute values, ascending
+    window = []
+    for depth in range(n):
+        m = n - depth - 1
+        choice, index = divmod(index, (2 ** m) * factorial(m))
+        available = [-v for v in reversed(free)] + free
+        v = available[choice]
+        window.append(v)
+        free.remove(abs(v))
+    return tuple(window)
 
 
 def iter_windows(
@@ -279,13 +311,17 @@ def iter_windows(
     """Windows of W_n in lexicographic order, optionally sliced.
 
     The slice [start, stop) makes the stream splittable into contiguous
-    chunks that parallel workers can regenerate independently.
+    chunks that parallel workers can regenerate independently: the walk
+    begins at the window unranked from `start`, so a chunk costs only its
+    own length.
     """
-    stream = _window_stream(n, [], set())
-    if start == 0 and stop is None:
+    if start >= group_order(n):
+        return
+    stream = _window_stream(n, unrank_window(n, start))
+    if stop is None:
         yield from stream
     else:
-        yield from itertools.islice(stream, start, stop)
+        yield from itertools.islice(stream, max(0, stop - start))
 
 
 def enumerate_group(

@@ -15,10 +15,10 @@ from a permutation back to its unique triple, via the corner taxonomy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .diagram import CornerClass, CornerRecord, CornerSet, corners, rank
+from .diagram import CornerRecord, CornerSet, corners
 from .sigperm import SignedPermutation, check_rank_guard
 
 
@@ -40,12 +40,20 @@ class ThetaTriple:
 
     Only the shape constraints live here; use `validate` for the eight
     conditions and `derive` for the cut index a, R(.), and L(.).
+    Slotted, since generation and exhaustive checks hold one per member.
     """
+
+    __slots__ = ("k", "p", "q", "n")
 
     k: Tuple[int, ...]
     p: Tuple[int, ...]
     q: Tuple[int, ...]
     n: int
+
+    def __reduce__(self):
+        # the default reduction of a slotted frozen class restores the
+        # slots by assignment, which the frozen class refuses
+        return ThetaTriple, (self.k, self.p, self.q, self.n)
 
     def __post_init__(self):
         k, p, q = tuple(self.k), tuple(self.p), tuple(self.q)
@@ -102,37 +110,41 @@ def derive(t: ThetaTriple) -> TripleDerived:
     if any(v == 0 for v in q):
         raise InvalidTripleError("A1 fails: q contains a zero entry")
     a = sum(1 for v in q if v > 0) + 1
-
-    def q_at(j: int) -> float:
-        # 1-based with the q_0 = +infinity convention
-        return float("inf") if j == 0 else q[j - 1]
-
     R: Dict[int, int] = {}
     L: Dict[int, Optional[int]] = {}
     for i in range(a, s + 1):
-        target = -q[i - 1]
-        r = None
-        for cand in range(a):
-            if q_at(cand) > target > q_at(cand + 1):
-                r = cand
-                break
+        r = _r_index(q, a, i)
         if r is None:
             raise InvalidTripleError(
-                f"A2 fails: -q_{i} = {target} collides with a positive q entry"
+                f"A2 fails: -q_{i} = {-q[i - 1]} collides with a positive q entry"
             )
         R[i] = r
-        if r == a - 1:
-            L[i] = None
-        else:
-            candidates = [
-                j
-                for j in range(r + 1, a)
-                if k[j - 1] - k[r] >= q[r] - q[j - 1]
-            ]
-            # j = R(i)+1 always qualifies, so the set cannot be empty
-            assert candidates
-            L[i] = max(candidates)
+        L[i] = _l_index(k, q, a, r)
     return TripleDerived(a, R, L)
+
+
+def _r_index(q: Sequence[int], a: int, i: int) -> Optional[int]:
+    """R(i) for an index i >= a: the r in [0, a) with q_r > -q_i > q_{r+1},
+    taking q_0 = +infinity.  Every q_j with j < a is positive and -q_i is
+    positive, so r counts the positive entries above -q_i.  None when one
+    of them equals -q_i, which is A2 failing."""
+    target = -q[i - 1]
+    r = 0
+    while r < a - 1 and q[r] > target:
+        r += 1
+    if r < a - 1 and q[r] == target:
+        return None
+    return r
+
+
+def _l_index(k: Sequence[int], q: Sequence[int], a: int, r: int) -> Optional[int]:
+    """L(i) from r = R(i): the largest j in (r, a) with
+    k_j - k_{r+1} >= q_{r+1} - q_j, or None when the range is empty
+    (r = a - 1).  j = r + 1 always qualifies, so the scan ends there."""
+    for j in range(a - 1, r, -1):
+        if k[j - 1] - k[r] >= q[r] - q[j - 1]:
+            return j
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +188,16 @@ class ConditionReport:
 
 
 def validate(t: ThetaTriple) -> ConditionReport:
-    """Check A1-A3, B1-B3, C1-C2 and report every verdict.
+    """Check A1-A3, B1-B3, C1-C2 and report every verdict, grouped by
+    condition in that order.
 
     B2, B3, C1, and C2 need R (hence A1 and A2); when those prerequisites
     fail the dependent conditions are left out of the report, which is
     already invalid anyway.
     """
     k, p, q, s = t.k, t.p, t.q, t.s
-    verdicts: List[Verdict] = []
 
     a1_bad = [i for i in range(1, s + 1) if q[i - 1] == 0]
-    verdicts.append(
-        Verdict("A1", not a1_bad, (a1_bad[0],) if a1_bad else None,
-                "q entry is zero" if a1_bad else "")
-    )
-
     a2_bad = None
     for i in range(1, s + 1):
         for j in range(1, s + 1):
@@ -199,71 +206,85 @@ def validate(t: ThetaTriple) -> ConditionReport:
                 break
         if a2_bad:
             break
-    verdicts.append(
-        Verdict("A2", a2_bad is None, a2_bad,
-                f"q_{a2_bad[0]} = -q_{a2_bad[1]}" if a2_bad else "")
-    )
+    rows = [
+        ("A1", not a1_bad, (a1_bad[0],) if a1_bad else None,
+         "q entry is zero" if a1_bad else ""),
+        ("A2", a2_bad is None, a2_bad,
+         f"q_{a2_bad[0]} = -q_{a2_bad[1]}" if a2_bad else ""),
+    ]
 
-    a3_ok = s == 0 or q[s - 1] > 0 or p[s - 1] > 1
-    verdicts.append(
-        Verdict("A3", a3_ok, None if a3_ok else (s,),
-                "" if a3_ok else f"q_s = {q[s-1]} < 0 needs p_s > 1")
-    )
+    a = sum(1 for v in q if v > 0) + 1
+    R = None
+    if not (a1_bad or a2_bad):
+        R = {i: _r_index(q, a, i) for i in range(a, s + 1)}
+        for i in range(1, s + 1):
+            rows += _entry_checks(k, p, q, a, R, i)
+    rows += _closing_checks(k, p, q, a, R)
+    rows.sort(key=lambda row: row[0])  # stable: indices stay ascending
+    # from a list: tuple() over a generator allocates a larger tuple and
+    # shrinks it, and the shrunk ones pile up in the tuple free lists
+    return ConditionReport(tuple([_verdict(*row) for row in rows]))
 
-    if a1_bad or a2_bad:
-        return ConditionReport(tuple(verdicts))
 
-    der = derive(t)
-    a, R = der.a, der.R
+def _row(condition: str, index, lhs: int, rhs: int):
+    """A verdict row (condition, ok, index, detail) for an inequality:
+    strict for the B-conditions, allowing equality for the C-conditions.
+    A failing row's detail is the pair (lhs, rhs), which `validate`
+    formats; the generator only reads `ok`."""
+    ok = lhs > rhs if condition[0] == "B" else lhs >= rhs
+    return (condition, ok, index, "" if ok else (lhs, rhs))
 
-    for i in range(1, a - 1):
-        lhs = (p[i - 1] - p[i]) + (q[i - 1] - q[i])
-        rhs = k[i] - k[i - 1]
-        verdicts.append(
-            Verdict("B1", lhs > rhs, (i,),
-                    "" if lhs > rhs else f"{lhs} is not > {rhs}")
-        )
 
-    def k_at(j: int) -> int:
-        return 0 if j == 0 else k[j - 1]
+def _verdict(condition: str, ok: bool, index, detail) -> Verdict:
+    if not isinstance(detail, str):
+        op = ">" if condition[0] == "B" else ">="
+        detail = f"{detail[0]} is not {op} {detail[1]}"
+    return Verdict(condition, ok, index, detail)
 
-    for i in range(a, s):
-        lhs = (p[i - 1] - p[i]) + (q[i - 1] - q[i])
-        rhs = (k[i] - k[i - 1]) + (k_at(R[i]) - k_at(R[i + 1]))
-        verdicts.append(
-            Verdict("B2", lhs > rhs, (i,),
-                    "" if lhs > rhs else f"{lhs} is not > {rhs}")
-        )
 
-    if a <= s:
-        lhs = p[s - 1] + q[s - 1] + k[s - 1]
-        rhs = k_at(R[s]) + 1
-        verdicts.append(
-            Verdict("B3", lhs > rhs, None,
-                    "" if lhs > rhs else f"{lhs} is not > {rhs}")
-        )
-
-    for i in range(a, s + 1):
-        lhs = -q[i - 1]
-        rhs = k[i - 1] - k_at(R[i])
-        verdicts.append(
-            Verdict("C1", lhs >= rhs, (i,),
-                    "" if lhs >= rhs else f"{lhs} is not >= {rhs}")
-        )
-
-    for i in range(a, s + 1):
-        li = der.L[i]
+def _entry_checks(k: Sequence[int], p: Sequence[int], q: Sequence[int],
+                  a: int, R, i: int) -> Iterator[tuple]:
+    """The conditions that entry i completes, as verdict rows: B1 at i-1
+    below the sign cut a, B2 at i-1 above it (the pair straddling the cut
+    is unconstrained), and C1 and C2 at i from the cut on.  Each depends
+    on entries 1..i only, so the generator checks a prefix as it grows,
+    stopping at the first failing row, and `validate` checks every i of a
+    finished triple.  R must map every index from a up to i."""
+    if 2 <= i < a or i > a:
+        lhs = (p[i - 2] - p[i - 1]) + (q[i - 2] - q[i - 1])
+        rhs = k[i - 1] - k[i - 2]
+        if i < a:
+            yield _row("B1", (i - 1,), lhs, rhs)
+        else:
+            yield _row("B2", (i - 1,), lhs,
+                       rhs + _k_at(k, R[i - 1]) - _k_at(k, R[i]))
+    if i >= a:
+        r = R[i]
+        k_r = _k_at(k, r)
+        yield _row("C1", (i,), -q[i - 1], k[i - 1] - k_r)
+        li = _l_index(k, q, a, r)
         if li is None:
-            verdicts.append(Verdict("C2", True, (i,), "vacuous, L absent"))
-            continue
-        lhs = -q[i - 1]
-        rhs = q[li - 1] + k[li - 1] - k_at(R[i])
-        verdicts.append(
-            Verdict("C2", lhs >= rhs, (i,),
-                    "" if lhs >= rhs else f"{lhs} is not >= {rhs}")
-        )
+            yield ("C2", True, (i,), "vacuous, L absent")
+        else:
+            yield _row("C2", (i,), -q[i - 1], q[li - 1] + k[li - 1] - k_r)
 
-    return ConditionReport(tuple(verdicts))
+
+def _closing_checks(k: Sequence[int], p: Sequence[int], q: Sequence[int],
+                    a: int, R) -> List[tuple]:
+    """A3 and B3, the conditions on the last entry of a finished triple,
+    as verdict rows.  B3 needs R and is left out when R is None."""
+    s = len(k)
+    a3_ok = s == 0 or q[s - 1] > 0 or p[s - 1] > 1
+    rows = [("A3", a3_ok, None if a3_ok else (s,),
+             "" if a3_ok else f"q_s = {q[s - 1]} < 0 needs p_s > 1")]
+    if R is not None and a <= s:
+        rows.append(_row("B3", None, p[s - 1] + q[s - 1] + k[s - 1],
+                         _k_at(k, R[s]) + 1))
+    return rows
+
+
+def _k_at(k: Sequence[int], j: int) -> int:
+    return 0 if j == 0 else k[j - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +299,103 @@ class StepPlacement:
     placements: Tuple[Tuple[int, int], ...]
 
 
-def _pick_entries(count: int, bound: int, used: set, floor: int) -> Optional[List[int]]:
-    """The `count` largest values v with v <= bound, v >= floor, and |v|
-    unused, in increasing order; None when the pool is too small."""
-    picked = []
+def _place(count: int, bound: int, start: int, n: int,
+           used, taken) -> Optional[Tuple[List[int], List[int]]]:
+    """One placement step, without side effects.
+
+    The values are the `count` largest v <= bound of the sign of `bound`,
+    v >= -n, with |v| not in `used`, in increasing order; the positions
+    are the first `count` positions z in [start, n] not in `taken`.
+    Returns (values, positions), or None when either runs short.
+    """
+    values: List[int] = []
+    floor = -n if bound < 0 else 1
     v = bound
-    while v >= floor and len(picked) < count:
-        if v != 0 and abs(v) not in used:
-            picked.append(v)
+    while len(values) < count:
+        if v < floor:
+            return None
+        if abs(v) not in used:
+            values.append(v)
         v -= 1
-    if len(picked) < count:
-        return None
-    picked.reverse()
-    return picked
+    values.reverse()
+    positions: List[int] = []
+    z = start
+    while len(positions) < count:
+        if z > n:
+            return None
+        if z not in taken:
+            positions.append(z)
+        z += 1
+    return values, positions
+
+
+def _forward_steps(t: ThetaTriple, n: int) -> List[Tuple[List[int], List[int]]]:
+    """(values, positions) of steps 1..s at rank n.  Step i places values
+    at or below -q_i from position p_i on; the list stops before the
+    first step that runs short."""
+    used: set = set()
+    taken: set = set()
+    steps = []
+    prev_k = 0
+    for k_i, p_i, q_i in t.entries():
+        placed = _place(k_i - prev_k, -q_i, p_i, n, used, taken)
+        if placed is None:
+            break
+        used.update(abs(v) for v in placed[0])
+        taken.update(placed[1])
+        steps.append(placed)
+        prev_k = k_i
+    return steps
+
+
+def _coherence_failure(q: Sequence[int], a: int, R, step_values, i: int) -> Optional[str]:
+    """The executable form of C1 and C2 at an index i >= a: the steps
+    R(i)+1 .. a-1 must place values strictly above q_i.  (Steps from a on
+    place positives by construction, their bound -q_i being positive.)
+    The eight written conditions do not quite imply this on their own —
+    some tied tuples pass them yet place entries out of range, and the
+    placed positions then fail to reproduce the tuple's corners.  Such
+    tuples are rejected rather than silently constructing a permutation
+    that does not belong to them.  `step_values[j - 1]` holds the values
+    of step j in increasing order.  Returns a description of the
+    violation, or None.
+    """
+    for j in range(R[i] + 1, a):
+        low = step_values[j - 1][0]
+        if low <= q[i - 1]:
+            return (
+                f"degenerate triple: step {j} placed {low}, at or "
+                f"below q_{i} = {q[i - 1]}, so the construction "
+                f"cannot realize the triple's corners"
+            )
+    return None
+
+
+def _checked_steps(t: ThetaTriple, n: int) -> List[Tuple[List[int], List[int]]]:
+    """The forward steps of a triple that must be buildable at rank n:
+    raises InvalidTripleError when a condition fails or the triple is
+    degenerate, and InfeasibleRankError when a step runs short."""
+    report = validate(t)
+    if not report.ok:
+        raise InvalidTripleError(report.failure_message())
+    steps = _forward_steps(t, n)
+    if len(steps) < t.s:
+        i = len(steps) + 1
+        minimum = min_feasible_rank(t)
+        raise InfeasibleRankError(
+            f"step {i} needs {t.k[i - 1] - _k_at(t.k, i - 1)} unused values "
+            f"at or below {-t.q[i - 1]} and as many free positions at or "
+            f"after {t.p[i - 1]}; rank {n} is too small (minimum feasible "
+            f"rank is {minimum})",
+            minimum=minimum,
+        )
+    der = derive(t)
+    values = [v for v, _ in steps]
+    for i in range(der.a, t.s + 1):
+        failure = _coherence_failure(t.q, der.a, der.R, values, i)
+        if failure:
+            raise InvalidTripleError(failure)
+    return steps
 
 
 def construct_with_trace(
@@ -306,86 +411,22 @@ def construct_with_trace(
     """
     if n is None:
         n = t.n
-    report = validate(t)
-    if not report.ok:
-        raise InvalidTripleError(report.failure_message())
-    der = derive(t)
-
-    window: List[Optional[int]] = [None] * (n + 1)  # 1-based
-    used: set = set()
-    trace: List[StepPlacement] = []
-    prev_k = 0
-    for i in range(1, t.s + 1):
-        count = t.k[i - 1] - prev_k
-        bound = -t.q[i - 1]
-        floor = -n if bound < 0 else 1
-        entries = _pick_entries(count, bound, used, floor)
-        if entries is None:
-            raise InfeasibleRankError(
-                f"step {i} needs {count} unused values at or below {bound}; "
-                f"rank {n} is too small (minimum feasible rank is "
-                f"{min_feasible_rank(t)})",
-                minimum=min_feasible_rank(t),
-            )
-        free = [z for z in range(t.p[i - 1], n + 1) if window[z] is None]
-        if len(free) < count:
-            raise InfeasibleRankError(
-                f"step {i} needs {count} free positions at or after {t.p[i-1]}; "
-                f"rank {n} is too small (minimum feasible rank is "
-                f"{min_feasible_rank(t)})",
-                minimum=min_feasible_rank(t),
-            )
-        placed = tuple(zip(entries, free[:count]))
-        for v, z in placed:
+    steps = _checked_steps(t, n)
+    window = [0] * (n + 1)  # 1-based
+    trace = []
+    for i, (values, positions) in enumerate(steps, start=1):
+        for v, z in zip(values, positions):
             window[z] = v
-            used.add(abs(v))
-        trace.append(StepPlacement(i, placed))
-        prev_k = t.k[i - 1]
-
-    rest_positions = [z for z in range(1, n + 1) if window[z] is None]
-    rest_values = sorted(v for v in range(1, n + 1) if v not in used)
-    assert len(rest_positions) == len(rest_values)
-    placed = tuple(zip(rest_values, rest_positions))
-    for v, z in placed:
+        trace.append(StepPlacement(i, tuple(zip(values, positions))))
+    # each placement took one position and one absolute value, so the
+    # free positions and the unused values are equally many
+    used = {abs(v) for v in window}
+    rest = tuple(zip((v for v in range(1, n + 1) if v not in used),
+                     (z for z in range(1, n + 1) if not window[z])))
+    for v, z in rest:
         window[z] = v
-    trace.append(StepPlacement(t.s + 1, placed))
-
-    by_step = {sp.step: [v for v, _ in sp.placements] for sp in trace}
-    failure = _coherence_failure(t, der, by_step)
-    if failure:
-        raise InvalidTripleError(failure)
-
+    trace.append(StepPlacement(t.s + 1, rest))
     return SignedPermutation(window[1:]), tuple(trace)
-
-
-def _coherence_failure(t: ThetaTriple, der: TripleDerived,
-                       step_values: Dict[int, List[int]]) -> Optional[str]:
-    """Check the placed values against the executable forms of C1 and C2:
-    steps at or after the sign cut must place positives only, and the
-    steps between R(i)+1 and a-1 must stay strictly above q_i.  The
-    eight written conditions do not quite imply this on their own — some
-    tied tuples pass them yet place entries out of range, and the placed
-    positions then fail to reproduce the tuple's corners.  Such tuples
-    are rejected rather than silently constructing a permutation that
-    does not belong to them.  Returns a description of the first
-    violation, or None.
-    """
-    a = der.a
-    for i in range(a, t.s + 1):
-        if not all(v > 0 for v in step_values[i]):
-            return (
-                f"degenerate triple: step {i} placed a negative entry "
-                f"although every step from {a} on must place positives"
-            )
-        for j in range(der.R[i] + 1, a):
-            bad = [v for v in step_values[j] if v <= t.q[i - 1]]
-            if bad:
-                return (
-                    f"degenerate triple: step {j} placed {bad[0]}, at or "
-                    f"below q_{i} = {t.q[i - 1]}, so the construction "
-                    f"cannot realize the triple's corners"
-                )
-    return None
 
 
 def construct(t: ThetaTriple, n: Optional[int] = None) -> SignedPermutation:
@@ -398,35 +439,21 @@ def min_feasible_rank(t: ThetaTriple) -> int:
     Found by simulation between the obvious lower bound and a cap that
     always suffices (the lower bound plus the total number of placed
     entries); the construction is stable under rank growth, so the first
-    success is the minimum.
+    success is the minimum.  From the cap on, the negative value pools
+    and the runs of positions are large enough and every step places the
+    same values at every rank, so a triple that still runs short there
+    (too few positive values under some step's bound) runs short at every
+    rank; it raises InvalidTripleError.
     """
     lb = max((1, *t.p, *t.k, *map(abs, t.q)))
     cap = lb + (t.k[-1] if t.k else 0)
     for n in range(lb, cap + 1):
-        if _feasible_at(t, n):
+        if len(_forward_steps(t, n)) == t.s:
             return n
-    raise AssertionError(f"no feasible rank below {cap + 1} for {t}")
-
-
-def _feasible_at(t: ThetaTriple, n: int) -> bool:
-    window_free = [True] * (n + 1)
-    used: set = set()
-    prev_k = 0
-    for i in range(1, t.s + 1):
-        count = t.k[i - 1] - prev_k
-        bound = -t.q[i - 1]
-        floor = -n if bound < 0 else 1
-        entries = _pick_entries(count, bound, used, floor)
-        if entries is None:
-            return False
-        free = [z for z in range(t.p[i - 1], n + 1) if window_free[z]]
-        if len(free) < count:
-            return False
-        for v, z in zip(entries, free[:count]):
-            window_free[z] = False
-            used.add(abs(v))
-        prev_k = t.k[i - 1]
-    return True
+    raise InvalidTripleError(
+        f"no ambient rank fits the triple {format_triple(t)}: its placement "
+        f"steps run short at every rank from {lb} to {cap}"
+    )
 
 
 def construct_inverse(t: ThetaTriple, n: Optional[int] = None) -> SignedPermutation:
@@ -436,64 +463,35 @@ def construct_inverse(t: ThetaTriple, n: Optional[int] = None) -> SignedPermutat
     position range [-n, n]: a zero is pre-placed at position 0, step (i)
     scans right from position q_i placing entries that end with -p_i,
     and every placement is mirrored through 0.  The window restriction
-    of the result is the inverse of `construct(t)`.
+    of the result is the inverse of `construct(t)`.  The forward steps
+    run first, so that the same triples and ranks are refused as by
+    `construct`.
     """
     if n is None:
         n = t.n
-    report = validate(t)
-    if not report.ok:
-        raise InvalidTripleError(report.failure_message())
+    _checked_steps(t, n)
 
-    # Reject degenerate triples exactly as `construct` does.  Which
-    # values the forward steps take does not depend on positions, so a
-    # value-only replay suffices to run the shared coherence check.
-    sim: Dict[int, List[int]] = {}
-    sim_used: set = set()
-    sim_prev = 0
-    for i in range(1, t.s + 1):
-        bound = -t.q[i - 1]
-        entries = _pick_entries(t.k[i - 1] - sim_prev, bound, sim_used,
-                                -n if bound < 0 else 1)
-        if entries is None:
-            sim = {}  # infeasible here; the mirrored loop raises below
-            break
-        sim[i] = entries
-        sim_used.update(abs(v) for v in entries)
-        sim_prev = t.k[i - 1]
-    if sim:
-        failure = _coherence_failure(t, derive(t), sim)
-        if failure:
-            raise InvalidTripleError(failure)
-
-    values: Dict[int, int] = {0: 0}
+    values: Dict[int, int] = {0: 0}  # position -> value, also the taken positions
     used: set = set()
     prev_k = 0
-    for i in range(1, t.s + 1):
-        count = t.k[i - 1] - prev_k
-        bound = -t.p[i - 1]  # always negative
-        entries = _pick_entries(count, bound, used, -n)
-        if entries is None:
+    for i, (k_i, p_i, q_i) in enumerate(t.entries(), start=1):
+        placed = _place(k_i - prev_k, -p_i, q_i, n, used, values)
+        if placed is None:
             raise InfeasibleRankError(
-                f"mirrored step {i} ran out of values at rank {n}", minimum=None
+                f"mirrored step {i} ran out of values or positions at "
+                f"rank {n}", minimum=None
             )
-        start = t.q[i - 1]
-        free = [z for z in range(start, n + 1) if z != 0 and z not in values]
-        if len(free) < count:
-            raise InfeasibleRankError(
-                f"mirrored step {i} ran out of positions at rank {n}", minimum=None
-            )
-        for v, z in zip(entries, free[:count]):
+        for v, z in zip(*placed):
             values[z] = v
             values[-z] = -v
             used.add(abs(v))
-        prev_k = t.k[i - 1]
+        prev_k = k_i
 
-    rest_positions = [z for z in range(1, n + 1) if z not in values]
-    rest_values = sorted(v for v in range(1, n + 1) if v not in used)
-    assert len(rest_positions) == len(rest_values)
-    for v, z in zip(rest_values, rest_positions):
+    # as forward: one free positive position per unused absolute value
+    rest = list(zip((v for v in range(1, n + 1) if v not in used),
+                    (z for z in range(1, n + 1) if z not in values)))
+    for v, z in rest:
         values[z] = v
-        values[-z] = -v
     return SignedPermutation([values[z] for z in range(1, n + 1)])
 
 
@@ -582,42 +580,17 @@ def recover(
     qs = [c.q for c in path]
 
     a = sum(1 for v in qs if v > 0) + 1
-
-    def q_at(j: int) -> float:
-        if j == 0:
-            return float("inf")
-        if j == s + 1:
-            return -n
-        return qs[j - 1]
-
-    def k_at(j: int) -> int:
-        if j == 0:
-            return 0
-        if j == s + 1:
-            return n
-        return ks[j - 1]
-
-    def p_at(j: int) -> int:
-        if j == s + 1:
-            return 1
-        return ps[j - 1]
-
-    def R_of(i: int) -> Optional[int]:
-        if i == s + 1:
-            return 0
-        target = -qs[i - 1]
-        for cand in range(a):
-            if q_at(cand) > target > q_at(cand + 1):
-                return cand
-        return None  # collision; cannot happen for a recoverable w
+    R = {s + 1: 0}
+    for i in range(a, s + 1):
+        R[i] = _r_index(qs, a, i)
+        if R[i] is None:
+            return None  # collision; cannot happen for a recoverable w
+    K, P, Q = [0, *ks, n], [n, *ps, 1], [n, *qs, -n]  # with the sentinels
 
     removable = set()
     for i in range(a, s + 1):
-        r_i, r_next = R_of(i), R_of(i + 1)
-        if r_i is None or r_next is None:
-            return None
-        lhs = (p_at(i) - p_at(i + 1)) + (q_at(i) - q_at(i + 1))
-        rhs = (k_at(i + 1) - k_at(i)) + (k_at(r_i) - k_at(r_next))
+        lhs = (P[i] - P[i + 1]) + (Q[i] - Q[i + 1])
+        rhs = (K[i + 1] - K[i]) + (K[R[i]] - K[R[i + 1]])
         if lhs == rhs:
             removable.add(i)
 
@@ -642,128 +615,90 @@ def generate_triples(n: int, s_max: Optional[int] = None,
     """All valid triples constructible at ambient rank n, in a fixed
     depth-first order.
 
-    Searches entries (k_i, p_i, q_i) bounded by n with incremental
-    pruning: the monotone shapes, A2, and every condition whose index
-    range is already determined are checked as soon as possible; A3 and
-    B3 only gate the emission of a finished prefix, not its extension.
-    Each emitted triple passes `validate`, fits at rank n, and builds
-    coherently (see `construct_with_trace`); the degenerate tied tuples
-    that pass the written conditions but cannot realize their own
-    corners are filtered out, so emitted triples correspond one-to-one
-    with the permutations they construct.
+    Searches entries (k_i, p_i, q_i) bounded by n: k increasing, then p
+    decreasing, then q decreasing (skipping 0).  The search carries the
+    prefix's state down: the cut index a, R of every negative entry, the
+    used values, the taken positions and the values of each step, and
+    undoes them on backtrack.  A new entry i costs the conditions it
+    completes (`_entry_checks`), one placement step (`_place`) and the
+    coherence check at i (`_coherence_failure`); a prefix that passes
+    them is emitted when A3 and B3 hold (`_closing_checks`), and is then
+    extended.
+
+    A prefix that fails any of these is cut with its whole subtree, and
+    this loses nothing.  A condition that entry i completes reads only
+    entries 1..i and stays a condition of every extension (a positive
+    q_i keeps i below the final cut).  Steps 1..i of every extension are
+    the steps of the prefix, so a step that runs short runs short in
+    every extension.  The coherence check at i reads R(i), the cut a and
+    the steps before a, all fixed once a negative q has appeared, so its
+    failures are permanent too.  Emitted triples thus pass `validate`, fit at
+    rank n and build coherently (see `construct_with_trace`); the
+    degenerate tied tuples that pass the written conditions but cannot
+    realize their own corners are never emitted, so emitted triples
+    correspond one-to-one with the permutations they construct.
     """
     check_rank_guard(n, allow_large)
     if s_max is None:
         s_max = 2 * n  # generous; shape bounds cut the depth well before
 
-    empty = ThetaTriple((), (), (), n)
-    yield empty
+    yield ThetaTriple((), (), (), n)
 
     ks: List[int] = []
     ps: List[int] = []
     qs: List[int] = []
+    R: Dict[int, Optional[int]] = {}  # R(i) of the negative entries
+    step_values: List[List[int]] = []
+    used: set = set()
+    taken: set = set()
 
-    def q_values():
-        # candidate q values in decreasing order, skipping zero
-        return [v for v in range(n, -n - 1, -1) if v != 0]
+    def admit(a: int, count: int) -> Optional[Tuple[List[int], List[int]]]:
+        # the newest entry's placement, or None to cut it with its subtree
+        i = len(ks)
+        if qs[-1] < 0:
+            R[i] = _r_index(qs, a, i)
+            if R[i] is None:
+                return None
+        if not all(row[1] for row in _entry_checks(ks, ps, qs, a, R, i)):
+            return None
+        if i >= a and _coherence_failure(qs, a, R, step_values, i):
+            return None
+        return _place(count, -qs[-1], ps[-1], n, used, taken)
 
-    def a_of() -> int:
-        return sum(1 for v in qs if v > 0) + 1
-
-    def k_at(j: int) -> int:
-        return 0 if j == 0 else ks[j - 1]
-
-    def R_of(i: int) -> Optional[int]:
-        # R for index i within the current prefix; valid once q_i < 0
-        a = a_of()
-        target = -qs[i - 1]
-        for cand in range(a):
-            hi = float("inf") if cand == 0 else qs[cand - 1]
-            lo = qs[cand] if cand < a - 1 else -float("inf")
-            if hi > target > lo:
-                return cand
-        return None
-
-    def prefix_ok(i: int) -> bool:
-        """Check every condition that is decidable once entry i exists."""
-        a = a_of()
-        if qs[i - 1] < 0:
-            # A2 against earlier entries
-            if any(qs[i - 1] == -qs[j] for j in range(i - 1)):
-                return False
-            r = R_of(i)
-            if r is None:
-                return False
-            # C1 at i
-            if not -qs[i - 1] >= ks[i - 1] - k_at(r):
-                return False
-            # C2 at i
-            if r < a - 1:
-                cands = [
-                    j for j in range(r + 1, a)
-                    if ks[j - 1] - ks[r] >= qs[r] - qs[j - 1]
-                ]
-                li = max(cands)
-                if not -qs[i - 1] >= qs[li - 1] + ks[li - 1] - k_at(r):
-                    return False
-        if i >= 2:
-            prev = i - 1
-            lhs = (ps[prev - 1] - ps[i - 1]) + (qs[prev - 1] - qs[i - 1])
-            if prev < a - 1:  # B1 at prev
-                if not lhs > ks[i - 1] - ks[prev - 1]:
-                    return False
-            elif prev >= a:  # B2 at prev
-                r_prev, r_i = R_of(prev), R_of(i)
-                if r_prev is None or r_i is None:
-                    return False
-                if not lhs > (ks[i - 1] - ks[prev - 1]) + (k_at(r_prev) - k_at(r_i)):
-                    return False
-            # the boundary prev == a-1 is deliberately unconstrained
-        return True
-
-    def emit_ok() -> bool:
-        """A3 and B3 for the current prefix taken as a complete triple."""
-        s = len(ks)
-        a = a_of()
-        if qs[s - 1] < 0 and ps[s - 1] == 1:
-            return False
-        if a <= s:
-            r = R_of(s)
-            if r is None or not ps[s - 1] + qs[s - 1] + ks[s - 1] > k_at(r) + 1:
-                return False
-        return True
-
-    def extend() -> Iterator[ThetaTriple]:
+    def extend(a: int) -> Iterator[ThetaTriple]:
+        # a is the prefix's cut index: len + 1 while every q is positive
         i = len(ks) + 1
         if i > s_max:
             return
-        k_lo = (ks[-1] + 1) if ks else 1
+        k_prev = ks[-1] if ks else 0
         p_hi = ps[-1] if ps else n
         q_hi = qs[-1] if qs else n
-        for k_new in range(k_lo, n + 1):
+        for k_new in range(k_prev + 1, n + 1):
+            ks.append(k_new)
             for p_new in range(p_hi, 0, -1):
-                for q_new in q_values():
-                    if q_new > q_hi:
+                ps.append(p_new)
+                for q_new in range(q_hi, -n - 1, -1):
+                    if q_new == 0:
                         continue
-                    ks.append(k_new)
-                    ps.append(p_new)
                     qs.append(q_new)
-                    if prefix_ok(i):
-                        if emit_ok():
-                            t = ThetaTriple(tuple(ks), tuple(ps), tuple(qs), n)
-                            if _feasible_at(t, n):
-                                try:
-                                    construct(t, n)
-                                except InvalidTripleError:
-                                    pass  # degenerate tied tuple
-                                else:
-                                    yield t
-                        yield from extend()
-                    ks.pop()
-                    ps.pop()
+                    a_new = i + 1 if q_new > 0 else a
+                    placed = admit(a_new, k_new - k_prev)
+                    if placed is not None:
+                        values, positions = placed
+                        step_values.append(values)
+                        used.update(abs(v) for v in values)
+                        taken.update(positions)
+                        if all(row[1] for row in _closing_checks(ks, ps, qs, a_new, R)):
+                            yield ThetaTriple(tuple(ks), tuple(ps), tuple(qs), n)
+                        yield from extend(a_new)
+                        step_values.pop()
+                        used.difference_update(abs(v) for v in values)
+                        taken.difference_update(positions)
                     qs.pop()
+                ps.pop()
+            ks.pop()
 
-    yield from extend()
+    yield from extend(1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ honestly, listing the four rank-6 windows on which the corner-geometry
 route disagrees with the pattern and construction routes.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -88,7 +89,8 @@ def test_criterion_5b_exhaustive_equivalence_rank_six():
 def test_criterion_6_round_trip_uniqueness():
     for n in range(1, 7):
         seen = set()
-        for t in theta.generate_triples(n):
+        triples = list(theta.generate_triples(n))
+        for t in triples:
             w = theta.construct(t)
             back = theta.recover(w)
             assert back == t
@@ -96,6 +98,11 @@ def test_criterion_6_round_trip_uniqueness():
             assert w.window not in seen
             seen.add(w.window)
         assert len(seen) == THETA_VEXILLARY_COUNTS[n]
+    # the rank-6 generation order, pinned (ranks 1-5 in test_theta.py)
+    text = repr([(t.k, t.p, t.q) for t in triples])
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "441aa1bf17c394dfe3ec156cbcd3bf740691d381bcf158d3608b8cf8cea9b316"
+    )
 
 
 def test_criterion_7_structural_property_suite():

@@ -185,6 +185,15 @@ def test_verify_output_identical_across_jobs(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def test_verify_json_identical_across_jobs(capsys):
+    # pool chunks start from an unranked window, not from the first one
+    outs = {run(capsys, "verify", "5", "--json", "--jobs", jobs)[:2]
+            for jobs in ("1", "2", "3")}
+    assert len(outs) == 1
+    code, out = outs.pop()
+    assert code == 0 and json.loads(out)["theta_vexillary"] == 2061
+
+
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 def test_verify_rejects_non_positive_jobs(capsys, jobs):
     code, out, err = run(capsys, "verify", "3", "--jobs", jobs)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -45,6 +47,32 @@ TIED_OK = [
 
 GENERATED_COUNTS = {1: 2, 2: 8, 3: 44, 4: 286, 5: 2061}
 
+# sha256 of repr([(t.k, t.p, t.q) for t in generate_triples(n)]): the
+# generation order is part of the contract, not only the set
+GENERATED_DIGESTS = {
+    1: "c55d68b1c30626daadb0c4898ff2adcd874e0f7ac261c69a18c9347a03c633e0",
+    2: "696166ac8abf7d36df4c16f17ea1dce3b6abb91adf35ecce91388b0fc37d03de",
+    3: "223442bbd512767a41dc3d466904cb101b8c32743364888abd1493bbbbb935bb",
+    4: "7caa877e7bcae5b8781c46ea98658e6bad1a434370640696a1e874116300cee7",
+    5: "fdd98806c742f3cb88bf823143627e54a2b484a8c1b2efa0bb0a3b1333a792c3",
+}
+
+
+def generation_digest(triples):
+    text = repr([(t.k, t.p, t.q) for t in triples])
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def shape_valid_triples(n):
+    """Every ThetaTriple with entries bounded by n: k strictly increasing,
+    p and q weakly decreasing, q nonzero (hence s <= n)."""
+    q_values = [v for v in range(n, -n - 1, -1) if v != 0]
+    for s in range(n + 1):
+        for k in itertools.combinations(range(1, n + 1), s):
+            for p in itertools.combinations_with_replacement(range(n, 0, -1), s):
+                for q in itertools.combinations_with_replacement(q_values, s):
+                    yield ThetaTriple(k, p, q, n)
+
 
 # ---------------------------------------------------------------------------
 # shape checks
@@ -69,6 +97,17 @@ def test_shape_rejects_small_rank():
         ThetaTriple((1,), (2,), (-3,), 2)
     with pytest.raises(ValueError, match="ambient rank"):
         ThetaTriple((), (), (), 0)
+
+
+def test_triples_pickle_and_copy():
+    import copy
+    import pickle
+
+    for t in (BIG_T, ThetaTriple((), (), (), 3)):
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert copy.deepcopy(t) == t and hash(copy.copy(t)) == hash(t)
+    with pytest.raises(AttributeError):
+        BIG_T.n = 11
 
 
 def test_entries_and_rank_change():
@@ -177,6 +216,14 @@ def test_min_feasible_rank():
     assert min_feasible_rank(BIG_T) == 10
     assert min_feasible_rank(ThetaTriple((), (), (), 5)) == 1
     assert min_feasible_rank(ThetaTriple((1,), (1,), (1,), 1)) == 1
+
+
+def test_min_feasible_rank_refuses_unbuildable_triple():
+    # step 1 needs two positive values at or below 1 at every rank; the
+    # refusal is a real exception, not an assert that python -O drops
+    t = ThetaTriple((2,), (4,), (-1,), 4)
+    with pytest.raises(InvalidTripleError, match=r"no ambient rank fits the triple 2; 4; -1"):
+        min_feasible_rank(t)
 
 
 def test_construct_stable_under_rank_growth():
@@ -303,7 +350,27 @@ def test_recover_inverts_construct_exhaustively():
 
 def test_generated_counts_are_pinned():
     for n, expected in GENERATED_COUNTS.items():
-        assert sum(1 for _ in generate_triples(n)) == expected
+        triples = list(generate_triples(n))
+        assert len(triples) == expected
+        assert generation_digest(triples) == GENERATED_DIGESTS[n]
+
+
+def test_generation_matches_brute_force_reference():
+    """The generator equals a filter over all shape-valid triples that
+    shares none of its search: keep what `validate` and `construct`
+    accept at rank n."""
+    for n in (1, 2, 3, 4):
+        reference = set()
+        for t in shape_valid_triples(n):
+            if not validate(t).ok:
+                continue
+            try:
+                construct(t, n)
+            except (InvalidTripleError, InfeasibleRankError):
+                continue
+            reference.add(t)
+        assert len(reference) == GENERATED_COUNTS[n]
+        assert set(generate_triples(n)) == reference
 
 
 def test_generated_triples_validate_and_fit():
