@@ -58,11 +58,8 @@ def classify_by_patterns(
     w: SignedPermutation,
 ) -> Tuple[bool, Optional[Tuple[SignedPattern, Tuple[int, ...]]]]:
     """True iff w avoids every pattern; otherwise the first hit found."""
-    for pat in PATTERNS:
-        witness = find_pattern(w, pat)
-        if witness is not None:
-            return False, (pat, witness)
-    return True, None
+    hit = find_pattern(w, PATTERNS)
+    return hit is None, hit
 
 
 def classify_by_corners(

@@ -218,10 +218,13 @@ def corners(w: SignedPermutation) -> CornerSet:
         left, here = (win[p - 2] if p > 1 else 0), win[p - 1]
         if left < here:
             continue
-        tail = win[p - 1:]
+        # k counts the tail's values up to -q; as q steps down, value -q
+        # joins the count when it sits in the tail (position >= p)
+        k = sum(1 for x in win[p - 1:] if x < here)
         for q in range(-here, -left, -1):
+            k += inv[n - q] >= p
             if inv[n + q - 1] > -p >= inv[n + q]:
-                found.append((sum(1 for x in tail if x <= -q), p, q))
+                found.append((k, p, q))
 
     # with p descending, (p, q) is minimal iff no corner at a strictly
     # larger p has a smaller q

@@ -12,6 +12,7 @@ removed: -n < ... < -1 < 1 < ... < n.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -202,53 +203,80 @@ class FullPermutation:
 # pattern containment
 
 
+@lru_cache(maxsize=256)
+def _letter_steps(pat: Tuple[int, ...]) -> Tuple[Tuple[int, int, int], ...]:
+    """(sign, lower, upper) per letter j of a pattern window: the sign as
+    0/1 and the earlier letters whose |pat| is the nearest below and
+    above |pat[j]|, or -2 and -1 (the slots of the bounds) if none."""
+    steps = []
+    for j, v in enumerate(pat):
+        ranked = [-2, *sorted(range(j + 1), key=lambda k: abs(pat[k])), -1]
+        r = ranked.index(j)
+        steps.append((int(v > 0), ranked[r - 1], ranked[r + 1]))
+    return tuple(steps)
+
+
 def find_pattern(
-    w: SignedPermutation, pattern: SignedPermutation
-) -> Optional[Tuple[int, ...]]:
-    """Lexicographically least witness of the pattern inside w, or None.
+    w: SignedPermutation, patterns: Sequence[SignedPermutation]
+) -> Optional[Tuple[SignedPermutation, Tuple[int, ...]]]:
+    """The first of the patterns, in order, that occurs in w, with its
+    lexicographically least witness (increasing 1-based indices whose
+    entries have the pattern's signs and the relative order of its
+    |values|); None if w avoids them all.
 
-    A witness is an increasing index sequence 1 <= i_1 < ... < i_m <= n
-    such that sign(w(i_j)) = sign(pattern(j)) for every j and the
-    absolute values |w(i_1)|, ..., |w(i_m)| are in the same relative
-    order as the pattern's absolute values.
-
-    Depth-first search over index prefixes in increasing order, pruning
-    on signs; the first complete match found is the lexicographically
-    least one.
+    Each pattern is a depth-first search over index prefixes in
+    increasing order, so the table order and the least witnesses are
+    those of one search per pattern.  The chosen letters are
+    order-isomorphic to the pattern's prefix, so a candidate for letter
+    j fits them all iff its |w| lies strictly between those of the two
+    earlier letters nearest below and above |pat[j]|: two comparisons,
+    not j.  A scan is skipped in O(1) when the per-sign suffix maximum
+    and minimum of |w| leave no entry of the right sign in that
+    interval.  The arrays are built once per window and shared by all
+    patterns; each pattern's steps are memoised.
     """
     win = w.window
-    pat = pattern.window
-    n, m = len(win), len(pat)
-    if m > n:
-        return None
-    chosen: list = []
-
-    def extend(start: int) -> bool:
-        j = len(chosen)
-        if j == m:
-            return True
-        for i in range(start, n - (m - j) + 1):
-            v = win[i]
-            if (v > 0) != (pat[j] > 0):
-                continue
-            if all(
-                (abs(win[c]) < abs(v)) == (abs(pat[l]) < abs(pat[j]))
-                for l, c in enumerate(chosen)
-            ):
-                chosen.append(i)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if extend(0):
-        return tuple(i + 1 for i in chosen)
+    n = len(win)
+    # keys[s][i] is |w(i + 1)| if its sign is s (1 = positive), else 0, which
+    # fails every a < x < b; top/low[s][i]: max/min |w| of sign s from i on
+    keys = ([0] * n, [0] * n)
+    top = ([0] * (n + 1), [0] * (n + 1))
+    low = ([n + 1] * (n + 1), [n + 1] * (n + 1))
+    hi, lo = [0, 0], [n + 1, n + 1]
+    for i in range(n - 1, -1, -1):
+        s = int(win[i] > 0)
+        x = keys[s][i] = abs(win[i])
+        if x > hi[s]:
+            hi[s] = x
+        if x < lo[s]:
+            lo[s] = x
+        top[0][i], top[1][i], low[0][i], low[1][i] = hi[0], hi[1], lo[0], lo[1]
+    chosen = [0] * n
+    size = [0] * n + [0, n + 1]  # |w| of the chosen letters, then the bounds
+    for pattern in patterns:
+        steps = _letter_steps(pattern.window)
+        m = len(steps)
+        j = start = 0
+        while 0 <= j < m <= n:
+            s, lower, upper = steps[j]
+            a, b, key = size[lower], size[upper], keys[s]
+            fits = top[s][start] > a and low[s][start] < b
+            for i in range(start, n - m + j + 1 if fits else 0):
+                if a < key[i] < b:
+                    chosen[j], size[j] = i, key[i]
+                    j, start = j + 1, i + 1
+                    break
+            else:  # backtrack: the previous letter tries its next index
+                j -= 1
+                start = chosen[j] + 1
+        if j == m <= n:
+            return pattern, tuple(i + 1 for i in chosen[:m])
     return None
 
 
 def contains_pattern(w: SignedPermutation, pattern: SignedPermutation) -> bool:
     """True iff some subsequence of the window realizes the pattern."""
-    return find_pattern(w, pattern) is not None
+    return find_pattern(w, (pattern,)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,34 @@ def naive_find_pattern(w, pattern):
     return None
 
 
+def naive_first_pattern(w, patterns):
+    """(pattern, witness) for the first pattern, in sequence order, that
+    `naive_find_pattern` finds in w, or None: the reference for the
+    library's one-call-per-window matcher."""
+    for pat in patterns:
+        witness = naive_find_pattern(w, pat)
+        if witness is not None:
+            return pat, witness
+    return None
+
+
+def is_occurrence(w, pattern, positions):
+    """True iff the 1-based positions pick out an occurrence of the
+    pattern in w: strictly increasing, in range, with the pattern's signs
+    and the pairwise order of its absolute values."""
+    pat = pattern.window
+    if len(positions) != len(pat) or list(positions) != sorted(set(positions)):
+        return False
+    if positions and not 1 <= positions[0] <= positions[-1] <= w.n:
+        return False
+    vals = [w(i) for i in positions]
+    return all((v > 0) == (pv > 0) for v, pv in zip(vals, pat)) and all(
+        (abs(vals[x]) < abs(vals[y])) == (abs(pat[x]) < abs(pat[y]))
+        for x in range(len(pat))
+        for y in range(x + 1, len(pat))
+    )
+
+
 def length_by_descent_stripping(w):
     """Independent length oracle: apply simple reflections at descents
     until the identity is reached; the number of steps is the length."""

@@ -1,9 +1,11 @@
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import signed_permutations
+from conftest import is_occurrence, naive_first_pattern, signed_permutations
 from thetavex import theta
 from thetavex.classify import (
     PATTERNS,
@@ -21,6 +23,7 @@ from thetavex.sigperm import (
     RankTooLargeError,
     SignedPermutation,
     enumerate_group,
+    iter_windows,
 )
 
 BIG = SignedPermutation([10, 1, 5, 3, -2, -4, 6, -9, -8, -7])
@@ -30,6 +33,15 @@ PATTERN_TABLE_SHA256 = (
 )
 
 THETA_VEXILLARY_COUNTS = {1: 2, 2: 8, 3: 44, 4: 286, 5: 2061}
+
+# sha256 of repr([(window, (pattern window, witness) or None), ...]) of
+# classify_by_patterns over W_6 in window order, taken from the
+# one-search-per-pattern matcher that the shared matcher replaced
+W6_WITNESS_SHA256 = (
+    "62ed766a154fb4687ed7045305532a22" "7683cf59461dc8c965a6811f339ebc41"
+)
+
+README_TRIPLE = ((3, 4, 5, 6, 9), (8, 6, 5, 4, 2), (7, 4, 2, -3, -6))
 
 # rank-6 windows where the corner-geometry route alone says yes although
 # no triple constructs them (each contains 2 1 4 3); pinned so nobody
@@ -107,6 +119,53 @@ def test_corner_route_reports_stray_corner():
 def test_triple_route_rejects_pattern_container():
     assert classify_by_triple(SignedPermutation([-1, 3, 2])) == (False, None)
     assert classify_by_triple(SignedPermutation([-2, 3, 1])) == (False, None)
+
+
+def test_pattern_route_matches_naive_reference():
+    for n in range(1, 6):
+        for w in enumerate_group(n):
+            assert classify_by_patterns(w)[1] == naive_first_pattern(w, PATTERNS)
+    rng = random.Random(2001)
+    pool = list(theta.generate_triples(4))
+    for n in range(7, 31):
+        values = rng.sample(range(1, n + 1), n)
+        windows = [[v if rng.random() < 0.5 else -v for v in values]]
+        if n <= 14:  # members make the reference scan every subsequence
+            t = rng.choice(pool)
+            windows.append(theta.construct(theta.ThetaTriple(t.k, t.p, t.q, n)).window)
+        for win in windows:
+            w = SignedPermutation(win)
+            assert classify_by_patterns(w)[1] == naive_first_pattern(w, PATTERNS)
+
+
+def test_rank_six_witnesses_are_pinned():
+    rows = []
+    for win in iter_windows(6):
+        hit = classify_by_patterns(SignedPermutation(win))[1]
+        rows.append((win, None if hit is None else (hit[0].window, hit[1])))
+    assert sum(hit is not None for _, hit in rows) == 46080 - 15964
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == W6_WITNESS_SHA256
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_pattern_route_at_large_rank(n):
+    rng = random.Random(n)
+    members = [
+        SignedPermutation([-i for i in range(1, n + 1)]),
+        SignedPermutation.identity(n),
+        theta.construct(theta.ThetaTriple(*README_TRIPLE, n)),
+    ]
+    for t in rng.sample(list(theta.generate_triples(4)), 3):
+        members.append(theta.construct(theta.ThetaTriple(t.k, t.p, t.q, n)))
+    others = []
+    for _ in range(3):
+        values = rng.sample(range(1, n + 1), n)
+        others.append(SignedPermutation(v if rng.random() < 0.5 else -v for v in values))
+    for w in members + others:
+        ok, hit = classify_by_patterns(w)
+        assert ok is (w in members)
+        assert ok is classify_by_triple(w)[0]
+        assert ok or is_occurrence(w, *hit)
 
 
 @given(signed_permutations(max_n=5))

@@ -63,6 +63,13 @@ def test_classify_json(capsys):
     assert obj["corners"] == [{"k": 1, "p": 2, "q": -1, "class": "ne_path"}]
 
 
+def test_classify_longest_element_at_rank_400(capsys):
+    window = " ".join(str(-i) for i in range(1, 401))
+    code, out, _ = run(capsys, "classify", window)
+    assert code == 0
+    assert "theta-vexillary: yes" in out.splitlines()
+
+
 def test_classify_bad_window(capsys):
     code, out, err = run(capsys, "classify", "bogus")
     assert code == 2 and out == ""

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import length_by_descent_stripping, naive_find_pattern, signed_permutations
+from conftest import (
+    length_by_descent_stripping,
+    naive_find_pattern,
+    naive_first_pattern,
+    signed_permutations,
+)
 from thetavex.sigperm import (
     RankTooLargeError,
     SignedPermutation,
@@ -150,18 +155,26 @@ def test_descent_at_zero_iff_first_negative(w):
 # pattern containment
 
 
+def witness(w, pat):
+    """The least witness of one pattern through the sequence form."""
+    hit = find_pattern(w, (pat,))
+    return None if hit is None else hit[1]
+
+
 def test_pattern_trivial_witnesses():
     w = SignedPermutation([-1, 3, 2])
-    assert find_pattern(w, SignedPermutation([-1, 3, 2])) == (1, 2, 3)
+    pat = SignedPermutation([-1, 3, 2])
+    assert find_pattern(w, (pat,)) == (pat, (1, 2, 3))
     w2 = SignedPermutation([2, 1, 4, 3])
-    assert find_pattern(w2, SignedPermutation([2, 1, 4, 3])) == (1, 2, 3, 4)
-    assert contains_pattern(w2, SignedPermutation([2, 1, 4, 3]))
+    pat2 = SignedPermutation([2, 1, 4, 3])
+    assert find_pattern(w2, (pat2,)) == (pat2, (1, 2, 3, 4))
+    assert contains_pattern(w2, pat2)
 
 
 def test_pattern_needs_matching_signs():
     w = SignedPermutation([1, 2, 3])
-    assert find_pattern(w, SignedPermutation([-1, 2, 3])) is None
-    assert find_pattern(negative_one_line(3), SignedPermutation([1, 2])) is None
+    assert find_pattern(w, (SignedPermutation([-1, 2, 3]),)) is None
+    assert find_pattern(negative_one_line(3), (SignedPermutation([1, 2]),)) is None
 
 
 def test_pattern_matcher_agrees_with_naive_exhaustive():
@@ -170,13 +183,37 @@ def test_pattern_matcher_agrees_with_naive_exhaustive():
     for n in (2, 3, 4):
         for w in enumerate_group(n):
             for pat in patterns:
-                assert find_pattern(w, pat) == naive_find_pattern(w, pat)
+                assert witness(w, pat) == naive_find_pattern(w, pat)
+            assert find_pattern(w, patterns) == naive_first_pattern(w, patterns)
 
 
 @settings(max_examples=300)
 @given(signed_permutations(max_n=6), signed_permutations(min_n=2, max_n=4))
 def test_pattern_matcher_agrees_with_naive_random(w, pat):
-    assert find_pattern(w, pat) == naive_find_pattern(w, pat)
+    assert witness(w, pat) == naive_find_pattern(w, pat)
+
+
+def test_pattern_sequence_edge_cases():
+    w = SignedPermutation([2, -3, 1])
+    longer = SignedPermutation([2, 1, 4, 3])
+    one, two = SignedPermutation([-1]), SignedPermutation([1, 2])
+    assert find_pattern(w, ()) is None
+    # a pattern longer than the window is skipped, not an error
+    assert find_pattern(w, (longer,)) is None
+    assert find_pattern(w, (longer, one)) == (one, (2,))
+    assert find_pattern(w, (two,)) is None
+    assert find_pattern(w, (SignedPermutation([2, 1]),)) == (
+        SignedPermutation([2, 1]), (1, 3))
+    # the first pattern of the sequence wins, not the earliest witness
+    assert find_pattern(w, (SignedPermutation([1]), one)) == (
+        SignedPermutation([1]), (1,))
+    assert find_pattern(w, (one, SignedPermutation([1]))) == (one, (2,))
+    # every 1- and 2-letter pattern against W_1..W_3
+    short = [*enumerate_group(1), *enumerate_group(2)]
+    for n in (1, 2, 3):
+        for v in enumerate_group(n):
+            for p in short:
+                assert witness(v, p) == naive_find_pattern(v, p)
 
 
 @given(signed_permutations(max_n=5), signed_permutations(min_n=2, max_n=3))
