@@ -21,6 +21,7 @@ from .sigperm import (
     SignedPattern,
     SignedPermutation,
     check_rank_guard,
+    enumerate_group,
     find_pattern,
     group_order,
     iter_windows,
@@ -83,7 +84,7 @@ def classify_by_triple(
     if candidate is None:
         return False, None
     try:
-        rebuilt = theta.construct(candidate, w.n)
+        rebuilt = theta.construct(candidate)
     except (theta.InfeasibleRankError, theta.InvalidTripleError):
         return False, None
     if rebuilt != w:
@@ -94,7 +95,7 @@ def classify_by_triple(
 @lru_cache(maxsize=None)
 def _constructible_windows(n: int) -> frozenset:
     return frozenset(
-        theta.construct(t, n).window for t in theta.generate_triples(n)
+        theta.construct(t).window for t in theta.generate_triples(n)
     )
 
 
@@ -244,24 +245,22 @@ def verify_equivalence(
 ) -> VerifySummary:
     """Run all three classifiers over every element of W_n.
 
-    With jobs > 1 the window stream is split into contiguous chunks and
-    handed to a process pool; results merge by summation, so the summary
-    does not depend on the worker count.
+    The window stream is split into contiguous chunks, which run in this
+    process when jobs <= 1 and on a pool of `jobs` processes otherwise;
+    results merge by summation in chunk order, so the summary does not
+    depend on the worker count.
     """
     check_rank_guard(n, allow_large)
     total = group_order(n)
+    tasks = [(n, lo, hi) for lo, hi in chunk_bounds(total, max(jobs, 1))]
     if jobs <= 1:
-        count, mismatches = _verify_chunk((n, 0, total))
-        return VerifySummary(n, total, count, tuple(mismatches))
-
-    tasks = [(n, lo, hi) for lo, hi in chunk_bounds(total, jobs)]
-    count = 0
-    mismatches: List[Tuple[int, ...]] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part_count, part_bad in pool.map(_verify_chunk, tasks):
-            count += part_count
-            mismatches.extend(part_bad)
-    return VerifySummary(n, total, count, tuple(mismatches))
+        parts = list(map(_verify_chunk, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_verify_chunk, tasks))
+    count = sum(part_count for part_count, _ in parts)
+    mismatches = tuple(win for _, part_bad in parts for win in part_bad)
+    return VerifySummary(n, total, count, mismatches)
 
 
 def enumerate_theta_vexillary(
@@ -269,8 +268,6 @@ def enumerate_theta_vexillary(
 ) -> Iterator[SignedPermutation]:
     """All theta-vexillary elements of W_n in window order, decided by
     pattern avoidance (exact at every rank, unlike the corner route)."""
-    check_rank_guard(n, allow_large)
-    for win in iter_windows(n):
-        w = SignedPermutation(win)
+    for w in enumerate_group(n, allow_large=allow_large):
         if classify_by_patterns(w)[0]:
             yield w

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagram)
 
     p = sub.add_parser("construct", help="build the permutation and its inverse from a triple")
-    p.add_argument("triple", help='triple such as "1 2; 3 3; 2 -1"')
+    p.add_argument("triple", help='triple such as "1 2; 4 3; 4 -1"')
     p.add_argument(
         "-n", "--rank", type=int, default=None, help="ambient rank (default: smallest that fits)"
     )

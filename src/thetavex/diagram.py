@@ -273,9 +273,7 @@ def count_dots_in_region(d: ExtendedDiagram, p: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 # ASCII rendering
 
-def _corner_token(k: int, kind: Optional[CornerClass]) -> str:
-    if kind is None:
-        return str(k)
+def _corner_token(k: int, kind: CornerClass) -> str:
     letter = {
         CornerClass.NE_PATH: "N",
         CornerClass.UNESSENTIAL: "U",
@@ -298,24 +296,20 @@ def render_extended(
     w: SignedPermutation,
     *,
     show_crosses: bool = False,
-    corner_kinds: bool = True,
     corner_records: Optional[Iterable[CornerRecord]] = None,
 ) -> str:
     """ASCII picture of the extended diagram.
 
     "o" dots, "#" surviving diagram boxes, "." removed or crossed boxes
     ("x" for crossed ones when show_crosses is on).  SE-corner boxes are
-    overlaid with their rank value, plus a class letter (N/U/O) when
-    corner_kinds is set.  Row and column indices sit in the margins.
+    overlaid with their rank value and a class letter (N/U/O).  Row and
+    column indices sit in the margins.
     """
     n = w.n
     d = build_extended_diagram(w)
     if corner_records is None:
         corner_records = corners(w).corners
-    overlay = {
-        t.box: _corner_token(t.k, t.kind if corner_kinds else None)
-        for t in corner_records
-    }
+    overlay = {t.box: _corner_token(t.k, t.kind) for t in corner_records}
 
     def cell(r, c):
         if (r, c) in overlay:

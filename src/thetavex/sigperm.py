@@ -352,18 +352,12 @@ def iter_windows(
         yield from itertools.islice(stream, max(0, stop - start))
 
 
-def enumerate_group(
-    n: int,
-    *,
-    allow_large: bool = False,
-    start: int = 0,
-    stop: Optional[int] = None,
-) -> Iterator[SignedPermutation]:
+def enumerate_group(n: int, *, allow_large: bool = False) -> Iterator[SignedPermutation]:
     """All 2^n * n! elements of W_n, each exactly once, in lexicographic
     order on windows (entries ordered -n < ... < -1 < 1 < ... < n).
     """
     check_rank_guard(n, allow_large)
-    for win in iter_windows(n, start, stop):
+    for win in iter_windows(n):
         yield SignedPermutation(win)
 
 

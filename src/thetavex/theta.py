@@ -70,7 +70,7 @@ class ThetaTriple:
             raise ValueError(f"p must be weakly decreasing and positive: {p}")
         if any(q[i] < q[i + 1] for i in range(len(q) - 1)):
             raise ValueError(f"q must be weakly decreasing: {q}")
-        bound = max((*map(abs, (*k, *p, *q)), 1))
+        bound = _fitting_rank(k, p, q)
         if bound > self.n:
             raise ValueError(
                 f"entries up to {bound} do not fit ambient rank {self.n}"
@@ -88,6 +88,13 @@ class ThetaTriple:
 
     def __str__(self) -> str:
         return format_triple(self)
+
+
+def _fitting_rank(k: Sequence[int], p: Sequence[int], q: Sequence[int]) -> int:
+    """The smallest ambient rank that fits the entries: the least rank a
+    triple may have, the default rank of a parsed triple and the lower
+    bound of `min_feasible_rank`."""
+    return max((1, *map(abs, (*k, *p, *q))))
 
 
 @dataclass(frozen=True)
@@ -226,6 +233,15 @@ def validate(t: ThetaTriple) -> ConditionReport:
     return ConditionReport(tuple([_verdict(*row) for row in rows]))
 
 
+def _require_valid(t: ThetaTriple) -> ThetaTriple:
+    """t itself when all eight conditions hold; otherwise raises
+    InvalidTripleError naming the first failing one."""
+    report = validate(t)
+    if not report.ok:
+        raise InvalidTripleError(report.failure_message())
+    return t
+
+
 def _row(condition: str, index, lhs: int, rhs: int):
     """A verdict row (condition, ok, index, detail) for an inequality:
     strict for the B-conditions, allowing equality for the C-conditions.
@@ -329,23 +345,47 @@ def _place(count: int, bound: int, start: int, n: int,
     return values, positions
 
 
-def _forward_steps(t: ThetaTriple, n: int) -> List[Tuple[List[int], List[int]]]:
-    """(values, positions) of steps 1..s at rank n.  Step i places values
-    at or below -q_i from position p_i on; the list stops before the
-    first step that runs short."""
+def _placement_run(
+    k: Sequence[int], p: Sequence[int], q: Sequence[int], n: int
+) -> Tuple[Dict[int, int], List[Tuple[List[int], List[int]]]]:
+    """The placement steps of (k, p, q) over the full form on [-n, n].
+
+    Step i places the k_i - k_{i-1} largest unused values at or below
+    -q_i from position p_i on; each entry v at z is mirrored to -v at -z,
+    and 0 sits at 0.  `construct_with_trace` runs it on (k, p, q) and
+    `construct_inverse` on the swapped (k, q, p).  Returns the full form
+    (position -> value) and the (values, positions) of each step; the
+    steps stop before the first one that runs short.
+    """
+    full: Dict[int, int] = {0: 0}
     used: set = set()
-    taken: set = set()
     steps = []
     prev_k = 0
-    for k_i, p_i, q_i in t.entries():
-        placed = _place(k_i - prev_k, -q_i, p_i, n, used, taken)
+    for k_i, p_i, q_i in zip(k, p, q):
+        placed = _place(k_i - prev_k, -q_i, p_i, n, used, full)
         if placed is None:
             break
-        used.update(abs(v) for v in placed[0])
-        taken.update(placed[1])
+        for v, z in zip(*placed):
+            full[z] = v
+            full[-z] = -v
+            used.add(abs(v))
         steps.append(placed)
         prev_k = k_i
-    return steps
+    return full, steps
+
+
+def _fill(full: Dict[int, int], n: int) -> Tuple[Tuple[int, int], ...]:
+    """The finishing step, written into the full form: the unused
+    positive values in increasing order into the free positive positions.
+    Returns its (value, position) pairs.  Each placement took one position
+    and one absolute value, so the two are equally many."""
+    placed = set(full.values())  # mirrored: v is placed iff -v is
+    rest = tuple(zip((v for v in range(1, n + 1) if v not in placed),
+                     (z for z in range(1, n + 1) if z not in full)))
+    for v, z in rest:
+        full[z] = v
+        full[-z] = -v
+    return rest
 
 
 def _coherence_failure(q: Sequence[int], a: int, R, step_values, i: int) -> Optional[str]:
@@ -371,21 +411,22 @@ def _coherence_failure(q: Sequence[int], a: int, R, step_values, i: int) -> Opti
     return None
 
 
-def _checked_steps(t: ThetaTriple, n: int) -> List[Tuple[List[int], List[int]]]:
-    """The forward steps of a triple that must be buildable at rank n:
-    raises InvalidTripleError when a condition fails or the triple is
-    degenerate, and InfeasibleRankError when a step runs short."""
-    report = validate(t)
-    if not report.ok:
-        raise InvalidTripleError(report.failure_message())
-    steps = _forward_steps(t, n)
+def _checked_run(
+    t: ThetaTriple,
+) -> Tuple[Dict[int, int], List[Tuple[List[int], List[int]]]]:
+    """The forward placement run of a triple that must be buildable at
+    its rank: raises InvalidTripleError when a condition fails or the
+    triple is degenerate, and InfeasibleRankError when a step runs
+    short."""
+    _require_valid(t)
+    full, steps = _placement_run(t.k, t.p, t.q, t.n)
     if len(steps) < t.s:
         i = len(steps) + 1
         minimum = min_feasible_rank(t)
         raise InfeasibleRankError(
             f"step {i} needs {t.k[i - 1] - _k_at(t.k, i - 1)} unused values "
             f"at or below {-t.q[i - 1]} and as many free positions at or "
-            f"after {t.p[i - 1]}; rank {n} is too small (minimum feasible "
+            f"after {t.p[i - 1]}; rank {t.n} is too small (minimum feasible "
             f"rank is {minimum})",
             minimum=minimum,
         )
@@ -395,42 +436,30 @@ def _checked_steps(t: ThetaTriple, n: int) -> List[Tuple[List[int], List[int]]]:
         failure = _coherence_failure(t.q, der.a, der.R, values, i)
         if failure:
             raise InvalidTripleError(failure)
-    return steps
+    return full, steps
 
 
 def construct_with_trace(
-    t: ThetaTriple, n: Optional[int] = None
+    t: ThetaTriple,
 ) -> Tuple[SignedPermutation, Tuple[StepPlacement, ...]]:
-    """Run the s+1 placement steps, returning the permutation and the
-    per-step placements.
+    """Run the s+1 placement steps at the triple's rank, returning the
+    permutation and the per-step placements.
 
     Step (i) places the k_i - k_{i-1} largest unused values of the same
     sign as -q_i that are <= -q_i, in increasing order, into the free
     positions scanning right from p_i.  Step (s+1) fills what is left
-    with the unused positive values in increasing order.
+    with the unused positive values in increasing order.  For another
+    rank, build `t.with_rank(n)`.
     """
-    if n is None:
-        n = t.n
-    steps = _checked_steps(t, n)
-    window = [0] * (n + 1)  # 1-based
-    trace = []
-    for i, (values, positions) in enumerate(steps, start=1):
-        for v, z in zip(values, positions):
-            window[z] = v
-        trace.append(StepPlacement(i, tuple(zip(values, positions))))
-    # each placement took one position and one absolute value, so the
-    # free positions and the unused values are equally many
-    used = {abs(v) for v in window}
-    rest = tuple(zip((v for v in range(1, n + 1) if v not in used),
-                     (z for z in range(1, n + 1) if not window[z])))
-    for v, z in rest:
-        window[z] = v
-    trace.append(StepPlacement(t.s + 1, rest))
-    return SignedPermutation(window[1:]), tuple(trace)
+    full, steps = _checked_run(t)
+    trace = [StepPlacement(i, tuple(zip(*placed)))
+             for i, placed in enumerate(steps, start=1)]
+    trace.append(StepPlacement(t.s + 1, _fill(full, t.n)))
+    return SignedPermutation([full[z] for z in range(1, t.n + 1)]), tuple(trace)
 
 
-def construct(t: ThetaTriple, n: Optional[int] = None) -> SignedPermutation:
-    return construct_with_trace(t, n)[0]
+def construct(t: ThetaTriple) -> SignedPermutation:
+    return construct_with_trace(t)[0]
 
 
 def min_feasible_rank(t: ThetaTriple) -> int:
@@ -445,10 +474,10 @@ def min_feasible_rank(t: ThetaTriple) -> int:
     (too few positive values under some step's bound) runs short at every
     rank; it raises InvalidTripleError.
     """
-    lb = max((1, *t.p, *t.k, *map(abs, t.q)))
+    lb = _fitting_rank(t.k, t.p, t.q)
     cap = lb + (t.k[-1] if t.k else 0)
     for n in range(lb, cap + 1):
-        if len(_forward_steps(t, n)) == t.s:
+        if len(_placement_run(t.k, t.p, t.q, n)[1]) == t.s:
             return n
     raise InvalidTripleError(
         f"no ambient rank fits the triple {format_triple(t)}: its placement "
@@ -456,7 +485,7 @@ def min_feasible_rank(t: ThetaTriple) -> int:
     )
 
 
-def construct_inverse(t: ThetaTriple, n: Optional[int] = None) -> SignedPermutation:
+def construct_inverse(t: ThetaTriple) -> SignedPermutation:
     """Build the inverse directly, without inverting.
 
     Runs the construction on the swapped triple (k, q, p) over the full
@@ -467,32 +496,15 @@ def construct_inverse(t: ThetaTriple, n: Optional[int] = None) -> SignedPermutat
     run first, so that the same triples and ranks are refused as by
     `construct`.
     """
-    if n is None:
-        n = t.n
-    _checked_steps(t, n)
-
-    values: Dict[int, int] = {0: 0}  # position -> value, also the taken positions
-    used: set = set()
-    prev_k = 0
-    for i, (k_i, p_i, q_i) in enumerate(t.entries(), start=1):
-        placed = _place(k_i - prev_k, -p_i, q_i, n, used, values)
-        if placed is None:
-            raise InfeasibleRankError(
-                f"mirrored step {i} ran out of values or positions at "
-                f"rank {n}", minimum=None
-            )
-        for v, z in zip(*placed):
-            values[z] = v
-            values[-z] = -v
-            used.add(abs(v))
-        prev_k = k_i
-
-    # as forward: one free positive position per unused absolute value
-    rest = list(zip((v for v in range(1, n + 1) if v not in used),
-                    (z for z in range(1, n + 1) if z not in values)))
-    for v, z in rest:
-        values[z] = v
-    return SignedPermutation([values[z] for z in range(1, n + 1)])
+    _checked_run(t)
+    full, steps = _placement_run(t.k, t.q, t.p, t.n)
+    if len(steps) < t.s:
+        raise InfeasibleRankError(
+            f"mirrored step {len(steps) + 1} ran out of values or positions "
+            f"at rank {t.n}"
+        )
+    _fill(full, t.n)
+    return SignedPermutation([full[z] for z in range(1, t.n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +622,7 @@ def recover(
 # generation
 
 
-def generate_triples(n: int, s_max: Optional[int] = None,
-                     *, allow_large: bool = False) -> Iterator[ThetaTriple]:
+def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTriple]:
     """All valid triples constructible at ambient rank n, in a fixed
     depth-first order.
 
@@ -639,8 +650,6 @@ def generate_triples(n: int, s_max: Optional[int] = None,
     correspond one-to-one with the permutations they construct.
     """
     check_rank_guard(n, allow_large)
-    if s_max is None:
-        s_max = 2 * n  # generous; shape bounds cut the depth well before
 
     yield ThetaTriple((), (), (), n)
 
@@ -668,8 +677,6 @@ def generate_triples(n: int, s_max: Optional[int] = None,
     def extend(a: int) -> Iterator[ThetaTriple]:
         # a is the prefix's cut index: len + 1 while every q is positive
         i = len(ks) + 1
-        if i > s_max:
-            return
         k_prev = ks[-1] if ks else 0
         p_hi = ps[-1] if ps else n
         q_hi = qs[-1] if qs else n
@@ -727,12 +734,8 @@ def parse_triple(text: str, n: Optional[int] = None) -> ThetaTriple:
         rows.append(tuple(row))
     k, p, q = rows
     if n is None:
-        n = max((1, *map(abs, (*k, *p, *q))))
-    t = ThetaTriple(k, p, q, n)
-    report = validate(t)
-    if not report.ok:
-        raise InvalidTripleError(report.failure_message())
-    return t
+        n = _fitting_rank(k, p, q)
+    return _require_valid(ThetaTriple(k, p, q, n))
 
 
 def format_triple(t: ThetaTriple) -> str:
@@ -752,9 +755,5 @@ def triple_from_json(obj: dict) -> ThetaTriple:
         raise ValueError(f"triple object lacks key {missing}") from None
     n = obj.get("n")
     if n is None:
-        n = max((1, *map(abs, (*k, *p, *q))))
-    t = ThetaTriple(tuple(k), tuple(p), tuple(q), n)
-    report = validate(t)
-    if not report.ok:
-        raise InvalidTripleError(report.failure_message())
-    return t
+        n = _fitting_rank(k, p, q)
+    return _require_valid(ThetaTriple(k, p, q, n))

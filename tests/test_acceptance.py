@@ -26,7 +26,7 @@ THETA_VEXILLARY_COUNTS = {1: 2, 2: 8, 3: 44, 4: 286, 5: 2061, 6: 15964}
 
 
 def test_criterion_1_golden_construction():
-    w, trace = theta.construct_with_trace(BIG_T, 10)
+    w, trace = theta.construct_with_trace(BIG_T)
     assert w == BIG
     assert trace == (
         StepPlacement(1, ((-9, 8), (-8, 9), (-7, 10))),

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +134,17 @@ def test_construct_invalid_triple_names_condition(capsys):
     code, _, err = run(capsys, "construct", "1 2; 2 1; 2 -2")
     assert code == 2
     assert "A2" in err
+
+
+def test_construct_help_example_builds(capsys):
+    # the triple offered by `construct --help` builds at its default rank
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    arg = next(a for a in sub.choices["construct"]._actions if a.dest == "triple")
+    example = re.fullmatch(r'triple such as "(.+)"', arg.help).group(1)
+    code, out, err = run(capsys, "construct", example)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 2
 
 
 def test_construct_bad_shape(capsys):

@@ -58,6 +58,14 @@ GENERATED_DIGESTS = {
 }
 
 
+# sha256 of repr([construction_outcome(t.with_rank(m)) for t in
+# shape_valid_triples(3) for m in 3..6]): refusals are pinned as well as
+# the built permutations
+CONSTRUCTION_OUTCOMES_SHA256 = (
+    "61c2b3aab5cd9b87b87f83c0a149eab3" "70aaf1fd4dd1bce7a3eb979b40e0e52e"
+)
+
+
 def generation_digest(triples):
     text = repr([(t.k, t.p, t.q) for t in triples])
     return hashlib.sha256(text.encode("ascii")).hexdigest()
@@ -205,9 +213,9 @@ def test_construct_rejects_invalid_triple():
 
 def test_construct_below_minimum_rank():
     with pytest.raises(InfeasibleRankError, match="minimum feasible rank is 10"):
-        construct(BIG_T, 9)
+        construct(BIG_T.with_rank(9))
     try:
-        construct(BIG_T, 9)
+        construct(BIG_T.with_rank(9))
     except InfeasibleRankError as e:
         assert e.minimum == 10
 
@@ -226,9 +234,41 @@ def test_min_feasible_rank_refuses_unbuildable_triple():
         min_feasible_rank(t)
 
 
+def construction_outcome(t):
+    """(forward, inverse) for one triple: the window and the trace of
+    `construct_with_trace`, the window of `construct_inverse`, or for a
+    refusal its error type, message and `minimum`."""
+    def attempt(build):
+        try:
+            return build()
+        except ValueError as exc:
+            return (type(exc).__name__, str(exc), getattr(exc, "minimum", None))
+
+    def forward():
+        w, trace = construct_with_trace(t)
+        return w.window, [(sp.step, sp.placements) for sp in trace]
+
+    return attempt(forward), attempt(lambda: construct_inverse(t).window)
+
+
+def test_construction_outcomes_are_pinned():
+    """Every shape-valid triple with entries bounded by 3, at ranks 3-6:
+    the built windows, traces and inverses, and every refusal with its
+    message, are the same as before the construction shared one
+    placement run (sha256 taken from that version)."""
+    outcomes = [
+        construction_outcome(t.with_rank(m))
+        for t in shape_valid_triples(3)
+        for m in range(3, 7)
+    ]
+    assert len(outcomes) == 3972
+    digest = hashlib.sha256(repr(outcomes).encode("ascii")).hexdigest()
+    assert digest == CONSTRUCTION_OUTCOMES_SHA256
+
+
 def test_construct_stable_under_rank_growth():
     w10 = construct(BIG_T).window
-    w12 = construct(BIG_T, 12).window
+    w12 = construct(BIG_T.with_rank(12)).window
     assert w12[:10] == w10
     assert w12[10:] == (11, 12)
 
@@ -365,7 +405,7 @@ def test_generation_matches_brute_force_reference():
             if not validate(t).ok:
                 continue
             try:
-                construct(t, n)
+                construct(t)
             except (InvalidTripleError, InfeasibleRankError):
                 continue
             reference.add(t)
@@ -385,12 +425,6 @@ def test_generated_windows_are_distinct():
     for n in (1, 2, 3, 4):
         windows = [construct(t).window for t in generate_triples(n)]
         assert len(windows) == len(set(windows))
-
-
-def test_generation_depth_limit():
-    assert list(generate_triples(3, s_max=0)) == [ThetaTriple((), (), (), 3)]
-    shallow = set(generate_triples(4, s_max=2))
-    assert shallow == {t for t in generate_triples(4) if t.s <= 2}
 
 
 def test_generation_respects_rank_guard():
