@@ -194,25 +194,18 @@ class ConditionReport:
         return bad.describe() if bad else "all conditions hold"
 
 
-def validate(t: ThetaTriple) -> ConditionReport:
-    """Check A1-A3, B1-B3, C1-C2 and report every verdict, grouped by
-    condition in that order.
+def _condition_rows(t: ThetaTriple):
+    """The verdict rows (condition, ok, index, detail) of A1-A3, B1-B3 and
+    C1-C2, in check order, with the cut index a and R on [a, s].
 
     B2, B3, C1, and C2 need R (hence A1 and A2); when those prerequisites
-    fail the dependent conditions are left out of the report, which is
-    already invalid anyway.
+    fail the dependent rows are left out and R is None.
     """
     k, p, q, s = t.k, t.p, t.q, t.s
 
     a1_bad = [i for i in range(1, s + 1) if q[i - 1] == 0]
-    a2_bad = None
-    for i in range(1, s + 1):
-        for j in range(1, s + 1):
-            if i != j and q[i - 1] == -q[j - 1]:
-                a2_bad = (i, j)
-                break
-        if a2_bad:
-            break
+    a2_bad = next(((i, j) for i, u in enumerate(q, 1)
+                   for j, v in enumerate(q, 1) if u == -v and i != j), None)
     rows = [
         ("A1", not a1_bad, (a1_bad[0],) if a1_bad else None,
          "q entry is zero" if a1_bad else ""),
@@ -227,26 +220,34 @@ def validate(t: ThetaTriple) -> ConditionReport:
         for i in range(1, s + 1):
             rows += _entry_checks(k, p, q, a, R, i)
     rows += _closing_checks(k, p, q, a, R)
+    return rows, a, R
+
+
+def validate(t: ThetaTriple) -> ConditionReport:
+    """Check A1-A3, B1-B3, C1-C2 and report every verdict, grouped by
+    condition in that order (see `_condition_rows`)."""
+    rows = _condition_rows(t)[0]
     rows.sort(key=lambda row: row[0])  # stable: indices stay ascending
     # from a list: tuple() over a generator allocates a larger tuple and
     # shrinks it, and the shrunk ones pile up in the tuple free lists
     return ConditionReport(tuple([_verdict(*row) for row in rows]))
 
 
-def _require_valid(t: ThetaTriple) -> ThetaTriple:
-    """t itself when all eight conditions hold; otherwise raises
-    InvalidTripleError naming the first failing one."""
-    report = validate(t)
-    if not report.ok:
-        raise InvalidTripleError(report.failure_message())
-    return t
+def _require_valid(t: ThetaTriple) -> Tuple[int, Dict[int, int]]:
+    """The cut index a and R of t when all eight conditions hold;
+    otherwise raises InvalidTripleError naming the first failing one.
+    Only a failure builds the report."""
+    rows, a, R = _condition_rows(t)
+    if not all(row[1] for row in rows):
+        raise InvalidTripleError(validate(t).failure_message())
+    return a, R
 
 
 def _row(condition: str, index, lhs: int, rhs: int):
     """A verdict row (condition, ok, index, detail) for an inequality:
     strict for the B-conditions, allowing equality for the C-conditions.
     A failing row's detail is the pair (lhs, rhs), which `validate`
-    formats; the generator only reads `ok`."""
+    formats; the generator and the construction only read `ok`."""
     ok = lhs > rhs if condition[0] == "B" else lhs >= rhs
     return (condition, ok, index, "" if ok else (lhs, rhs))
 
@@ -264,8 +265,8 @@ def _entry_checks(k: Sequence[int], p: Sequence[int], q: Sequence[int],
     below the sign cut a, B2 at i-1 above it (the pair straddling the cut
     is unconstrained), and C1 and C2 at i from the cut on.  Each depends
     on entries 1..i only, so the generator checks a prefix as it grows,
-    stopping at the first failing row, and `validate` checks every i of a
-    finished triple.  R must map every index from a up to i."""
+    stopping at the first failing row, and `_condition_rows` checks every
+    i of a finished triple.  R must map every index from a up to i."""
     if 2 <= i < a or i > a:
         lhs = (p[i - 2] - p[i - 1]) + (q[i - 2] - q[i - 1])
         rhs = k[i - 1] - k[i - 2]
@@ -418,7 +419,7 @@ def _checked_run(
     its rank: raises InvalidTripleError when a condition fails or the
     triple is degenerate, and InfeasibleRankError when a step runs
     short."""
-    _require_valid(t)
+    a, R = _require_valid(t)
     full, steps = _placement_run(t.k, t.p, t.q, t.n)
     if len(steps) < t.s:
         i = len(steps) + 1
@@ -430,10 +431,9 @@ def _checked_run(
             f"rank is {minimum})",
             minimum=minimum,
         )
-    der = derive(t)
     values = [v for v, _ in steps]
-    for i in range(der.a, t.s + 1):
-        failure = _coherence_failure(t.q, der.a, der.R, values, i)
+    for i in range(a, t.s + 1):
+        failure = _coherence_failure(t.q, a, R, values, i)
         if failure:
             raise InvalidTripleError(failure)
     return full, steps
@@ -459,7 +459,10 @@ def construct_with_trace(
 
 
 def construct(t: ThetaTriple) -> SignedPermutation:
-    return construct_with_trace(t)[0]
+    """The permutation of `construct_with_trace`, without the trace."""
+    full, _ = _checked_run(t)
+    _fill(full, t.n)
+    return SignedPermutation([full[z] for z in range(1, t.n + 1)])
 
 
 def min_feasible_rank(t: ThetaTriple) -> int:
@@ -735,7 +738,9 @@ def parse_triple(text: str, n: Optional[int] = None) -> ThetaTriple:
     k, p, q = rows
     if n is None:
         n = _fitting_rank(k, p, q)
-    return _require_valid(ThetaTriple(k, p, q, n))
+    t = ThetaTriple(k, p, q, n)
+    _require_valid(t)
+    return t
 
 
 def format_triple(t: ThetaTriple) -> str:
@@ -749,11 +754,20 @@ def triple_to_json(t: ThetaTriple) -> dict:
 
 
 def triple_from_json(obj: dict) -> ThetaTriple:
+    """The triple of a `triple_to_json` object; "n" may be absent."""
     try:
         k, p, q = obj["k"], obj["p"], obj["q"]
     except KeyError as missing:
         raise ValueError(f"triple object lacks key {missing}") from None
+    for key, row in (("k", k), ("p", p), ("q", q)):
+        if type(row) is not list or any(type(v) is not int for v in row):
+            raise ValueError(
+                f"triple key {key!r} must be a list of integers, got {row!r}")
     n = obj.get("n")
     if n is None:
         n = _fitting_rank(k, p, q)
-    return _require_valid(ThetaTriple(k, p, q, n))
+    elif type(n) is not int:
+        raise ValueError(f"triple key 'n' must be an integer, got {n!r}")
+    t = ThetaTriple(k, p, q, n)
+    _require_valid(t)
+    return t

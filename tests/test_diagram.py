@@ -221,6 +221,17 @@ def test_full_corner_sets_reflection_closed_exhaustive():
             assert {reflect(c).triple for c in fc} == triples
 
 
+def test_full_corners_are_signed_corners_and_reflections():
+    """The full form's corners are the signed corners together with
+    their reflections: a corner with p <= 0 is the mirror of a signed
+    one.  W_6 holds as well, but takes about 6 s."""
+    for n in range(1, 6):
+        for w in enumerate_group(n):
+            cs = corners(w).corners
+            expected = {c.triple for c in cs} | {reflect(c).triple for c in cs}
+            assert {c.triple for c in full_corners(w.embed_odd())} == expected
+
+
 def test_se_corner_against_definition():
     full = BIG.embed_odd()
     for a in range(-11, 11):

@@ -65,6 +65,23 @@ CONSTRUCTION_OUTCOMES_SHA256 = (
     "61c2b3aab5cd9b87b87f83c0a149eab3" "70aaf1fd4dd1bce7a3eb979b40e0e52e"
 )
 
+# sha256 of the verdicts listed in test_validate_reports_are_pinned, taken
+# before the conditions were split into a row builder and a reporter
+VALIDATE_REPORTS_SHA256 = (
+    "96eff188b1bd2d0058c149e14ac7a3be" "aaa74b0f0e99b13d8c4aed3a3d6daba2"
+)
+
+# the A1 and A2 report paths: zero q entries and opposite pairs
+A1_A2_TRIPLES = [
+    ThetaTriple((1,), (1,), (0,), 2),
+    ThetaTriple((1, 2), (2, 1), (1, 0), 3),
+    ThetaTriple((1, 2), (2, 2), (0, -1), 3),
+    ThetaTriple((1, 2), (2, 1), (2, -2), 2),
+    ThetaTriple((1, 2, 3), (3, 3, 1), (3, -1, -3), 3),
+    ThetaTriple((1, 2, 3), (3, 2, 1), (2, 0, -2), 3),
+    ThetaTriple((2, 4, 5), (5, 3, 1), (4, 1, -1), 5),
+]
+
 
 def generation_digest(triples):
     text = repr([(t.k, t.p, t.q) for t in triples])
@@ -170,6 +187,38 @@ def test_validate_zero_q_entry():
     assert report.first_failure.condition == "A1"
 
 
+def test_validate_reports_are_pinned():
+    """Every verdict of every shape-valid triple with entries bounded by
+    3, at ranks 3-6, and of the A1/A2 cases: condition, outcome, index
+    and message are the same as before the row builder was split out."""
+    triples = [t.with_rank(m) for t in shape_valid_triples(3) for m in range(3, 7)]
+    reports = [
+        [(v.condition, v.ok, v.index, v.describe()) for v in validate(t).verdicts]
+        for t in triples + A1_A2_TRIPLES
+    ]
+    assert len(reports) == 3979
+    assert [validate(t).failure_message() for t in A1_A2_TRIPLES] == [
+        "A1 fails at i=1: q entry is zero",
+        "A1 fails at i=2: q entry is zero",
+        "A1 fails at i=1: q entry is zero",
+        "A2 fails at i=1, j=2: q_1 = -q_2",
+        "A2 fails at i=1, j=3: q_1 = -q_3",
+        "A1 fails at i=2: q entry is zero",
+        "A2 fails at i=2, j=3: q_2 = -q_3",
+    ]
+    digest = hashlib.sha256(repr(reports).encode("ascii")).hexdigest()
+    assert digest == VALIDATE_REPORTS_SHA256
+
+
+def test_construct_refuses_what_validate_refuses():
+    for t in A1_A2_TRIPLES:
+        message = validate(t).failure_message()
+        for build in (construct, construct_inverse):
+            with pytest.raises(InvalidTripleError) as refused:
+                build(t)
+            assert str(refused.value) == message
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -264,6 +313,22 @@ def test_construction_outcomes_are_pinned():
     assert len(outcomes) == 3972
     digest = hashlib.sha256(repr(outcomes).encode("ascii")).hexdigest()
     assert digest == CONSTRUCTION_OUTCOMES_SHA256
+
+
+def test_construct_matches_construct_with_trace():
+    """`construct` runs without the trace: over the cases of the pinned
+    digest it builds the same window, or refuses with the same error
+    type, message and `minimum`, as `construct_with_trace`."""
+    def outcome(build, t):
+        try:
+            return build(t).window
+        except ValueError as exc:
+            return (type(exc).__name__, str(exc), getattr(exc, "minimum", None))
+
+    cases = [t.with_rank(m) for t in shape_valid_triples(3) for m in range(3, 7)]
+    assert len(cases) == 3972
+    for t in cases:
+        assert outcome(construct, t) == outcome(lambda u: construct_with_trace(u)[0], t)
 
 
 def test_construct_stable_under_rank_growth():
@@ -495,6 +560,19 @@ def test_json_round_trip():
     assert triple_from_json(obj) == BIG_T
     with pytest.raises(ValueError, match="lacks key"):
         triple_from_json({"k": [1], "p": [1]})
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({"k": [1.5], "p": [1], "q": [1]}, "k"),
+    ({"k": [True], "p": [1], "q": [1]}, "k"),
+    ({"k": 5, "p": [1], "q": [1]}, "k"),
+    ({"k": [1], "p": [2], "q": ["a"]}, "q"),
+    ({"k": [1], "p": [2], "q": [-1], "n": "3"}, "n"),
+])
+def test_json_rejects_non_integer_entries(obj, key):
+    # ValueError naming the key, never a TypeError or a float triple
+    with pytest.raises(ValueError, match=f"triple key '{key}' must be"):
+        triple_from_json(obj)
 
 
 def test_json_rank_zero_is_rejected():
