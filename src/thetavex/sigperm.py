@@ -51,6 +51,8 @@ class SignedPermutation:
         n = len(win)
         seen = set()
         for v in win:
+            if type(v) is not int:
+                raise ValueError(f"window entry {v!r} is not an integer")
             if v == 0:
                 raise ValueError("window entries must be nonzero")
             if not 1 <= abs(v) <= n:

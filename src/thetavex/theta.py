@@ -15,6 +15,7 @@ from a permutation back to its unique triple, via the corner taxonomy.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -60,6 +61,8 @@ class ThetaTriple:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+        if set(map(type, (*k, *p, *q, self.n))) != {int}:
+            raise ValueError(f"k, p, q, n must be integers: {k}, {p}, {q}, {self.n!r}")
         if not (len(k) == len(p) == len(q)):
             raise ValueError("k, p, q must have equal lengths")
         if self.n < 1:
@@ -625,19 +628,39 @@ def recover(
 # generation
 
 
+def _q_candidates(n: int, k: Sequence[int], p: Sequence[int], q: Sequence[int],
+                  a: int, negatives: List[int]) -> List[int]:
+    """The nonzero q_i in [-n, q_{i-1}] (q_0 = n), decreasing, that the
+    bounds below leave; k and p hold entries 1..i, q entries 1..i-1, a is the
+    prefix's cut index and `negatives` lists, ascending, the v in [-n, -1]
+    with -v no positive q_j (A2).  Each value left out fails a condition
+    of entry i.  For i >= 2, B1 and B2 need q_i < q_{i-1} + (p_{i-1} -
+    p_i) - (k_i - k_{i-1}): B2 too, as R(i) <= R(i-1) when q_i <= q_{i-1};
+    the first negative entry (i = a) has no B check.  A negative q_i
+    needs q_i <= k_{R(i)} - k_i <= k_{a-1} - k_i (C1), as R(i) < a."""
+    top = min(q[-1], q[-1] + (p[-2] - p[-1]) - (k[-1] - k[-2]) - 1) if q else n
+    neg_top = _k_at(k, a - 1) - k[-1]
+    if a < len(k):
+        neg_top = min(neg_top, top)
+    return [*range(top, 0, -1),
+            *reversed(negatives[:bisect_right(negatives, neg_top)])]
+
+
 def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTriple]:
     """All valid triples constructible at ambient rank n, in a fixed
     depth-first order.
 
     Searches entries (k_i, p_i, q_i) bounded by n: k increasing, then p
-    decreasing, then q decreasing (skipping 0).  The search carries the
-    prefix's state down: the cut index a, R of every negative entry, the
-    used values, the taken positions and the values of each step, and
-    undoes them on backtrack.  A new entry i costs the conditions it
-    completes (`_entry_checks`), one placement step (`_place`) and the
-    coherence check at i (`_coherence_failure`); a prefix that passes
-    them is emitted when A3 and B3 hold (`_closing_checks`), and is then
-    extended.
+    decreasing, then q decreasing over the values of `_q_candidates`,
+    which skips the values that A2, B1, B2 or C1 rule out (and, after a
+    negative entry, the p_i and k_i that B2 leaves no value).  The search
+    carries the prefix's state down: the cut index a, R of every negative
+    entry, the used values, the taken positions and the values of each
+    step, and undoes them on backtrack.  Each visited q_i still costs
+    the conditions it completes (`_entry_checks`), one placement
+    step (`_place`) and the coherence check at i (`_coherence_failure`);
+    a prefix that passes them is emitted when A3 and B3 hold
+    (`_closing_checks`), and is then extended.
 
     A prefix that fails any of these is cut with its whole subtree, and
     this loses nothing.  A condition that entry i completes reads only
@@ -683,13 +706,17 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
         k_prev = ks[-1] if ks else 0
         p_hi = ps[-1] if ps else n
         q_hi = qs[-1] if qs else n
+        negatives = [v for v in range(-n, 0) if -v not in qs]
         for k_new in range(k_prev + 1, n + 1):
+            # after a negative, B2's cap (`_q_candidates`) must reach -n: it
+            # bounds p_i, and once it leaves no p_i no larger k_i leaves one
+            p_top = min(p_hi, p_hi + q_hi + n - (k_new - k_prev) - 1) if a < i else p_hi
+            if p_top < 1:
+                break
             ks.append(k_new)
-            for p_new in range(p_hi, 0, -1):
+            for p_new in range(p_top, 0, -1):
                 ps.append(p_new)
-                for q_new in range(q_hi, -n - 1, -1):
-                    if q_new == 0:
-                        continue
+                for q_new in _q_candidates(n, ks, ps, qs, a, negatives):
                     qs.append(q_new)
                     a_new = i + 1 if q_new > 0 else a
                     placed = admit(a_new, k_new - k_prev)

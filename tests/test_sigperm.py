@@ -274,6 +274,12 @@ def test_pool_chunks_equal_slices_of_full_stream():
         assert list(iter_windows(n, len(full), len(full) + 3)) == []
 
 
+@pytest.mark.parametrize("window", [[True], [1.0, -2.0]])
+def test_window_rejects_non_integer_entries(window):
+    with pytest.raises(ValueError, match="not an integer"):
+        SignedPermutation(window)
+
+
 def test_rank_guard():
     with pytest.raises(RankTooLargeError):
         next(enumerate_group(9))

@@ -117,6 +117,18 @@ def test_shape_rejects_bad_monotonicity():
         ThetaTriple((1, 2), (3, 1), (1, 2), 3)
 
 
+@pytest.mark.parametrize("k, p, q, n", [
+    ((1.5,), (1,), (1,), 2),
+    ((True,), (1,), (1,), 2),
+    ((1,), (1,), (1.0,), 2),
+    ((1,), (1,), (1,), 2.0),
+    ((1,), (1,), (1,), True),
+])
+def test_shape_rejects_non_integer_entries_and_rank(k, p, q, n):
+    with pytest.raises(ValueError, match="must be integers"):
+        ThetaTriple(k, p, q, n)
+
+
 def test_shape_rejects_small_rank():
     with pytest.raises(ValueError, match="ambient rank"):
         ThetaTriple((1,), (2,), (-3,), 2)
@@ -476,6 +488,43 @@ def test_generation_matches_brute_force_reference():
             reference.add(t)
         assert len(reference) == GENERATED_COUNTS[n]
         assert set(generate_triples(n)) == reference
+
+
+def _fails_at_entry(v, i):
+    """Whether verdict v is an A2, B1, B2 or C1 failure that entry i
+    completes (B1 and B2 are indexed by the pair's first entry)."""
+    if v.ok:
+        return False
+    if v.condition == "A2":
+        return i in v.index
+    if v.condition in ("B1", "B2"):
+        return v.index == (i - 1,)
+    return v.condition == "C1" and v.index == (i,)
+
+
+def test_q_candidates_skip_only_failing_values():
+    """`_q_candidates` is sound: on every shape-valid triple of rank <= 4
+    whose first s-1 entries pass all conditions but A3 and B3, a last q
+    that it leaves out fails A2, B1, B2 or C1 at the last entry."""
+    skipped = set()
+    for n in (1, 2, 3, 4):
+        for t in shape_valid_triples(n):
+            if t.s == 0:
+                continue
+            k, p, q, s = t.k, t.p, t.q, t.s
+            rows = theta._condition_rows(ThetaTriple(k[:-1], p[:-1], q[:-1], n))[0]
+            if not all(ok for cond, ok, *_ in rows if cond not in ("A3", "B3")):
+                continue
+            a = sum(1 for v in q[:-1] if v > 0) + 1
+            negatives = [v for v in range(-n, 0) if -v not in q[:-1]]
+            if q[-1] in theta._q_candidates(n, k, p, q[:-1], a, negatives):
+                continue
+            failed = [v.condition for v in validate(t).verdicts
+                      if _fails_at_entry(v, s)]
+            assert failed, format_triple(t)
+            skipped.add(failed[0])
+    # every kind of skip occurs, so the check is not vacuous
+    assert skipped == {"A2", "B1", "B2", "C1"}
 
 
 def test_generated_triples_validate_and_fit():
