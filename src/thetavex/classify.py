@@ -10,9 +10,9 @@ agreement exhaustively over a whole group, optionally across processes.
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 from . import theta
@@ -90,21 +90,6 @@ def classify_by_triple(
     if rebuilt != w:
         return False, None
     return True, candidate
-
-
-@lru_cache(maxsize=None)
-def _constructible_windows(n: int) -> frozenset:
-    return frozenset(
-        theta.construct(t).window for t in theta.generate_triples(n)
-    )
-
-
-def oracle_is_theta_vexillary(w: SignedPermutation) -> bool:
-    """Brute-force oracle: search the generated triples of rank n for one
-    that constructs w.  Independent of `recover`.  The constructed
-    windows are cached per rank, so exhaustive cross-checks pay the
-    generation cost once."""
-    return w.window in _constructible_windows(w.n)
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +230,21 @@ def verify_equivalence(
 ) -> VerifySummary:
     """Run all three classifiers over every element of W_n.
 
-    The window stream is split into contiguous chunks, which run in this
-    process when jobs <= 1 and on a pool of `jobs` processes otherwise;
-    results merge by summation in chunk order, so the summary does not
-    depend on the worker count.
+    The window stream is split into contiguous chunks, which run on a
+    pool of `jobs` processes, capped at the CPU count and the number of
+    chunks, or in this process when that cap is 1; results merge by
+    summation in chunk order, so the summary does not depend on the
+    worker count.
     """
     check_rank_guard(n, allow_large)
     total = group_order(n)
-    tasks = [(n, lo, hi) for lo, hi in chunk_bounds(total, max(jobs, 1))]
-    if jobs <= 1:
+    workers = max(1, min(jobs, os.cpu_count() or 1))
+    tasks = [(n, lo, hi) for lo, hi in chunk_bounds(total, workers)]
+    workers = min(workers, len(tasks))
+    if workers == 1:
         parts = list(map(_verify_chunk, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_verify_chunk, tasks))
     count = sum(part_count for part_count, _ in parts)
     mismatches = tuple(win for _, part_bad in parts for win in part_bad)

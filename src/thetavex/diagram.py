@@ -2,12 +2,12 @@
 
 Coordinates are matrix style throughout: rows run top to bottom over
 [-n, n], columns left to right.  The extended diagram of a signed
-permutation lives on columns [-n, -1]; the embedded diagram of the full
-form lives on columns [-n, n].
+permutation lives on columns [-n, -1].
 
-A corner position (p, q) names the box (q - 1, -p).  Corner records
-carry the rank value k and a taxonomy class; the class OPTIONAL is only
-assigned later, once a triple is known (see the theta module).
+A corner position (p, q), with p in [1, n], names the box (q - 1, -p).
+Corner records carry the rank value k and a taxonomy class; the class
+OPTIONAL is only assigned later, once a triple is known (see the theta
+module).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .sigperm import FullPermutation, SignedPermutation
+from .sigperm import SignedPermutation
 
 Box = Tuple[int, int]  # (row, col)
 
@@ -127,11 +127,6 @@ def rank(w: SignedPermutation, p: int, q: int) -> int:
     return sum(1 for i in range(p, n + 1) if w(i) <= -q)
 
 
-def full_rank(full: FullPermutation, p: int, q: int) -> int:
-    """Rank of the embedded permutation at (p, q); p may be <= 0 here."""
-    return sum(1 for i in range(p, full.n + 1) if full(i) <= -q)
-
-
 def build_extended_diagram(w: SignedPermutation) -> ExtendedDiagram:
     n = w.n
     dots = frozenset((w(i), i) for i in range(-n, 0))
@@ -147,33 +142,6 @@ def build_extended_diagram(w: SignedPermutation) -> ExtendedDiagram:
             if w(c) > r and winv(r) > c:
                 boxes.add((r, c))
     return ExtendedDiagram(n, dots, frozenset(crosses), frozenset(boxes))
-
-
-def is_se_corner(full: FullPermutation, a: int, b: int) -> bool:
-    """The double-descent test at box (a, b): w jumps down across column
-    b and the inverse jumps down across row a."""
-    return (
-        full(b) > a >= full(b + 1)
-        and full.inverse_at(a) > b >= full.inverse_at(a + 1)
-    )
-
-
-def full_corners(full: FullPermutation) -> Tuple[CornerRecord, ...]:
-    """All SE corners of the embedded permutation's diagram.
-
-    These include corners with p <= 0; the signed-permutation corner set
-    (see `corners`) keeps only p in [1, n] minus the excluded column-one
-    positions.  Sorted p desc, q desc.
-    """
-    n = full.n
-    found = []
-    for a in range(-n - 1, n + 1):
-        for b in range(-n - 1, n + 1):
-            if is_se_corner(full, a, b):
-                p, q = -b, a + 1
-                found.append(CornerRecord(full_rank(full, p, q), p, q))
-    found.sort(key=lambda t: (-t.p, -t.q))
-    return tuple(found)
 
 
 def _is_unessential(p: int, q: int, ne_positions: list) -> bool:
@@ -252,25 +220,6 @@ def corners(w: SignedPermutation) -> CornerSet:
 
 
 # ---------------------------------------------------------------------------
-# left lower regions
-
-
-def left_lower_region(d: ExtendedDiagram, p: int, q: int) -> FrozenSet[Box]:
-    """Grid boxes (a, b) with a >= q and b <= -p."""
-    n = d.n
-    if not 1 <= p <= n or not -n <= q <= n:
-        raise ValueError(f"region corner ({p}, {q}) out of range for rank {n}")
-    return frozenset(
-        (a, b) for a in range(q, n + 1) for b in range(-n, -p + 1)
-    )
-
-
-def count_dots_in_region(d: ExtendedDiagram, p: int, q: int) -> int:
-    """Dots with row >= q and column <= -p; realizes the rank value."""
-    return sum(1 for (r, c) in d.dots if r >= q and c <= -p)
-
-
-# ---------------------------------------------------------------------------
 # ASCII rendering
 
 def _corner_token(k: int, kind: CornerClass) -> str:
@@ -281,15 +230,6 @@ def _corner_token(k: int, kind: CornerClass) -> str:
         CornerClass.OTHER: "?",
     }[kind]
     return f"{k}{letter}"
-
-
-def _render_grid(row_range, col_range, cell) -> str:
-    width = 3
-    header = "    " + "".join(f"{c:>{width}}" for c in col_range)
-    lines = [header]
-    for r in row_range:
-        lines.append(f"{r:>4}" + "".join(f"{cell(r, c):>{width}}" for c in col_range))
-    return "\n".join(lines)
 
 
 def render_extended(
@@ -322,31 +262,8 @@ def render_extended(
             return "#"
         return "."
 
-    return _render_grid(range(-n, n + 1), range(-n, 0), cell)
-
-
-def render_full(w: SignedPermutation) -> str:
-    """ASCII picture of the embedded permutation's full diagram.
-
-    Shows all (2n+1)^2 boxes with dots, surviving boxes, and every SE
-    corner (including those at columns >= 0) overlaid with its rank.
-    """
-    full = w.embed_odd()
-    n = full.n
-    overlay = {t.box: str(t.k) for t in full_corners(full)}
-    dots = {(full(c), c) for c in range(-n, n + 1)}
-    survives = {
-        (r, c)
-        for r in range(-n, n + 1)
-        for c in range(-n, n + 1)
-        if full(c) > r and full.inverse_at(r) > c
-    }
-
-    def cell(r, c):
-        if (r, c) in overlay:
-            return overlay[(r, c)]
-        if (r, c) in dots:
-            return "o"
-        return "#" if (r, c) in survives else "."
-
-    return _render_grid(range(-n, n + 1), range(-n, n + 1), cell)
+    cols = range(-n, 0)
+    lines = ["    " + "".join(f"{c:>3}" for c in cols)]
+    for r in range(-n, n + 1):
+        lines.append(f"{r:>4}" + "".join(f"{cell(r, c):>3}" for c in cols))
+    return "\n".join(lines)

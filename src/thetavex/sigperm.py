@@ -119,16 +119,6 @@ class SignedPermutation:
         """
         return frozenset(d for d in range(self.n) if self(d) > self(d + 1))
 
-    def embed_odd(self) -> "FullPermutation":
-        """The full antisymmetric form on positions [-n, n]."""
-        n = self.n
-        return FullPermutation(n, tuple(self(i) for i in range(-n, n + 1)))
-
-    def embed_even(self) -> Tuple[int, ...]:
-        """The full form with the fixed point at position 0 removed."""
-        n = self.n
-        return tuple(self(i) for i in range(-n, n + 1) if i != 0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SignedPermutation) and self.window == other.window
 
@@ -145,60 +135,6 @@ class SignedPermutation:
 #: Signed patterns are just signed permutations of the pattern's rank;
 #: containment is tested against the window of a larger element.
 SignedPattern = SignedPermutation
-
-
-class FullPermutation:
-    """The image of a signed permutation in the symmetric group on [-n, n].
-
-    Stores the value at every position of [-n, n]; positions beyond the
-    window evaluate as fixed points, which is what the corner condition
-    needs when it peeks one unit past the boundary.
-    """
-
-    __slots__ = ("n", "values", "_inv")
-
-    def __init__(self, n: int, values: Sequence[int]):
-        if len(values) != 2 * n + 1:
-            raise ValueError("expected one value per position of [-n, n]")
-        vals = tuple(values)
-        if sorted(vals) != list(range(-n, n + 1)):
-            raise ValueError("values must be a bijection of [-n, n]")
-        for i in range(1, n + 1):
-            if vals[n - i] != -vals[n + i]:
-                raise ValueError("values must be antisymmetric through 0")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", vals)
-        inv = [0] * (2 * n + 1)
-        for pos in range(-n, n + 1):
-            inv[vals[pos + n] + n] = pos
-        object.__setattr__(self, "_inv", tuple(inv))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FullPermutation is immutable")
-
-    def __call__(self, i: int) -> int:
-        return self.values[i + self.n] if -self.n <= i <= self.n else i
-
-    def inverse_at(self, v: int) -> int:
-        """Position mapped to v, with fixed points outside [-n, n]."""
-        return self._inv[v + self.n] if -self.n <= v <= self.n else v
-
-    def restrict(self) -> SignedPermutation:
-        """The window w(1), ..., w(n) as a SignedPermutation."""
-        return SignedPermutation(self.values[self.n + 1 :])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FullPermutation)
-            and self.n == other.n
-            and self.values == other.values
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.values))
-
-    def __repr__(self) -> str:
-        return f"FullPermutation({self.n}, {list(self.values)})"
 
 
 # ---------------------------------------------------------------------------

@@ -782,6 +782,8 @@ def triple_to_json(t: ThetaTriple) -> dict:
 
 def triple_from_json(obj: dict) -> ThetaTriple:
     """The triple of a `triple_to_json` object; "n" may be absent."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a triple must be a JSON object, got {obj!r}")
     try:
         k, p, q = obj["k"], obj["p"], obj["q"]
     except KeyError as missing:

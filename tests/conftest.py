@@ -1,9 +1,11 @@
 """Shared strategies, brute-force oracles, and the acceptance summary."""
 
+import functools
 import itertools
 
 import hypothesis.strategies as st
 
+from thetavex import diagram, theta
 from thetavex.sigperm import SignedPermutation
 
 _ACCEPTANCE_OUTCOMES = {}
@@ -77,6 +79,40 @@ def naive_first_pattern(w, patterns):
     return None
 
 
+def full_corners(w):
+    """Brute-force SE corners (k, p, q) of the full form's diagram on
+    [-n, n], p <= 0 included: every box (a, b) where w drops across
+    column b and its inverse v drops across row a, i.e.
+    w(b) > a >= w(b+1) and v(a) > b >= v(a+1), at position
+    (p, q) = (-b, a + 1) with k counted as #{i >= p | w(i) <= -q}.
+    Kept independent of the library's descent-driven `corners`.
+    Sorted p desc, q desc."""
+    n = w.n
+    v = w.inverse()
+    found = []
+    for a in range(-n - 1, n + 1):
+        for b in range(-n - 1, n + 1):
+            if w(b) > a >= w(b + 1) and v(a) > b >= v(a + 1):
+                p, q = -b, a + 1
+                k = sum(1 for i in range(p, n + 1) if w(i) <= -q)
+                found.append(diagram.CornerRecord(k, p, q))
+    found.sort(key=lambda t: (-t.p, -t.q))
+    return tuple(found)
+
+
+@functools.lru_cache(maxsize=None)
+def constructible_windows(n):
+    """Windows of every generated triple of rank n, cached per rank so
+    that exhaustive cross-checks pay the generation cost once."""
+    return frozenset(theta.construct(t).window for t in theta.generate_triples(n))
+
+
+def oracle_is_theta_vexillary(w):
+    """Brute-force oracle: some generated triple of rank n constructs w.
+    Independent of `recover`."""
+    return w.window in constructible_windows(w.n)
+
+
 def is_occurrence(w, pattern, positions):
     """True iff the 1-based positions pick out an occurrence of the
     pattern in w: strictly increasing, in range, with the pattern's signs
@@ -120,13 +156,11 @@ def assert_structural_facts(t):
     Used both by the spot checks in test_theta.py and by the exhaustive
     sweep in test_acceptance.py, so a regression shows up in both.
     """
-    from thetavex import diagram, theta
-
     w, trace = theta.construct_with_trace(t)
     winv = w.inverse()
     s = t.s
     a = theta.derive(t).a
-    full = w.embed_odd()
+    full = {c.position for c in full_corners(w)}
     d = diagram.build_extended_diagram(w)
 
     # box count realizes the length
@@ -153,13 +187,13 @@ def assert_structural_facts(t):
     # full form
     for i in range(1, s + 1):
         pi, qi = t.p[i - 1], t.q[i - 1]
-        assert diagram.is_se_corner(full, qi - 1, -pi)
-        assert diagram.is_se_corner(full, -qi, pi - 1)
+        assert (pi, qi) in full
+        assert (-pi + 1, -qi + 1) in full
 
     # k_i is both the rank at (p_i, q_i) and the region's dot count
     for ki, pi, qi in t.entries():
         assert diagram.rank(w, pi, qi) == ki
-        assert diagram.count_dots_in_region(d, pi, qi) == ki
+        assert sum(1 for r, c in d.dots if r >= qi and c <= -pi) == ki
 
     # step i places inside its own region and outside the previous one;
     # the finishing step stays outside the last region

@@ -12,10 +12,10 @@ import os
 
 import pytest
 
-from conftest import assert_structural_facts
+from conftest import assert_structural_facts, full_corners
 from thetavex import theta
 from thetavex.classify import enumerate_theta_vexillary, verify_equivalence
-from thetavex.diagram import corners, full_corners, reflect
+from thetavex.diagram import corners, reflect
 from thetavex.sigperm import SignedPermutation
 from thetavex.theta import StepPlacement, ThetaTriple
 
@@ -60,7 +60,7 @@ def test_criterion_3_golden_corner_taxonomy():
 
 
 def test_criterion_4_reflection_fidelity():
-    fc = full_corners(SignedPermutation([-2, 3, 1]).embed_odd())
+    fc = full_corners(SignedPermutation([-2, 3, 1]))
     assert {c.triple for c in fc} == {(1, 3, -1), (1, 1, 2), (3, 0, -1), (2, -2, 2)}
     image = {c.triple: reflect(c).triple for c in fc}
     assert image[(1, 3, -1)] == (2, -2, 2) and image[(2, -2, 2)] == (1, 3, -1)

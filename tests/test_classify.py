@@ -5,7 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import is_occurrence, naive_first_pattern, signed_permutations
+from conftest import (
+    is_occurrence,
+    naive_first_pattern,
+    oracle_is_theta_vexillary,
+    signed_permutations,
+)
 from thetavex import theta
 from thetavex.classify import (
     PATTERNS,
@@ -14,7 +19,6 @@ from thetavex.classify import (
     classify_by_patterns,
     classify_by_triple,
     enumerate_theta_vexillary,
-    oracle_is_theta_vexillary,
     pattern_table_digest,
     verify_equivalence,
 )
@@ -246,6 +250,38 @@ def test_verify_summary_describe():
 
 def test_verify_is_deterministic_across_jobs():
     assert verify_equivalence(4, jobs=3) == verify_equivalence(4, jobs=1)
+
+
+def test_verify_caps_pool_size(monkeypatch):
+    """--jobs asks for at most one process per CPU and per chunk; an
+    in-process stand-in for the pool records what was asked for."""
+    from thetavex import classify
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 4)
+    assert verify_equivalence(4, jobs=10**6) == verify_equivalence(4, jobs=1)
+    # W_1 has two windows, so two chunks
+    assert verify_equivalence(1, jobs=10**6) == verify_equivalence(1, jobs=1)
+    assert asked == [4, 2]
+    # an unknown CPU count counts as one: no pool at all
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: None)
+    assert verify_equivalence(4, jobs=10**6) == verify_equivalence(4, jobs=1)
+    assert asked == [4, 2]
 
 
 def test_corner_set_computed_once_per_window(monkeypatch):

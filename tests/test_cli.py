@@ -269,6 +269,18 @@ def test_help_exits_zero(capsys):
 
 
 # ---------------------------------------------------------------------------
+# package exports
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from thetavex import *", namespace)
+    assert len(set(thetavex.__all__)) == len(thetavex.__all__)
+    for name in thetavex.__all__:
+        assert namespace[name] is getattr(thetavex, name)
+
+
+# ---------------------------------------------------------------------------
 # closed pipes
 
 

@@ -5,20 +5,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import signed_permutations
+from conftest import full_corners, signed_permutations
 from thetavex.diagram import (
     CornerClass,
     CornerRecord,
     build_extended_diagram,
     corners,
-    count_dots_in_region,
-    full_corners,
-    is_se_corner,
-    left_lower_region,
     rank,
     reflect,
     render_extended,
-    render_full,
 )
 from thetavex.sigperm import SignedPermutation, enumerate_group
 
@@ -42,17 +37,9 @@ def naive_minimal_positions(positions):
 
 
 def reference_corners(w):
-    """Brute-force corner set: every box (q-1, -p) of the extended diagram
-    tested with `is_se_corner` on the full form, ranked with `rank`, and
-    classified by the written taxonomy.  Sorted p desc, q desc."""
-    n = w.n
-    full = w.embed_odd()
-    found = [
-        (rank(w, p, q), p, q)
-        for p in range(n, 0, -1)
-        for q in range(n + 1, -n, -1)
-        if is_se_corner(full, q - 1, -p)
-    ]
+    """Brute-force corner set: the p >= 1 slice of the full form's
+    corners, classified by the written taxonomy.  Sorted p desc, q desc."""
+    found = [c.triple for c in full_corners(w) if c.p >= 1]
     ne = naive_minimal_positions({(p, q) for _, p, q in found})
     out = []
     for k, p, q in found:
@@ -193,7 +180,7 @@ def test_identity_corner_set_empty():
 
 
 def test_fig1_full_corner_set():
-    fc = full_corners(FIG1.embed_odd())
+    fc = full_corners(FIG1)
     assert {c.triple for c in fc} == {(1, 3, -1), (1, 1, 2), (3, 0, -1), (2, -2, 2)}
 
 
@@ -205,7 +192,7 @@ def test_fig1_signed_corners():
 
 
 def test_reflect_involution_and_symmetry():
-    fc = full_corners(FIG1.embed_odd())
+    fc = full_corners(FIG1)
     triples = {c.triple for c in fc}
     for c in fc:
         assert reflect(reflect(c)).triple == c.triple
@@ -216,7 +203,7 @@ def test_full_corner_sets_reflection_closed_exhaustive():
     """Reflection through the center permutes the full-form corner set."""
     for n in (1, 2, 3):
         for w in enumerate_group(n):
-            fc = full_corners(w.embed_odd())
+            fc = full_corners(w)
             triples = {c.triple for c in fc}
             assert {reflect(c).triple for c in fc} == triples
 
@@ -229,18 +216,28 @@ def test_full_corners_are_signed_corners_and_reflections():
         for w in enumerate_group(n):
             cs = corners(w).corners
             expected = {c.triple for c in cs} | {reflect(c).triple for c in cs}
-            assert {c.triple for c in full_corners(w.embed_odd())} == expected
+            assert {c.triple for c in full_corners(w)} == expected
 
 
 def test_se_corner_against_definition():
-    full = BIG.embed_odd()
-    for a in range(-11, 11):
-        for b in range(-11, 11):
-            expected = (
-                full(b) > a >= full(b + 1)
-                and full.inverse_at(a) > b >= full.inverse_at(a + 1)
-            )
-            assert is_se_corner(full, a, b) == expected
+    """The double-descent test finds exactly the SE-most boxes of the
+    full form's diagram D = {(a, b) | w(b) > a, w^-1(a) > b}: the boxes
+    of D whose east and south neighbours lie outside D."""
+    for w in (BIG, *enumerate_group(3)):
+        n, winv = w.n, w.inverse()
+
+        def in_diagram(a, b):
+            return w(b) > a and winv(a) > b
+
+        expected = {
+            (-b, a + 1)
+            for a in range(-n - 1, n + 1)
+            for b in range(-n - 1, n + 1)
+            if in_diagram(a, b)
+            and not in_diagram(a, b + 1)
+            and not in_diagram(a + 1, b)
+        }
+        assert {c.position for c in full_corners(w)} == expected
 
 
 def test_ne_path_is_minimal_set_exhaustive():
@@ -280,8 +277,7 @@ def test_no_corner_in_column_one_above_row_zero():
     no corner with q <= 0; a rule excluding p = 1, q < 0 never fires."""
     for n in (1, 2, 3, 4, 5):
         for w in enumerate_group(n):
-            full = w.embed_odd()
-            assert not any(is_se_corner(full, q - 1, -1) for q in range(-n, 1))
+            assert not any(c.p == 1 and c.q <= 0 for c in full_corners(w))
 
 
 @given(signed_permutations(max_n=6))
@@ -309,26 +305,20 @@ def test_corner_rank_equals_region_dot_count():
         for w in enumerate_group(n):
             d = build_extended_diagram(w)
             for c in corners(w):
-                assert c.k == rank(w, c.p, c.q) == count_dots_in_region(d, c.p, c.q)
+                dots = sum(1 for r, b in d.dots if r >= c.q and b <= -c.p)
+                assert c.k == rank(w, c.p, c.q) == dots
 
 
 # ---------------------------------------------------------------------------
 # regions
 
 
-def test_left_lower_region_contents():
-    d = build_extended_diagram(FIG1)
-    region = left_lower_region(d, 2, 1)
-    assert region == {(a, b) for a in range(1, 4) for b in (-3, -2)}
-    with pytest.raises(ValueError):
-        left_lower_region(d, 4, 0)
-
-
 def test_region_dot_count_realizes_rank():
     d = build_extended_diagram(BIG)
     for p in range(1, 11):
         for q in range(-10, 11):
-            assert count_dots_in_region(d, p, q) == rank(BIG, p, q)
+            dots = sum(1 for r, c in d.dots if r >= q and c <= -p)
+            assert dots == rank(BIG, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +345,6 @@ def test_render_crosses_toggle():
     assert "x" not in plain
     assert "x" in crossed
     assert plain.replace(".", "") != crossed.replace(".", "")
-
-
-def test_render_full_marks_all_dots():
-    out = render_full(FIG1)
-    assert out.count("o") == 2 * 3 + 1
 
 
 @given(signed_permutations(max_n=4))

@@ -94,45 +94,25 @@ def test_inverse_examples():
 
 @given(signed_permutations())
 def test_inverse_is_involution(w):
-    assert w.inverse().inverse() == w
-    for i in range(1, w.n + 1):
-        assert w.inverse()(w(i)) == i
-
-
-# ---------------------------------------------------------------------------
-# embeddings
+    winv = w.inverse()
+    assert winv.inverse() == w
+    # the full forms are inverse at every position, 0 and the fixed
+    # points beyond the window included
+    for i in range(-w.n - 1, w.n + 2):
+        assert winv(w(i)) == i
+        assert w(winv(i)) == i
 
 
 def test_embed_odd():
-    full = SignedPermutation([-2, 3, 1]).embed_odd()
-    assert list(full.values) == [-1, -3, 2, 0, -2, 3, 1]
-    assert full(-3) == -1
-    assert full(4) == 4  # fixed point beyond the window
-    assert full.inverse_at(-5) == -5
+    # the full form on [-n, n] that the odd embedding used to materialise
+    w = SignedPermutation([-2, 3, 1])
+    assert [w(i) for i in range(-3, 4)] == [-1, -3, 2, 0, -2, 3, 1]
+    assert w(-3) == -1
+    assert w(4) == 4  # fixed point beyond the window
+    assert w.inverse()(-5) == -5
 
-    ident = SignedPermutation.identity(2).embed_odd()
-    assert list(ident.values) == [-2, -1, 0, 1, 2]
-
-
-def test_embed_odd_restricts_to_window():
-    for w in enumerate_group(3):
-        assert w.embed_odd().restrict() == w
-
-
-def test_embed_odd_injective():
-    for n in (1, 2, 3, 4):
-        images = {w.embed_odd().values for w in enumerate_group(n)}
-        assert len(images) == group_order(n)
-
-
-def test_embed_even():
-    assert SignedPermutation([-2, 3, 1]).embed_even() == (-1, -3, 2, -2, 3, 1)
-    assert SignedPermutation.identity(1).embed_even() == (-1, 1)
-
-
-@given(signed_permutations())
-def test_embed_even_length(w):
-    assert len(w.embed_even()) == 2 * w.n
+    ident = SignedPermutation.identity(2)
+    assert [ident(i) for i in range(-2, 3)] == [-2, -1, 0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

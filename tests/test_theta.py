@@ -617,10 +617,16 @@ def test_json_round_trip():
     ({"k": 5, "p": [1], "q": [1]}, "k"),
     ({"k": [1], "p": [2], "q": ["a"]}, "q"),
     ({"k": [1], "p": [2], "q": [-1], "n": "3"}, "n"),
+    ([1, 2], None),
+    ("abc", None),
+    (None, None),
+    (5, None),
 ])
 def test_json_rejects_non_integer_entries(obj, key):
-    # ValueError naming the key, never a TypeError or a float triple
-    with pytest.raises(ValueError, match=f"triple key '{key}' must be"):
+    # ValueError naming the key (or, for a non-object, saying so), never
+    # a TypeError or a float triple
+    match = f"triple key '{key}' must be" if key else "must be a JSON object"
+    with pytest.raises(ValueError, match=match):
         triple_from_json(obj)
 
 
