@@ -25,8 +25,9 @@ class RankTooLargeError(ValueError):
 
 
 def check_rank_guard(n: int, allow_large: bool = False) -> None:
-    if n < 1:
-        raise ValueError(f"rank must be a positive integer, got {n}")
+    # type(n), not isinstance: a bool is an int but no rank
+    if type(n) is not int or n < 1:
+        raise ValueError(f"rank must be a positive integer, got {n!r}")
     if n > RANK_GUARD and not allow_large:
         raise RankTooLargeError(
             f"rank {n} exceeds the guard for exhaustive work (max {RANK_GUARD}); "

@@ -674,6 +674,31 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     degenerate tied tuples that pass the written conditions but cannot
     realize their own corners are never emitted, so emitted triples
     correspond one-to-one with the permutations they construct.
+
+    Prefixes that reach the same search state share one search below it.
+    The state of a placed prefix is its key: (1) for each positive entry
+    j < a, the pair (k_j, q_j) and the least value of step j; (2) the last
+    entry (k, p, q), and its R when q < 0; (3) the used absolute values
+    and the taken positions.  Everything below the prefix reads only the
+    key.  R(i) (A2) and L (C2) read the positive entries' k_j and q_j
+    (1), and so does the A2 exclusion of `_q_candidates`; the cut a is
+    their count plus one.  B1 and B2 read the last entry and its R (2)
+    and k_{R(i)}, a positive entry's k (1); C1 and the C1 cap read
+    k_{R(i)} and k_{a-1} (1).  The coherence check reads the least value
+    of steps R(i)+1 .. a-1 (1).  The B1/B2 cap of `_q_candidates` and the
+    p and k bounds read the last entry (2), whose sign tells whether a
+    negative entry has appeared.  `_place` reads the used values and the
+    taken positions (3) and the last k; A3 and B3 read the new entry and
+    k_{R(s)}.  The first visit of a state runs every check below it and
+    records its extensions in search order as (k, p, q, emits, child),
+    keeping only those that emit or lead to a state with something below
+    it; a state with nothing below it records (), so a later visit cuts
+    it at once.  Every later visit replays the record without checks:
+    it appends the entries to the prefix and builds each emitted
+    `ThetaTriple` from the whole prefix, as the first visit would, so the
+    output and its order are those of the unshared search.  The record
+    lives for one call and is cleared when the generator finishes or is
+    closed.
     """
     check_rank_guard(n, allow_large)
 
@@ -686,6 +711,12 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     step_values: List[List[int]] = []
     used: set = set()
     taken: set = set()
+    # state key -> the state's extensions in search order, each as five
+    # consecutive fields k, p, q, emits, child record (one flat tuple
+    # holds them in half the memory of a tuple per extension); () marks
+    # a state with nothing below it
+    memo: Dict[int, tuple] = {}
+    base = 2 * n + 1  # every key digit lies in [0, 2n]
 
     def admit(a: int, count: int) -> Optional[Tuple[List[int], List[int]]]:
         # the newest entry's placement, or None to cut it with its subtree
@@ -700,8 +731,27 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
             return None
         return _place(count, -qs[-1], ps[-1], n, used, taken)
 
-    def extend(a: int) -> Iterator[ThetaTriple]:
-        # a is the prefix's cut index: len + 1 while every q is positive
+    def replay(record: tuple) -> Iterator[ThetaTriple]:
+        fields = iter(record)
+        for k_new, p_new, q_new, emits, child in zip(*[fields] * 5):
+            ks.append(k_new)
+            ps.append(p_new)
+            qs.append(q_new)
+            if emits:
+                yield ThetaTriple(tuple(ks), tuple(ps), tuple(qs), n)
+            if child:
+                yield from replay(child)
+            ks.pop()
+            ps.pop()
+            qs.pop()
+
+    def extend(a: int, pos: int, mask: int) -> Iterator[ThetaTriple]:
+        # the first visit of a state: a is the prefix's cut index (len + 1
+        # while every q is positive), pos packs the positive entries'
+        # (k_j, q_j, least value of step j) and mask the used absolute
+        # values (bits 1..n) and taken positions (bits n+1..2n); returns
+        # the state's record
+        record = []
         i = len(ks) + 1
         k_prev = ks[-1] if ks else 0
         p_hi = ps[-1] if ps else n
@@ -725,17 +775,40 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                         step_values.append(values)
                         used.update(abs(v) for v in values)
                         taken.update(positions)
-                        if all(row[1] for row in _closing_checks(ks, ps, qs, a_new, R)):
+                        emits = all(row[1] for row in _closing_checks(ks, ps, qs, a_new, R))
+                        if emits:
                             yield ThetaTriple(tuple(ks), tuple(ps), tuple(qs), n)
-                        yield from extend(a_new)
+                        child_mask = mask
+                        for v, z in zip(values, positions):
+                            child_mask |= 1 << abs(v) | 1 << n + z
+                        if q_new > 0:
+                            child_pos = ((pos * base + k_new) * base + q_new) * base - values[0]
+                            r = 0
+                        else:
+                            child_pos, r = pos, R[i]
+                        key = ((((child_pos << 2 * n + 1 | child_mask) * base + k_new)
+                                * base + p_new) * base + q_new + n) * base + r
+                        child = memo.get(key)
+                        if child is None:
+                            child = memo[key] = yield from extend(a_new, child_pos, child_mask)
+                        elif child:
+                            yield from replay(child)
+                        if emits or child:
+                            record += k_new, p_new, q_new, emits, child
                         step_values.pop()
                         used.difference_update(abs(v) for v in values)
                         taken.difference_update(positions)
                     qs.pop()
                 ps.pop()
             ks.pop()
+        return tuple(record)
 
-    yield from extend(1)
+    try:
+        yield from extend(1, 0, 0)
+    finally:
+        # extend refers to itself, so the closure and the memo it holds
+        # would otherwise live on until the cycle collector runs
+        memo.clear()
 
 
 # ---------------------------------------------------------------------------

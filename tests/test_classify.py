@@ -311,6 +311,17 @@ def test_verify_respects_rank_guard():
         verify_equivalence(9)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: verify_equivalence(True),
+    lambda: verify_equivalence(3.0),
+    lambda: next(enumerate_group(2.0)),
+    lambda: next(theta.generate_triples(3.0)),
+], ids=["verify-bool", "verify-float", "enumerate-float", "generate-float"])
+def test_rank_must_be_an_int(call):
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # enumeration and reporting
 
