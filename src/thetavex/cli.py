@@ -72,7 +72,7 @@ def cmd_diagram(args) -> int:
 def cmd_construct(args) -> int:
     t = theta.parse_triple(args.triple, args.rank)
     w = theta.construct(t)
-    dual = theta.construct_inverse(t)
+    inverse = w.inverse()
     if args.json:
         print(
             json.dumps(
@@ -80,14 +80,14 @@ def cmd_construct(args) -> int:
                     "schema": "1",
                     "triple": theta.triple_to_json(t),
                     "window": list(w.window),
-                    "inverse": list(dual.window),
+                    "inverse": list(inverse.window),
                 },
                 indent=2,
             )
         )
     else:
         print(format_window(w))
-        print(format_window(dual))
+        print(format_window(inverse))
     return 0
 
 

@@ -69,6 +69,11 @@ class SignedPermutation:
     def __setattr__(self, name, value):
         raise AttributeError("SignedPermutation is immutable")
 
+    def __reduce__(self):
+        # the default reduction restores the slot by assignment, which
+        # __setattr__ refuses; pickle and copy rebuild from the window
+        return SignedPermutation, (self.window,)
+
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
         return cls(range(1, n + 1))

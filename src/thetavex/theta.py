@@ -7,10 +7,10 @@ C1-C2) are checked by `validate`, which reports every verdict rather
 than raising.
 
 From a valid triple the construction algorithm produces a signed
-permutation in s+1 placement steps; the mirrored variant runs the same
-algorithm on the swapped triple (k, q, p) over positions [-n, n] and
-yields the inverse permutation.  `recover` walks the other direction,
-from a permutation back to its unique triple, via the corner taxonomy.
+permutation in s+1 placement steps over the window positions 1..n;
+`construct_inverse` inverts the permutation it builds.  `recover` walks
+the other direction, from a permutation back to its unique triple, via
+the corner taxonomy.
 """
 
 from __future__ import annotations
@@ -352,43 +352,40 @@ def _place(count: int, bound: int, start: int, n: int,
 def _placement_run(
     k: Sequence[int], p: Sequence[int], q: Sequence[int], n: int
 ) -> Tuple[Dict[int, int], List[Tuple[List[int], List[int]]]]:
-    """The placement steps of (k, p, q) over the full form on [-n, n].
+    """The placement steps of (k, p, q) at rank n, over the window.
 
     Step i places the k_i - k_{i-1} largest unused values at or below
-    -q_i from position p_i on; each entry v at z is mirrored to -v at -z,
-    and 0 sits at 0.  `construct_with_trace` runs it on (k, p, q) and
-    `construct_inverse` on the swapped (k, q, p).  Returns the full form
-    (position -> value) and the (values, positions) of each step; the
-    steps stop before the first one that runs short.
+    -q_i into the free positions from p_i on.  Returns the placed part
+    of the window (position -> value, positions in 1..n) and the
+    (values, positions) of each step; the steps stop before the first
+    one that runs short.
     """
-    full: Dict[int, int] = {0: 0}
+    window: Dict[int, int] = {}
     used: set = set()
     steps = []
     prev_k = 0
     for k_i, p_i, q_i in zip(k, p, q):
-        placed = _place(k_i - prev_k, -q_i, p_i, n, used, full)
+        placed = _place(k_i - prev_k, -q_i, p_i, n, used, window)
         if placed is None:
             break
         for v, z in zip(*placed):
-            full[z] = v
-            full[-z] = -v
+            window[z] = v
             used.add(abs(v))
         steps.append(placed)
         prev_k = k_i
-    return full, steps
+    return window, steps
 
 
-def _fill(full: Dict[int, int], n: int) -> Tuple[Tuple[int, int], ...]:
-    """The finishing step, written into the full form: the unused
-    positive values in increasing order into the free positive positions.
-    Returns its (value, position) pairs.  Each placement took one position
-    and one absolute value, so the two are equally many."""
-    placed = set(full.values())  # mirrored: v is placed iff -v is
-    rest = tuple(zip((v for v in range(1, n + 1) if v not in placed),
-                     (z for z in range(1, n + 1) if z not in full)))
+def _fill(window: Dict[int, int], n: int) -> Tuple[Tuple[int, int], ...]:
+    """The finishing step, written into the window: the unused positive
+    values in increasing order into the free positions.  Returns its
+    (value, position) pairs.  Each placement took one position and one
+    absolute value, so the two are equally many."""
+    used = set(map(abs, window.values()))
+    rest = tuple(zip((v for v in range(1, n + 1) if v not in used),
+                     (z for z in range(1, n + 1) if z not in window)))
     for v, z in rest:
-        full[z] = v
-        full[-z] = -v
+        window[z] = v
     return rest
 
 
@@ -418,12 +415,12 @@ def _coherence_failure(q: Sequence[int], a: int, R, step_values, i: int) -> Opti
 def _checked_run(
     t: ThetaTriple,
 ) -> Tuple[Dict[int, int], List[Tuple[List[int], List[int]]]]:
-    """The forward placement run of a triple that must be buildable at
+    """The placement run of a triple that must be buildable at
     its rank: raises InvalidTripleError when a condition fails or the
     triple is degenerate, and InfeasibleRankError when a step runs
     short."""
     a, R = _require_valid(t)
-    full, steps = _placement_run(t.k, t.p, t.q, t.n)
+    window, steps = _placement_run(t.k, t.p, t.q, t.n)
     if len(steps) < t.s:
         i = len(steps) + 1
         minimum = min_feasible_rank(t)
@@ -439,7 +436,7 @@ def _checked_run(
         failure = _coherence_failure(t.q, a, R, values, i)
         if failure:
             raise InvalidTripleError(failure)
-    return full, steps
+    return window, steps
 
 
 def construct_with_trace(
@@ -454,18 +451,18 @@ def construct_with_trace(
     with the unused positive values in increasing order.  For another
     rank, build `t.with_rank(n)`.
     """
-    full, steps = _checked_run(t)
+    window, steps = _checked_run(t)
     trace = [StepPlacement(i, tuple(zip(*placed)))
              for i, placed in enumerate(steps, start=1)]
-    trace.append(StepPlacement(t.s + 1, _fill(full, t.n)))
-    return SignedPermutation([full[z] for z in range(1, t.n + 1)]), tuple(trace)
+    trace.append(StepPlacement(t.s + 1, _fill(window, t.n)))
+    return SignedPermutation([window[z] for z in range(1, t.n + 1)]), tuple(trace)
 
 
 def construct(t: ThetaTriple) -> SignedPermutation:
     """The permutation of `construct_with_trace`, without the trace."""
-    full, _ = _checked_run(t)
-    _fill(full, t.n)
-    return SignedPermutation([full[z] for z in range(1, t.n + 1)])
+    window, _ = _checked_run(t)
+    _fill(window, t.n)
+    return SignedPermutation([window[z] for z in range(1, t.n + 1)])
 
 
 def min_feasible_rank(t: ThetaTriple) -> int:
@@ -492,25 +489,14 @@ def min_feasible_rank(t: ThetaTriple) -> int:
 
 
 def construct_inverse(t: ThetaTriple) -> SignedPermutation:
-    """Build the inverse directly, without inverting.
+    """The inverse of `construct(t)`, refusing exactly what `construct`
+    refuses.
 
-    Runs the construction on the swapped triple (k, q, p) over the full
-    position range [-n, n]: a zero is pre-placed at position 0, step (i)
-    scans right from position q_i placing entries that end with -p_i,
-    and every placement is mirrored through 0.  The window restriction
-    of the result is the inverse of `construct(t)`.  The forward steps
-    run first, so that the same triples and ranks are refused as by
-    `construct`.
+    The paper also builds the inverse directly, by the same steps on the
+    swapped triple (k, q, p) over the positions [-n, n]; that dual
+    construction is checked against this one by the test suite.
     """
-    _checked_run(t)
-    full, steps = _placement_run(t.k, t.q, t.p, t.n)
-    if len(steps) < t.s:
-        raise InfeasibleRankError(
-            f"mirrored step {len(steps) + 1} ran out of values or positions "
-            f"at rank {t.n}"
-        )
-    _fill(full, t.n)
-    return SignedPermutation([full[z] for z in range(1, t.n + 1)])
+    return construct(t).inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,37 @@ def full_corners(w):
     return tuple(found)
 
 
+def mirrored_construction(t):
+    """The paper's dual construction: the inverse of the permutation of
+    t, built directly by the placement steps of the swapped triple
+    (k, q, p) over the full form on [-n, n], with 0 at 0 and each entry
+    v at z mirrored to -v at -z.  Step i places the k_i - k_{i-1}
+    largest unplaced values at or below -p_i (all negative), increasing,
+    into the first free positions from q_i on; a last fill puts the
+    unplaced positive values, increasing, into the free positive
+    positions.  None when a step runs short.  Kept independent of the
+    library's placement run, which builds only the forward window."""
+    n = t.n
+    full = {0: 0}
+    prev_k = 0
+    for k_i, q_i, p_i in zip(t.k, t.q, t.p):
+        count = k_i - prev_k
+        values = [v for v in range(-p_i, -n - 1, -1) if v not in full.values()]
+        positions = [z for z in range(q_i, n + 1) if z not in full]
+        if len(values) < count or len(positions) < count:
+            return None
+        for v, z in zip(sorted(values[:count]), positions):
+            full[z] = v
+            full[-z] = -v
+        prev_k = k_i
+    rest = zip([v for v in range(1, n + 1) if v not in full.values()],
+               [z for z in range(1, n + 1) if z not in full])
+    for v, z in rest:
+        full[z] = v
+        full[-z] = -v
+    return SignedPermutation([full[z] for z in range(1, n + 1)])
+
+
 @functools.lru_cache(maxsize=None)
 def constructible_windows(n):
     """Windows of every generated triple of rank n, cached per rank so

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from conftest import assert_structural_facts, full_corners
+from conftest import assert_structural_facts, full_corners, mirrored_construction
 from thetavex import theta
 from thetavex.classify import enumerate_theta_vexillary, verify_equivalence
 from thetavex.diagram import corners, reflect
@@ -42,6 +42,8 @@ def test_criterion_2_golden_dual():
     dual = theta.construct_inverse(BIG_T)
     assert dual.window == (2, -5, 4, -6, 3, 7, -10, -9, -8, 1)
     assert dual == theta.construct(BIG_T).inverse()
+    # the paper's dual construction, run on (k, q, p) over [-n, n]
+    assert mirrored_construction(BIG_T) == dual
 
 
 def test_criterion_3_golden_corner_taxonomy():

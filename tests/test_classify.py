@@ -113,6 +113,16 @@ def test_pattern_route_reports_witness():
     assert indices == (1, 2, 3, 4)
 
 
+def test_report_with_pattern_witness_pickles_and_copies():
+    import copy
+    import pickle
+
+    report = build_report(SignedPermutation([-1, 3, 2]))
+    assert report.pattern_witness is not None
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert copy.deepcopy(report) == report
+
+
 def test_corner_route_reports_stray_corner():
     ok, stray = classify_by_corners(SignedPermutation([-2, 3, 1]))
     assert not ok

