@@ -1,10 +1,11 @@
 """Three equivalent characterizations and their cross-verification.
 
 A signed permutation is theta-vexillary exactly when any (hence all) of
-the following hold: some triple constructs it; its corner set is the
-disjoint union of the NE path and the unessential corners; it avoids
-the thirteen signed patterns below.  `verify_equivalence` checks the
-agreement exhaustively over a whole group, optionally across processes.
+the following hold: some triple constructs it; every corner lies on the
+NE path or is an unessential corner that the rank relation forces (see
+`diagram.corners`); it avoids the thirteen signed patterns below.
+`verify_equivalence` checks the agreement exhaustively over a whole
+group, optionally across processes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from . import theta
-from .diagram import CornerClass, CornerRecord, CornerSet, corners
+from .diagram import CornerRecord, CornerSet, corners
 from .sigperm import (
     SignedPattern,
     SignedPermutation,
@@ -66,13 +67,11 @@ def classify_by_patterns(
 def classify_by_corners(
     w: SignedPermutation, cs: Optional[CornerSet] = None
 ) -> Tuple[bool, Optional[CornerRecord]]:
-    """True iff every corner lies on the NE path or is unessential."""
+    """True iff every corner lies on the NE path or is a forced
+    unessential corner; else the stray.  Reads no triple."""
     if cs is None:
         cs = corners(w)
-    stray = cs.other
-    if stray:
-        return False, stray[0]
-    return True, None
+    return cs.stray is None, cs.stray
 
 
 def classify_by_triple(
@@ -102,9 +101,9 @@ class ClassificationReport:
 
     `theta_vexillary` is the construction route's verdict.  The
     per-route verdicts are kept in `verdicts` (patterns, corners,
-    triple, in the order they are computed) so that a divergence — the
-    corner route alone can overclaim on a handful of known rank-6
-    windows — stays visible instead of being masked by the summary bit.
+    triple, in the order they are computed) so that a divergence between
+    the routes would stay visible instead of being masked by the summary
+    bit.
     """
 
     window: Tuple[int, ...]
@@ -148,7 +147,7 @@ class ClassificationReport:
 
 def build_report(w: SignedPermutation) -> ClassificationReport:
     """Run all three classifiers and assemble the combined report with
-    the corner taxonomy (optional corners marked when a triple exists).
+    the corner taxonomy as `corners` labels it.
 
     Disagreement between the routes is recorded, not raised: the
     overall verdict is the construction route's, and `verify_equivalence`
@@ -158,23 +157,12 @@ def build_report(w: SignedPermutation) -> ClassificationReport:
     by_pat, pat_witness = classify_by_patterns(w)
     by_cor, cor_witness = classify_by_corners(w, cs)
     by_tri, triple = classify_by_triple(w, cs)
-    records = cs.corners
-    if triple is not None and triple.s:
-        optional = {
-            rec.position for rec in theta.optional_corners(w, triple, cs)
-        }
-        records = tuple(
-            rec.with_kind(CornerClass.OPTIONAL)
-            if rec.position in optional
-            else rec
-            for rec in records
-        )
     return ClassificationReport(
         window=w.window,
         n=w.n,
         theta_vexillary=by_tri,
         triple=triple,
-        corner_records=records,
+        corner_records=cs.corners,
         pattern_witness=pat_witness,
         corner_witness=cor_witness,
         verdicts=(by_pat, by_cor, by_tri),
@@ -255,7 +243,7 @@ def enumerate_theta_vexillary(
     n: int, *, allow_large: bool = False
 ) -> Iterator[SignedPermutation]:
     """All theta-vexillary elements of W_n in window order, decided by
-    pattern avoidance (exact at every rank, unlike the corner route)."""
+    pattern avoidance."""
     for w in enumerate_group(n, allow_large=allow_large):
         if classify_by_patterns(w)[0]:
             yield w

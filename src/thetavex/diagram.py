@@ -5,17 +5,17 @@ Coordinates are matrix style throughout: rows run top to bottom over
 permutation lives on columns [-n, -1].
 
 A corner position (p, q), with p in [1, n], names the box (q - 1, -p).
-Corner records carry the rank value k and a taxonomy class; the class
-OPTIONAL is only assigned later, once a triple is known (see the theta
-module).
+Corner records carry the rank value k and a taxonomy class.  `corners`
+assigns every class in one pass: it also decides which unessential
+corners the rank relation forces and which NE-path corners a triple
+skips (OPTIONAL), so every route reads the same labels.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .sigperm import SignedPermutation
 
@@ -27,6 +27,9 @@ class CornerClass(Enum):
     UNESSENTIAL = "unessential"
     OPTIONAL = "optional"
     OTHER = "other"
+
+
+_PATH_KINDS = (CornerClass.NE_PATH, CornerClass.OPTIONAL)
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,6 @@ class CornerRecord:
     def box(self) -> Box:
         return (self.q - 1, -self.p)
 
-    def with_kind(self, kind: CornerClass) -> "CornerRecord":
-        return dataclasses.replace(self, kind=kind)
-
     def __repr__(self) -> str:
         return f"CornerRecord({self.k}, {self.p}, {self.q}, {self.kind.value})"
 
@@ -68,13 +68,17 @@ def reflect(t: CornerRecord) -> CornerRecord:
 
 @dataclass(frozen=True)
 class CornerSet:
-    """All corners of a signed permutation, sorted p desc then q desc."""
+    """All corners of a signed permutation, sorted p desc then q desc,
+    and the first corner that rules w out of the class (see `corners`),
+    or None when w is theta-vexillary."""
 
     corners: Tuple[CornerRecord, ...]
+    stray: Optional[CornerRecord] = None
 
     @property
     def ne_path(self) -> Tuple[CornerRecord, ...]:
-        return tuple(c for c in self.corners if c.kind is CornerClass.NE_PATH)
+        """The geometric NE path: the kept and the optional corners."""
+        return tuple(c for c in self.corners if c.kind in _PATH_KINDS)
 
     @property
     def unessential(self) -> Tuple[CornerRecord, ...]:
@@ -83,9 +87,6 @@ class CornerSet:
     @property
     def other(self) -> Tuple[CornerRecord, ...]:
         return tuple(c for c in self.corners if c.kind is CornerClass.OTHER)
-
-    def positions(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(c.position for c in self.corners)
 
     def __iter__(self):
         return iter(self.corners)
@@ -153,6 +154,20 @@ def _is_unessential(p: int, q: int, ne_positions: list) -> bool:
     return has_column_mate and has_row_mate and has_smaller
 
 
+def _r_index(q: Sequence[int], a: int, i: int) -> Optional[int]:
+    """R(i) for an index i >= a: the r in [0, a) with q_r > -q_i > q_{r+1},
+    taking q_0 = +infinity.  Every q_j with j < a is positive and -q_i is
+    positive, so r counts the positive entries above -q_i.  None when one
+    of them equals -q_i, which is A2 failing."""
+    target = -q[i - 1]
+    r = 0
+    while r < a - 1 and q[r] > target:
+        r += 1
+    if r < a - 1 and q[r] == target:
+        return None
+    return r
+
+
 def corners(w: SignedPermutation) -> CornerSet:
     """The corner set of a signed permutation, classified and sorted.
 
@@ -171,8 +186,9 @@ def corners(w: SignedPermutation) -> CornerSet:
     The NE path is the set of positions minimal in the order
     (p, q) < (p', q') iff p > p' and q < q'; a corner off the path is
     unessential when q < 0 and the path has a mate in its column below
-    it, a mate in row -q + 1, and a position smaller than it.  Records
-    come out sorted p desc, then q desc.
+    it, a mate in row -q + 1, and a position smaller than it; any other
+    corner is OTHER.  `_label_by_rank` then finds the stray corner or
+    marks the OPTIONAL ones.  Records come out sorted p desc, q desc.
     """
     win = w.window
     n = len(win)
@@ -207,16 +223,61 @@ def corners(w: SignedPermutation) -> CornerSet:
         min_q_seen = min(min_q_seen, q)
     ne_set = set(ne_positions)
 
-    records = []
-    for k, p, q in found:
-        if (p, q) in ne_set:
-            kind = CornerClass.NE_PATH
-        elif _is_unessential(p, q, ne_positions):
-            kind = CornerClass.UNESSENTIAL
-        else:
-            kind = CornerClass.OTHER
-        records.append(CornerRecord(k, p, q, kind))
-    return CornerSet(tuple(records))
+    kinds = [
+        CornerClass.NE_PATH if (p, q) in ne_set
+        else CornerClass.UNESSENTIAL if _is_unessential(p, q, ne_positions)
+        else CornerClass.OTHER
+        for _, p, q in found
+    ]
+    stray = _label_by_rank(found, kinds, n)
+    records = tuple(
+        CornerRecord(k, p, q, kind) for (k, p, q), kind in zip(found, kinds)
+    )
+    return CornerSet(records, None if stray is None else records[stray])
+
+
+def _label_by_rank(found: list, kinds: list, n: int) -> Optional[int]:
+    """The index in `found` of the stray corner, or None.
+
+    The stray is the first OTHER corner, else the first unessential
+    (k, p, q) that is not forced: forced means some i >= a with p_i = p,
+    q_i < q and R(i) defined, and some j < a with q_j = 1 - q, have
+    q - q_i = k_i - k + k_j - k_{R(i)}.  With no stray, each path corner
+    i >= a where (p_i - p_{i+1}) + (q_i - q_{i+1}) =
+    (k_{i+1} - k_i) + (k_{R(i)} - k_{R(i+1)}) is marked OPTIONAL in `kinds`.
+    The NE path is (k_i, p_i, q_i), i = 1..s, between the sentinels
+    (0, n, n) and (n, 1, -n), with a = 1 + #{i : q_i > 0} and
+    R(s+1) = 0, which makes the last identity the B3 boundary.
+    """
+    if CornerClass.OTHER in kinds:
+        return kinds.index(CornerClass.OTHER)
+    at = [x for x, kind in enumerate(kinds) if kind is CornerClass.NE_PATH]
+    s = len(at)
+    K = [0, *(found[x][0] for x in at), n]
+    P = [n, *(found[x][1] for x in at), 1]
+    Q = [n, *(found[x][2] for x in at), -n]
+    qs = Q[1:s + 1]
+    a = sum(1 for v in qs if v > 0) + 1
+    R = {i: _r_index(qs, a, i) for i in range(a, s + 1)}
+    R[s + 1] = 0
+
+    for x, (k, p, q) in enumerate(found):
+        if kinds[x] is CornerClass.UNESSENTIAL and not any(
+            P[i] == p and Q[i] < q and R[i] is not None
+            and any(Q[j] == 1 - q and q - Q[i] == K[i] - k + K[j] - K[R[i]]
+                    for j in range(1, a))
+            for i in range(a, s + 1)
+        ):
+            return x
+
+    for i in range(a, s + 1):
+        if R[i] is None or R[i + 1] is None:
+            continue
+        lhs = (P[i] - P[i + 1]) + (Q[i] - Q[i + 1])
+        rhs = (K[i + 1] - K[i]) + (K[R[i]] - K[R[i + 1]])
+        if lhs == rhs:
+            kinds[at[i - 1]] = CornerClass.OPTIONAL
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .diagram import CornerRecord, CornerSet, corners
+from .diagram import CornerClass, CornerSet, _r_index, corners
 from .sigperm import SignedPermutation, check_rank_guard
 
 
@@ -131,20 +131,6 @@ def derive(t: ThetaTriple) -> TripleDerived:
         R[i] = r
         L[i] = _l_index(k, q, a, r)
     return TripleDerived(a, R, L)
-
-
-def _r_index(q: Sequence[int], a: int, i: int) -> Optional[int]:
-    """R(i) for an index i >= a: the r in [0, a) with q_r > -q_i > q_{r+1},
-    taking q_0 = +infinity.  Every q_j with j < a is positive and -q_i is
-    positive, so r counts the positive entries above -q_i.  None when one
-    of them equals -q_i, which is A2 failing."""
-    target = -q[i - 1]
-    r = 0
-    while r < a - 1 and q[r] > target:
-        r += 1
-    if r < a - 1 and q[r] == target:
-        return None
-    return r
 
 
 def _l_index(k: Sequence[int], q: Sequence[int], a: int, r: int) -> Optional[int]:
@@ -500,58 +486,6 @@ def construct_inverse(t: ThetaTriple) -> SignedPermutation:
 
 
 # ---------------------------------------------------------------------------
-# optional corners
-
-
-def optional_corners(
-    w: SignedPermutation, t: ThetaTriple, cs: Optional[CornerSet] = None
-) -> Tuple[CornerRecord, ...]:
-    """Corners of w that the triple skips: same column as a later triple
-    corner, one row below the reflection of an earlier one.
-
-    A corner position (p, q) not in the triple is optional when there
-    are indices a <= i <= s and 1 <= j < a with p = p_i and
-    q_{i-1} >= q = -q_j + 1 > q_i.  Each one must also satisfy the rank
-    relation q - q_i = k_i - k + k_j - k_{R(i)}; this is checked, not
-    used as a filter, and a corner that breaks it raises ValueError.
-    """
-    if cs is None:
-        cs = corners(w)
-    if t.s == 0:
-        return ()
-    der = derive(t)
-    a = der.a
-    in_triple = set(zip(t.p, t.q))
-    found = []
-    for rec in cs:
-        if rec.position in in_triple:
-            continue
-        for i in range(a, t.s + 1):
-            if rec.p != t.p[i - 1]:
-                continue
-            q_prev = t.q[i - 2] if i >= 2 else None
-            if q_prev is not None and not (q_prev >= rec.q):
-                continue
-            if not rec.q > t.q[i - 1]:
-                continue
-            hit_js = [j for j in range(1, a) if rec.q == -t.q[j - 1] + 1]
-            if not hit_js:
-                continue
-            k_r = 0 if der.R[i] == 0 else t.k[der.R[i] - 1]
-            if not any(
-                rec.q - t.q[i - 1] == t.k[i - 1] - rec.k + t.k[j - 1] - k_r
-                for j in hit_js
-            ):
-                raise ValueError(
-                    f"optional corner ({rec.k}, {rec.p}, {rec.q}) violates "
-                    f"the rank relation"
-                )
-            found.append(rec)
-            break
-    return tuple(found)
-
-
-# ---------------------------------------------------------------------------
 # recovery
 
 
@@ -560,52 +494,19 @@ def recover(
 ) -> Optional[ThetaTriple]:
     """The unique triple constructing w, or None when there is none.
 
-    The corner set must split into NE path plus unessential corners;
-    otherwise w cannot come from a triple.  The candidate is the sorted
-    NE path with its rank values, minus every index where the step-count
-    identity holds with equality (those corners are the optional ones).
-    The equality test runs with boundary sentinels (k_0, p_0, q_0) =
-    (0, n, n) and (k_{s+1}, p_{s+1}, q_{s+1}) = (n, 1, -n), with R of
-    the upper sentinel fixed at 0, which makes the last test coincide
-    with the B3 boundary.  Pass `cs` when the corner set of w is already
-    known.
+    The triple is read off the corner set: w has one exactly when the
+    set has no stray corner, and its entries are then the NE_PATH
+    corners, the path minus the optional ones (see `diagram.corners`).
+    Pass `cs` when the corner set of w is already known.
     """
-    n = w.n
     if cs is None:
         cs = corners(w)
-    if cs.other:
+    if cs.stray is not None:
         return None
-    path = cs.ne_path
-    s = len(path)
-    if s == 0:
-        return ThetaTriple((), (), (), n)
-    ks = [c.k for c in path]
-    ps = [c.p for c in path]
-    qs = [c.q for c in path]
-
-    a = sum(1 for v in qs if v > 0) + 1
-    R = {s + 1: 0}
-    for i in range(a, s + 1):
-        R[i] = _r_index(qs, a, i)
-        if R[i] is None:
-            return None  # collision; cannot happen for a recoverable w
-    K, P, Q = [0, *ks, n], [n, *ps, 1], [n, *qs, -n]  # with the sentinels
-
-    removable = set()
-    for i in range(a, s + 1):
-        lhs = (P[i] - P[i + 1]) + (Q[i] - Q[i + 1])
-        rhs = (K[i + 1] - K[i]) + (K[R[i]] - K[R[i + 1]])
-        if lhs == rhs:
-            removable.add(i)
-
-    keep = [i for i in range(1, s + 1) if i not in removable]
+    kept = [c for c in cs if c.kind is CornerClass.NE_PATH]
     try:
-        return ThetaTriple(
-            tuple(ks[i - 1] for i in keep),
-            tuple(ps[i - 1] for i in keep),
-            tuple(qs[i - 1] for i in keep),
-            n,
-        )
+        return ThetaTriple(tuple(c.k for c in kept), tuple(c.p for c in kept),
+                           tuple(c.q for c in kept), w.n)
     except ValueError:
         return None
 

@@ -180,6 +180,54 @@ def length_by_descent_stripping(w):
             return steps
 
 
+def reference_optional_corners(w, t, cs=None):
+    """Corners of w that the triple skips: same column as a later triple
+    corner, one row below the reflection of an earlier one.
+
+    A corner position (p, q) not in the triple is optional when there
+    are indices a <= i <= s and 1 <= j < a with p = p_i and
+    q_{i-1} >= q = -q_j + 1 > q_i.  Each one must also satisfy the rank
+    relation q - q_i = k_i - k + k_j - k_{R(i)}; this is checked, not
+    used as a filter, and a corner that breaks it raises ValueError.
+    Kept as an independent reference for the OPTIONAL labels that
+    `diagram.corners` assigns by the step-count identity.
+    """
+    if cs is None:
+        cs = diagram.corners(w)
+    if t.s == 0:
+        return ()
+    der = theta.derive(t)
+    a = der.a
+    in_triple = set(zip(t.p, t.q))
+    found = []
+    for rec in cs:
+        if rec.position in in_triple:
+            continue
+        for i in range(a, t.s + 1):
+            if rec.p != t.p[i - 1]:
+                continue
+            q_prev = t.q[i - 2] if i >= 2 else None
+            if q_prev is not None and not (q_prev >= rec.q):
+                continue
+            if not rec.q > t.q[i - 1]:
+                continue
+            hit_js = [j for j in range(1, a) if rec.q == -t.q[j - 1] + 1]
+            if not hit_js:
+                continue
+            k_r = 0 if der.R[i] == 0 else t.k[der.R[i] - 1]
+            if not any(
+                rec.q - t.q[i - 1] == t.k[i - 1] - rec.k + t.k[j - 1] - k_r
+                for j in hit_js
+            ):
+                raise ValueError(
+                    f"optional corner ({rec.k}, {rec.p}, {rec.q}) violates "
+                    f"the rank relation"
+                )
+            found.append(rec)
+            break
+    return tuple(found)
+
+
 def assert_structural_facts(t):
     """Every structural fact the library promises for one valid triple,
     checked against its constructed permutation at the triple's own rank.
@@ -263,7 +311,7 @@ def assert_structural_facts(t):
 
     # corner decomposition: triple, optional, unessential -- disjoint,
     # exhaustive, with the first two making up the NE path
-    opts = {c.position for c in theta.optional_corners(w, t, cs)}
+    opts = {c.position for c in reference_optional_corners(w, t, cs)}
     une = {c.position for c in cs.unessential}
     assert cs.other == ()
     assert tau | opts == set(ne)

@@ -22,7 +22,7 @@ from thetavex.classify import (
     pattern_table_digest,
     verify_equivalence,
 )
-from thetavex.diagram import CornerClass
+from thetavex.diagram import CornerClass, corners
 from thetavex.sigperm import (
     RankTooLargeError,
     SignedPermutation,
@@ -47,9 +47,10 @@ W6_WITNESS_SHA256 = (
 
 README_TRIPLE = ((3, 4, 5, 6, 9), (8, 6, 5, 4, 2), (7, 4, 2, -3, -6))
 
-# rank-6 windows where the corner-geometry route alone says yes although
-# no triple constructs them (each contains 2 1 4 3); pinned so nobody
-# "fixes" one side without noticing the other
+# rank-6 windows that the literal corner criterion ("every corner is on
+# the NE path or unessential") accepts although no triple constructs them
+# (each contains 2 1 4 3); the exact route rejects them because their
+# unessential corner (2, 3, -1) is not forced by the rank relation
 CORNER_ROUTE_OVERCLAIMS = [
     (3, 5, 1, 6, -2, 4),
     (3, 5, 1, 6, 4, -2),
@@ -194,18 +195,23 @@ def test_routes_agree_through_rank_five(w):
 @given(signed_permutations(max_n=6))
 @settings(max_examples=150)
 def test_pattern_and_triple_routes_agree(w):
-    # these two stay exact at rank 6, where the corner route does not
     assert classify_by_patterns(w)[0] == classify_by_triple(w)[0]
 
 
 # ---------------------------------------------------------------------------
-# the known corner-route divergence
+# the literal corner criterion's overclaims
 
 
 def test_corner_route_overclaims_are_pinned():
     for win in CORNER_ROUTE_OVERCLAIMS:
         w = SignedPermutation(win)
-        assert classify_by_corners(w)[0] is True
+        cs = corners(w)
+        # the literal criterion holds: nothing off the path but unessential
+        assert cs.other == ()
+        ok, stray = classify_by_corners(w, cs)
+        assert ok is False
+        assert stray.triple == (2, 3, -1)
+        assert stray.kind is CornerClass.UNESSENTIAL
         ok, witness = classify_by_patterns(w)
         assert not ok and witness[0].window == (2, 1, 4, 3)
         assert classify_by_triple(w) == (False, None)
@@ -214,10 +220,11 @@ def test_corner_route_overclaims_are_pinned():
 def test_overclaimed_windows_report_without_crashing():
     report = build_report(SignedPermutation([3, 5, 1, 6, -2, 4]))
     assert report.theta_vexillary is False
-    assert report.verdicts == (False, True, False)
-    assert not report.routes_agree
+    assert report.verdicts == (False, False, False)
+    assert report.routes_agree
     assert report.triple is None
     assert report.pattern_witness[1] == (1, 3, 4, 6)
+    assert report.corner_witness.triple == (2, 3, -1)
 
 
 # ---------------------------------------------------------------------------

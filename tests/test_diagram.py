@@ -38,7 +38,9 @@ def naive_minimal_positions(positions):
 
 def reference_corners(w):
     """Brute-force corner set: the p >= 1 slice of the full form's
-    corners, classified by the written taxonomy.  Sorted p desc, q desc."""
+    corners, classified by the written taxonomy.  Sorted p desc, q desc.
+    The taxonomy has no optional class: compare with `corner_tuples`,
+    which folds OPTIONAL into NE_PATH."""
     found = [c.triple for c in full_corners(w) if c.p >= 1]
     ne = naive_minimal_positions({(p, q) for _, p, q in found})
     out = []
@@ -59,7 +61,12 @@ def reference_corners(w):
 
 
 def corner_tuples(w):
-    return [(c.k, c.p, c.q, c.kind) for c in corners(w)]
+    """The corners of w with OPTIONAL folded into NE_PATH."""
+    return [
+        (c.k, c.p, c.q,
+         CornerClass.NE_PATH if c.kind is CornerClass.OPTIONAL else c.kind)
+        for c in corners(w)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +179,8 @@ def test_corner_box_identification():
     rec = CornerRecord(9, 2, -6)
     assert rec.position == (2, -6)
     assert rec.box == (-7, -2)
-    assert rec.with_kind(CornerClass.NE_PATH).kind is CornerClass.NE_PATH
+    assert rec.kind is CornerClass.OTHER
+    assert CornerRecord(9, 2, -6, CornerClass.NE_PATH).kind is CornerClass.NE_PATH
 
 
 def test_identity_corner_set_empty():
@@ -284,9 +292,13 @@ def test_no_corner_in_column_one_above_row_zero():
 def test_taxonomy_classes_partition(w):
     cs = corners(w)
     assert len(cs.ne_path) + len(cs.unessential) + len(cs.other) == len(cs)
-    # kinds assigned by corners() never include OPTIONAL; that label comes
-    # later, from a triple
-    assert all(c.kind is not CornerClass.OPTIONAL for c in cs)
+    # optional corners are labelled only when nothing is stray
+    if cs.stray is not None:
+        assert all(c.kind is not CornerClass.OPTIONAL for c in cs)
+        assert cs.stray in cs.other + cs.unessential
+    # a stray OTHER corner is the first one
+    if cs.other:
+        assert cs.stray == cs.other[0]
 
 
 @given(signed_permutations(max_n=6))

@@ -6,10 +6,14 @@ import tracemalloc
 
 import pytest
 
-from conftest import assert_structural_facts, mirrored_construction
+from conftest import (
+    assert_structural_facts,
+    mirrored_construction,
+    reference_optional_corners,
+)
 from thetavex import theta
-from thetavex.diagram import CornerClass
-from thetavex.sigperm import SignedPermutation
+from thetavex.diagram import CornerClass, corners
+from thetavex.sigperm import SignedPermutation, enumerate_group
 from thetavex.theta import (
     InfeasibleRankError,
     InvalidTripleError,
@@ -22,7 +26,6 @@ from thetavex.theta import (
     format_triple,
     generate_triples,
     min_feasible_rank,
-    optional_corners,
     parse_triple,
     recover,
     triple_from_json,
@@ -32,6 +35,15 @@ from thetavex.theta import (
 
 BIG_T = ThetaTriple((3, 4, 5, 6, 9), (8, 6, 5, 4, 2), (7, 4, 2, -3, -6), 10)
 BIG = SignedPermutation([10, 1, 5, 3, -2, -4, 6, -9, -8, -7])
+
+# rank-6 non-members whose corners all lie on the NE path or are
+# unessential; the literal corner criterion accepts them
+CORNER_ROUTE_REJECTS = [
+    (3, 5, 1, 6, -2, 4),
+    (3, 5, 1, 6, 4, -2),
+    (3, 6, 1, 5, -2, 4),
+    (3, 6, 1, 5, 4, -2),
+]
 
 # tuples that satisfy all eight written conditions yet cannot realize
 # their own corners; the library must refuse to build them
@@ -432,14 +444,13 @@ def test_tied_triples_construct_and_round_trip():
 
 
 def test_optional_corners_big():
-    opts = optional_corners(BIG, BIG_T)
+    opts = reference_optional_corners(BIG, BIG_T)
     assert [c.triple for c in opts] == [(7, 2, -3)]
 
 
 def test_optional_corners_rank_relation_is_checked():
-    # the optional corner of BIG with a wrong rank value must be refused,
-    # also under python -O
-    from thetavex.diagram import CornerRecord, CornerSet, corners
+    # the optional corner of BIG with a wrong rank value must be refused
+    from thetavex.diagram import CornerRecord, CornerSet
 
     forged = CornerSet(
         tuple(
@@ -448,12 +459,24 @@ def test_optional_corners_rank_relation_is_checked():
         )
     )
     with pytest.raises(ValueError, match=r"\(8, 2, -3\) violates the rank"):
-        optional_corners(BIG, BIG_T, forged)
+        reference_optional_corners(BIG, BIG_T, forged)
 
 
 def test_optional_corners_empty_triple():
     w = SignedPermutation.identity(3)
-    assert optional_corners(w, ThetaTriple((), (), (), 3)) == ()
+    assert reference_optional_corners(w, ThetaTriple((), (), (), 3)) == ()
+
+
+def test_optional_labels_match_reference_exhaustively():
+    """The OPTIONAL labels that `corners` assigns by the step-count
+    identity are the corners that the rank-relation reference finds."""
+    for n in range(1, 7):
+        for t in generate_triples(n):
+            w = construct(t)
+            cs = corners(w)
+            labelled = [c.position for c in cs if c.kind is CornerClass.OPTIONAL]
+            expected = [c.position for c in reference_optional_corners(w, t, cs)]
+            assert labelled == expected, t
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +497,24 @@ def test_recover_identity_is_empty_triple():
 def test_recover_refuses_stray_corner():
     # (1, 2) is neither on the NE path of [-1, 3, 2] nor unessential
     assert recover(SignedPermutation([-1, 3, 2])) is None
+
+
+def test_recover_refuses_unforced_unessential_corner():
+    # each holds 2 1 4 3, and its unessential corner (2, 3, -1) is not
+    # forced by the rank relation; the NE path alone would construct
+    # another window
+    for win in CORNER_ROUTE_REJECTS:
+        w = SignedPermutation(win)
+        assert corners(w).stray.triple == (2, 3, -1)
+        assert recover(w) is None
+
+
+def test_recover_finds_a_triple_exactly_for_members():
+    from thetavex.classify import classify_by_patterns
+
+    for n in range(1, 6):
+        for w in enumerate_group(n):
+            assert (recover(w) is None) is not classify_by_patterns(w)[0], w
 
 
 def test_recover_inverts_construct_exhaustively():
