@@ -187,30 +187,20 @@ class VerifySummary:
         )
 
 
-def _verify_chunk(args: Tuple[int, int, int]) -> Tuple[int, List[Tuple[int, ...]]]:
-    n, lo, hi = args
+def _verify_chunk(task: Tuple[int, int]) -> Tuple[int, List[Tuple[int, ...]]]:
+    """Members and mismatching windows among the windows of W_n that
+    begin with the letter v, where task = (n, v), decided by
+    `build_report`."""
+    n, v = task
     count = 0
     mismatches: List[Tuple[int, ...]] = []
-    for win in iter_windows(n, lo, hi):
-        w = SignedPermutation(win)
-        cs = corners(w)
-        verdicts = (
-            classify_by_patterns(w)[0],
-            classify_by_corners(w, cs)[0],
-            classify_by_triple(w, cs)[0],
-        )
-        if verdicts[0] != verdicts[1] or verdicts[0] != verdicts[2]:
+    for win in iter_windows(n, (v,)):
+        report = build_report(SignedPermutation(win))
+        if not report.routes_agree:
             mismatches.append(win)
-        elif verdicts[0]:
+        elif report.theta_vexillary:
             count += 1
     return count, mismatches
-
-
-def chunk_bounds(total: int, jobs: int) -> List[Tuple[int, int]]:
-    """The contiguous window ranges [lo, hi) that `verify_equivalence`
-    hands to a pool of `jobs` workers: about four per worker."""
-    chunk = max(1, -(-total // (jobs * 4)))
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
 def verify_equivalence(
@@ -218,17 +208,16 @@ def verify_equivalence(
 ) -> VerifySummary:
     """Run all three classifiers over every element of W_n.
 
-    The window stream is split into contiguous chunks, which run on a
-    pool of `jobs` processes, capped at the CPU count and the number of
-    chunks, or in this process when that cap is 1; results merge by
-    summation in chunk order, so the summary does not depend on the
-    worker count.
+    Each first letter v = -n..-1, 1..n is one task: the windows that
+    begin with v.  The tasks run on a pool of `jobs` processes, capped
+    at the CPU count and at the 2n tasks (so at most 12 workers at
+    n = 6 and 16 at n = 8), or in this process when that cap is 1.
+    Results merge in task order, which is window order, so the summary
+    does not depend on the worker count.
     """
     check_rank_guard(n, allow_large)
-    total = group_order(n)
-    workers = max(1, min(jobs, os.cpu_count() or 1))
-    tasks = [(n, lo, hi) for lo, hi in chunk_bounds(total, workers)]
-    workers = min(workers, len(tasks))
+    tasks = [(n, v) for v in range(-n, n + 1) if v != 0]
+    workers = max(1, min(jobs, os.cpu_count() or 1, len(tasks)))
     if workers == 1:
         parts = list(map(_verify_chunk, tasks))
     else:
@@ -236,7 +225,7 @@ def verify_equivalence(
             parts = list(pool.map(_verify_chunk, tasks))
     count = sum(part_count for part_count, _ in parts)
     mismatches = tuple(win for _, part_bad in parts for win in part_bad)
-    return VerifySummary(n, total, count, mismatches)
+    return VerifySummary(n, group_order(n), count, mismatches)
 
 
 def enumerate_theta_vexillary(

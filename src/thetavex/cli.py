@@ -60,12 +60,7 @@ def cmd_classify(args) -> int:
 
 def cmd_diagram(args) -> int:
     w = parse_window(args.window)
-    report = build_report(w)
-    print(
-        render_extended(
-            w, show_crosses=args.show_crosses, corner_records=report.corner_records
-        )
-    )
+    print(render_extended(w, show_crosses=args.show_crosses))
     return 0
 
 

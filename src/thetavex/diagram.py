@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from .sigperm import SignedPermutation
 
@@ -149,9 +149,8 @@ def _is_unessential(p: int, q: int, ne_positions: list) -> bool:
     if q >= 0:
         return False
     has_column_mate = any(p1 == p and q1 < q for (p1, q1) in ne_positions)
-    has_row_mate = any(q2 == -q + 1 and p2 > 0 for (p2, q2) in ne_positions)
-    has_smaller = any(p3 > p and q3 < q for (p3, q3) in ne_positions)
-    return has_column_mate and has_row_mate and has_smaller
+    has_row_mate = any(q2 == 1 - q for (_, q2) in ne_positions)
+    return has_column_mate and has_row_mate
 
 
 def _r_index(q: Sequence[int], a: int, i: int) -> Optional[int]:
@@ -186,9 +185,10 @@ def corners(w: SignedPermutation) -> CornerSet:
     The NE path is the set of positions minimal in the order
     (p, q) < (p', q') iff p > p' and q < q'; a corner off the path is
     unessential when q < 0 and the path has a mate in its column below
-    it, a mate in row -q + 1, and a position smaller than it; any other
-    corner is OTHER.  `_label_by_rank` then finds the stray corner or
-    marks the OPTIONAL ones.  Records come out sorted p desc, q desc.
+    it and a mate in row -q + 1 (a path position smaller than it always
+    exists, since it is not minimal); any other corner is OTHER.
+    `_label_by_rank` then finds the stray corner or marks the OPTIONAL
+    ones.  Records come out sorted p desc, q desc.
     """
     win = w.window
     n = len(win)
@@ -293,24 +293,18 @@ def _corner_token(k: int, kind: CornerClass) -> str:
     return f"{k}{letter}"
 
 
-def render_extended(
-    w: SignedPermutation,
-    *,
-    show_crosses: bool = False,
-    corner_records: Optional[Iterable[CornerRecord]] = None,
-) -> str:
+def render_extended(w: SignedPermutation, *, show_crosses: bool = False) -> str:
     """ASCII picture of the extended diagram.
 
     "o" dots, "#" surviving diagram boxes, "." removed or crossed boxes
     ("x" for crossed ones when show_crosses is on).  SE-corner boxes are
-    overlaid with their rank value and a class letter (N/U/O).  Row and
+    overlaid with their rank value and the class letter that `corners`
+    labels them with (N/U/O, ? for OTHER); no route is run.  Row and
     column indices sit in the margins.
     """
     n = w.n
     d = build_extended_diagram(w)
-    if corner_records is None:
-        corner_records = corners(w).corners
-    overlay = {t.box: _corner_token(t.k, t.kind) for t in corner_records}
+    overlay = {t.box: _corner_token(t.k, t.kind) for t in corners(w).corners}
 
     def cell(r, c):
         if (r, c) in overlay:

@@ -11,7 +11,6 @@ removed: -n < ... < -1 < 1 < ... < n.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -231,69 +230,34 @@ def group_order(n: int) -> int:
     return (2 ** n) * factorial(n)
 
 
-def _window_stream(n: int, first: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """Windows of W_n in lexicographic order from the window `first` on:
-    on the path to `first` each depth begins its scan at first's entry
-    instead of at -n."""
-    prefix: list = []
-    used: set = set()
+def iter_windows(n: int, prefix: Sequence[int] = ()) -> Iterator[Tuple[int, ...]]:
+    """Windows of W_n that begin with `prefix`, in lexicographic order
+    (entries ordered -n < ... < -1 < 1 < ... < n); the empty prefix, the
+    default, gives all of W_n.
 
-    def walk(depth: int, on_first: bool) -> Iterator[Tuple[int, ...]]:
+    One depth-first walk extends the prefix by each free value in turn.
+    The 2n one-letter prefixes split the stream into runs that follow
+    each other in prefix order, which is how `verify_equivalence` hands
+    W_n to its workers.
+    """
+    window = list(prefix)
+    used = {abs(v) for v in window}
+    values = [v for v in range(-n, n + 1) if v != 0]
+
+    def walk(depth: int) -> Iterator[Tuple[int, ...]]:
         if depth == n:
-            yield tuple(prefix)
+            yield tuple(window)
             return
-        lo = first[depth] if on_first else -n
-        for v in range(lo, n + 1):
-            if v == 0 or abs(v) in used:
+        for v in values:
+            if abs(v) in used:
                 continue
-            prefix.append(v)
+            window.append(v)
             used.add(abs(v))
-            yield from walk(depth + 1, on_first and v == lo)
-            prefix.pop()
+            yield from walk(depth + 1)
+            window.pop()
             used.remove(abs(v))
 
-    return walk(0, True)
-
-
-def unrank_window(n: int, index: int) -> Tuple[int, ...]:
-    """The window at position `index` (0-based) of the lexicographic
-    order of W_n, without walking the windows before it.
-
-    Each choice at depth d is followed by 2^m * m! completions, where
-    m = n - d - 1, so the entry at depth d is the (index // that)-th
-    value still available, in the order -n < ... < -1 < 1 < ... < n.
-    """
-    if not 0 <= index < group_order(n):
-        raise ValueError(f"window index {index} out of range for rank {n}")
-    free = list(range(1, n + 1))  # unused absolute values, ascending
-    window = []
-    for depth in range(n):
-        m = n - depth - 1
-        choice, index = divmod(index, (2 ** m) * factorial(m))
-        available = [-v for v in reversed(free)] + free
-        v = available[choice]
-        window.append(v)
-        free.remove(abs(v))
-    return tuple(window)
-
-
-def iter_windows(
-    n: int, start: int = 0, stop: Optional[int] = None
-) -> Iterator[Tuple[int, ...]]:
-    """Windows of W_n in lexicographic order, optionally sliced.
-
-    The slice [start, stop) makes the stream splittable into contiguous
-    chunks that parallel workers can regenerate independently: the walk
-    begins at the window unranked from `start`, so a chunk costs only its
-    own length.
-    """
-    if start >= group_order(n):
-        return
-    stream = _window_stream(n, unrank_window(n, start))
-    if stop is None:
-        yield from stream
-    else:
-        yield from itertools.islice(stream, max(0, stop - start))
+    return walk(len(window))
 
 
 def enumerate_group(n: int, *, allow_large: bool = False) -> Iterator[SignedPermutation]:

@@ -94,6 +94,17 @@ def test_diagram_golden_big(capsys):
     assert out == (GOLDEN / "diagram_big.txt").read_text()
 
 
+def test_diagram_runs_no_route(capsys, monkeypatch):
+    # the picture needs only the corner set, not a classification report
+    def no_report(w):
+        raise AssertionError("diagram built a classification report")
+
+    monkeypatch.setattr(cli, "build_report", no_report)
+    code, out, _ = run(capsys, "diagram", "-2 3 1")
+    assert code == 0
+    assert out == (GOLDEN / "diagram_neg2_3_1.txt").read_text()
+
+
 def test_diagram_crosses_flag(capsys):
     _, plain, _ = run(capsys, "diagram", "-2 3 1")
     _, crossed, _ = run(capsys, "diagram", "-2 3 1", "--show-crosses")
@@ -206,7 +217,7 @@ def test_verify_output_identical_across_jobs(capsys):
 
 
 def test_verify_json_identical_across_jobs(capsys):
-    # pool chunks start from an unranked window, not from the first one
+    # each first letter is a pool task; results merge in window order
     outs = {run(capsys, "verify", "5", "--json", "--jobs", jobs)[:2]
             for jobs in ("1", "2", "3")}
     assert len(outs) == 1

@@ -343,12 +343,9 @@ def test_render_golden_small():
 
 
 def test_render_golden_big():
-    # rendered with the optional corner relabeled, as the CLI does
-    from thetavex.classify import build_report
-
-    records = build_report(BIG).corner_records
+    # the optional corner is labelled by `corners` itself
     expected = (GOLDEN / "diagram_big.txt").read_text()
-    assert render_extended(BIG, corner_records=records) + "\n" == expected
+    assert render_extended(BIG) + "\n" == expected
 
 
 def test_render_crosses_toggle():

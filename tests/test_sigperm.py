@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -20,9 +18,7 @@ from thetavex.sigperm import (
     group_order,
     iter_windows,
     parse_window,
-    unrank_window,
 )
-from thetavex.classify import chunk_bounds
 
 BIG = SignedPermutation([10, 1, 5, 3, -2, -4, 6, -9, -8, -7])
 BIG_INV = SignedPermutation([2, -5, 4, -6, 3, 7, -10, -9, -8, 1])
@@ -234,35 +230,15 @@ def test_enumerate_count_n5():
     assert sum(1 for _ in enumerate_group(5)) == 3840
 
 
-def test_enumerate_chunks_glue_to_full_stream():
-    full = list(iter_windows(3))
-    total = group_order(3)
-    chunks = []
-    for lo in range(0, total, 7):
-        chunks.extend(iter_windows(3, lo, min(lo + 7, total)))
-    assert chunks == full
-
-
-def test_unrank_window_matches_stream_position():
-    for n in range(1, 6):
-        for index, win in enumerate(iter_windows(n)):
-            assert unrank_window(n, index) == win
-    with pytest.raises(ValueError, match="out of range"):
-        unrank_window(3, group_order(3))
-    with pytest.raises(ValueError, match="out of range"):
-        unrank_window(3, -1)
-
-
-def test_pool_chunks_equal_slices_of_full_stream():
-    for n in range(1, 6):
+def test_first_letter_streams_glue_to_full_stream():
+    # the pool's tasks are the first letters -n..-1, 1..n, merged in order
+    for n in range(1, 7):
         full = list(iter_windows(n))
-        for jobs in (2, 3, 4):
-            for lo, hi in chunk_bounds(len(full), jobs):
-                assert list(iter_windows(n, lo, hi)) == full[lo:hi]
-        # open-ended, empty and past-the-end slices behave like islice
-        assert list(iter_windows(n, len(full) // 2)) == full[len(full) // 2:]
-        assert list(iter_windows(n, 1, 1)) == []
-        assert list(iter_windows(n, len(full), len(full) + 3)) == []
+        glued = [win for v in range(-n, n + 1) if v
+                 for win in iter_windows(n, (v,))]
+        assert glued == full
+        assert full == sorted(full)
+        assert len(set(full)) == len(full) == group_order(n)
 
 
 @pytest.mark.parametrize("window", [[True], [1.0, -2.0]])
