@@ -230,8 +230,8 @@ def test_enumerate_count_n5():
     assert sum(1 for _ in enumerate_group(5)) == 3840
 
 
-def test_first_letter_streams_glue_to_full_stream():
-    # the pool's tasks are the first letters -n..-1, 1..n, merged in order
+def test_enumerate_chunks_glue_to_full_stream():
+    # the pool's chunks are the first letters -n..-1, 1..n, merged in order
     for n in range(1, 7):
         full = list(iter_windows(n))
         glued = [win for v in range(-n, n + 1) if v
@@ -239,6 +239,22 @@ def test_first_letter_streams_glue_to_full_stream():
         assert glued == full
         assert full == sorted(full)
         assert len(set(full)) == len(full) == group_order(n)
+
+
+def test_pool_chunks_equal_slices_of_full_stream():
+    # each first-letter chunk is the contiguous run of the full stream
+    # with that first letter, of size 2^(n-1) * (n-1)! = |W_n| / 2n
+    for n in range(1, 6):
+        full = list(iter_windows(n))
+        size = group_order(n) // (2 * n)
+        letters = [v for v in range(-n, n + 1) if v]
+        for k, v in enumerate(letters):
+            assert list(iter_windows(n, (v,))) == full[k * size:(k + 1) * size]
+        # a longer prefix is a contiguous slice too
+        if n >= 2:
+            two = [win for win in full if win[:2] == (n, -1)]
+            assert len(two) == group_order(n) // (2 * n * (2 * n - 2))
+            assert list(iter_windows(n, (n, -1))) == two
 
 
 @pytest.mark.parametrize("window", [[True], [1.0, -2.0]])
