@@ -195,7 +195,7 @@ def _verify_chunk(task: Tuple[int, int]) -> Tuple[int, List[Tuple[int, ...]]]:
     count = 0
     mismatches: List[Tuple[int, ...]] = []
     for win in iter_windows(n, (v,)):
-        report = build_report(SignedPermutation(win))
+        report = build_report(SignedPermutation._of(win))
         if not report.routes_agree:
             mismatches.append(win)
         elif report.theta_vexillary:

@@ -65,6 +65,15 @@ class SignedPermutation:
             seen.add(abs(v))
         object.__setattr__(self, "window", win)
 
+    @classmethod
+    def _of(cls, window: Tuple[int, ...]) -> "SignedPermutation":
+        """The element with this window, unchecked: for windows that are
+        permutations by construction, such as an inverse or an enumerated
+        window.  Everything else goes through the checking constructor."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "window", window)
+        return w
+
     def __setattr__(self, name, value):
         raise AttributeError("SignedPermutation is immutable")
 
@@ -99,7 +108,7 @@ class SignedPermutation:
                 inv[v - 1] = i
             else:
                 inv[-v - 1] = -i
-        return SignedPermutation(inv)
+        return SignedPermutation._of(tuple(inv))
 
     def length(self) -> int:
         """Coxeter length: inversions of the window plus antisymmetric pairs.
@@ -266,7 +275,7 @@ def enumerate_group(n: int, *, allow_large: bool = False) -> Iterator[SignedPerm
     """
     check_rank_guard(n, allow_large)
     for win in iter_windows(n):
-        yield SignedPermutation(win)
+        yield SignedPermutation._of(win)
 
 
 # ---------------------------------------------------------------------------

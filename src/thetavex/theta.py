@@ -79,6 +79,18 @@ class ThetaTriple:
                 f"entries up to {bound} do not fit ambient rank {self.n}"
             )
 
+    @classmethod
+    def _of(cls, k: Tuple[int, ...], p: Tuple[int, ...], q: Tuple[int, ...],
+            n: int) -> "ThetaTriple":
+        """The triple of these tuples, unchecked: for triples whose shape
+        holds by construction, the ones `generate_triples` emits."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "k", k)
+        object.__setattr__(t, "p", p)
+        object.__setattr__(t, "q", q)
+        object.__setattr__(t, "n", n)
+        return t
+
     @property
     def s(self) -> int:
         return len(self.k)
@@ -306,12 +318,14 @@ class StepPlacement:
 
 
 def _place(count: int, bound: int, start: int, n: int,
-           used, taken) -> Optional[Tuple[List[int], List[int]]]:
+           used: int, taken: int) -> Optional[Tuple[List[int], List[int]]]:
     """One placement step, without side effects.
 
-    The values are the `count` largest v <= bound of the sign of `bound`,
-    v >= -n, with |v| not in `used`, in increasing order; the positions
-    are the first `count` positions z in [start, n] not in `taken`.
+    `used` has bit |v| set for each absolute value already placed and
+    `taken` bit z for each position already filled.  The values are the
+    `count` largest v <= bound of the sign of `bound`, v >= -n, with bit
+    |v| of `used` clear, in increasing order; the positions are the
+    first `count` positions z in [start, n] with bit z of `taken` clear.
     Returns (values, positions), or None when either runs short.
     """
     values: List[int] = []
@@ -320,7 +334,7 @@ def _place(count: int, bound: int, start: int, n: int,
     while len(values) < count:
         if v < floor:
             return None
-        if abs(v) not in used:
+        if not used >> abs(v) & 1:
             values.append(v)
         v -= 1
     values.reverse()
@@ -329,7 +343,7 @@ def _place(count: int, bound: int, start: int, n: int,
     while len(positions) < count:
         if z > n:
             return None
-        if z not in taken:
+        if not taken >> z & 1:
             positions.append(z)
         z += 1
     return values, positions
@@ -337,39 +351,41 @@ def _place(count: int, bound: int, start: int, n: int,
 
 def _placement_run(
     k: Sequence[int], p: Sequence[int], q: Sequence[int], n: int
-) -> Tuple[Dict[int, int], List[Tuple[List[int], List[int]]]]:
+) -> Tuple[List[int], int, int, List[Tuple[List[int], List[int]]]]:
     """The placement steps of (k, p, q) at rank n, over the window.
 
     Step i places the k_i - k_{i-1} largest unused values at or below
     -q_i into the free positions from p_i on.  Returns the placed part
-    of the window (position -> value, positions in 1..n) and the
-    (values, positions) of each step; the steps stop before the first
-    one that runs short.
+    of the window (`window[z]` is the value at position z in 1..n, 0
+    while z is free), the used absolute values and the taken positions
+    as the bitmasks of `_place`, and the (values, positions) of each
+    step; the steps stop before the first one that runs short.
     """
-    window: Dict[int, int] = {}
-    used: set = set()
+    window = [0] * (n + 1)
+    used = taken = 0
     steps = []
     prev_k = 0
     for k_i, p_i, q_i in zip(k, p, q):
-        placed = _place(k_i - prev_k, -q_i, p_i, n, used, window)
+        placed = _place(k_i - prev_k, -q_i, p_i, n, used, taken)
         if placed is None:
             break
         for v, z in zip(*placed):
             window[z] = v
-            used.add(abs(v))
+            used |= 1 << abs(v)
+            taken |= 1 << z
         steps.append(placed)
         prev_k = k_i
-    return window, steps
+    return window, used, taken, steps
 
 
-def _fill(window: Dict[int, int], n: int) -> Tuple[Tuple[int, int], ...]:
-    """The finishing step, written into the window: the unused positive
-    values in increasing order into the free positions.  Returns its
-    (value, position) pairs.  Each placement took one position and one
-    absolute value, so the two are equally many."""
-    used = set(map(abs, window.values()))
-    rest = tuple(zip((v for v in range(1, n + 1) if v not in used),
-                     (z for z in range(1, n + 1) if z not in window)))
+def _fill(window: List[int], n: int, used: int,
+          taken: int) -> Tuple[Tuple[int, int], ...]:
+    """The finishing step, written into the window of `_placement_run`:
+    the unused positive values in increasing order into the free
+    positions.  Returns its (value, position) pairs.  Each placement took
+    one position and one absolute value, so the two are equally many."""
+    rest = tuple(zip((v for v in range(1, n + 1) if not used >> v & 1),
+                     (z for z in range(1, n + 1) if not taken >> z & 1)))
     for v, z in rest:
         window[z] = v
     return rest
@@ -400,13 +416,14 @@ def _coherence_failure(q: Sequence[int], a: int, R, step_values, i: int) -> Opti
 
 def _checked_run(
     t: ThetaTriple,
-) -> Tuple[Dict[int, int], List[Tuple[List[int], List[int]]]]:
-    """The placement run of a triple that must be buildable at
-    its rank: raises InvalidTripleError when a condition fails or the
-    triple is degenerate, and InfeasibleRankError when a step runs
-    short."""
+) -> Tuple[List[int], int, int, List[Tuple[List[int], List[int]]]]:
+    """The placement run (`_placement_run`) of a triple that must be
+    buildable at its rank: raises InvalidTripleError when a condition
+    fails or the triple is degenerate, and InfeasibleRankError when a
+    step runs short."""
     a, R = _require_valid(t)
-    window, steps = _placement_run(t.k, t.p, t.q, t.n)
+    run = _placement_run(t.k, t.p, t.q, t.n)
+    steps = run[3]
     if len(steps) < t.s:
         i = len(steps) + 1
         minimum = min_feasible_rank(t)
@@ -422,7 +439,7 @@ def _checked_run(
         failure = _coherence_failure(t.q, a, R, values, i)
         if failure:
             raise InvalidTripleError(failure)
-    return window, steps
+    return run
 
 
 def construct_with_trace(
@@ -437,18 +454,18 @@ def construct_with_trace(
     with the unused positive values in increasing order.  For another
     rank, build `t.with_rank(n)`.
     """
-    window, steps = _checked_run(t)
+    window, used, taken, steps = _checked_run(t)
     trace = [StepPlacement(i, tuple(zip(*placed)))
              for i, placed in enumerate(steps, start=1)]
-    trace.append(StepPlacement(t.s + 1, _fill(window, t.n)))
-    return SignedPermutation([window[z] for z in range(1, t.n + 1)]), tuple(trace)
+    trace.append(StepPlacement(t.s + 1, _fill(window, t.n, used, taken)))
+    return SignedPermutation._of(tuple(window[1:])), tuple(trace)
 
 
 def construct(t: ThetaTriple) -> SignedPermutation:
     """The permutation of `construct_with_trace`, without the trace."""
-    window, _ = _checked_run(t)
-    _fill(window, t.n)
-    return SignedPermutation([window[z] for z in range(1, t.n + 1)])
+    window, used, taken, _ = _checked_run(t)
+    _fill(window, t.n, used, taken)
+    return SignedPermutation._of(tuple(window[1:]))
 
 
 def min_feasible_rank(t: ThetaTriple) -> int:
@@ -466,7 +483,7 @@ def min_feasible_rank(t: ThetaTriple) -> int:
     lb = _fitting_rank(t.k, t.p, t.q)
     cap = lb + (t.k[-1] if t.k else 0)
     for n in range(lb, cap + 1):
-        if len(_placement_run(t.k, t.p, t.q, n)[1]) == t.s:
+        if len(_placement_run(t.k, t.p, t.q, n)[3]) == t.s:
             return n
     raise InvalidTripleError(
         f"no ambient rank fits the triple {format_triple(t)}: its placement "
@@ -542,12 +559,15 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     which skips the values that A2, B1, B2 or C1 rule out (and, after a
     negative entry, the p_i and k_i that B2 leaves no value).  The search
     carries the prefix's state down: the cut index a, R of every negative
-    entry, the used values, the taken positions and the values of each
-    step, and undoes them on backtrack.  Each visited q_i still costs
-    the conditions it completes (`_entry_checks`), one placement
-    step (`_place`) and the coherence check at i (`_coherence_failure`);
-    a prefix that passes them is emitted when A3 and B3 hold
-    (`_closing_checks`), and is then extended.
+    entry and the values of each step, which it undoes on backtrack, and
+    the placement state, one int `mask` with bit |v| set for each used
+    value and bit n + z for each taken position.  `_place` reads `mask`
+    and `mask >> n`, and a child gets a new int, so the parent's mask is
+    unchanged and backtracking needs no undo of it.  Each visited q_i
+    still costs the conditions it completes (`_entry_checks`), one
+    placement step (`_place`) and the coherence check at i
+    (`_coherence_failure`); a prefix that passes them is emitted when A3
+    and B3 hold (`_closing_checks`), and is then extended.
 
     A prefix that fails any of these is cut with its whole subtree, and
     this loses nothing.  A condition that entry i completes reads only
@@ -586,6 +606,12 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     output and its order are those of the unshared search.  The record
     lives for one call and is cleared when the generator finishes or is
     closed.
+
+    Both visits build their triples with `ThetaTriple._of`, skipping the
+    shape checks, which the loop bounds already guarantee: k_i runs up
+    from k_{i-1} + 1, p_i down from at most p_{i-1} to 1, q_i down from
+    at most q_{i-1} over nonzero values (a first negative q_i lies below
+    every positive one), and every entry lies in [-n, n].
     """
     check_rank_guard(n, allow_large)
 
@@ -596,8 +622,6 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     qs: List[int] = []
     R: Dict[int, Optional[int]] = {}  # R(i) of the negative entries
     step_values: List[List[int]] = []
-    used: set = set()
-    taken: set = set()
     # state key -> the state's extensions in search order, each as five
     # consecutive fields k, p, q, emits, child record (one flat tuple
     # holds them in half the memory of a tuple per extension); () marks
@@ -605,8 +629,9 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     memo: Dict[int, tuple] = {}
     base = 2 * n + 1  # every key digit lies in [0, 2n]
 
-    def admit(a: int, count: int) -> Optional[Tuple[List[int], List[int]]]:
-        # the newest entry's placement, or None to cut it with its subtree
+    def admit(a: int, count: int, mask: int) -> Optional[Tuple[List[int], List[int]]]:
+        # the newest entry's placement into the parent's mask, or None to
+        # cut it with its subtree
         i = len(ks)
         if qs[-1] < 0:
             R[i] = _r_index(qs, a, i)
@@ -616,7 +641,7 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
             return None
         if i >= a and _coherence_failure(qs, a, R, step_values, i):
             return None
-        return _place(count, -qs[-1], ps[-1], n, used, taken)
+        return _place(count, -qs[-1], ps[-1], n, mask, mask >> n)
 
     def replay(record: tuple) -> Iterator[ThetaTriple]:
         fields = iter(record)
@@ -625,7 +650,7 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
             ps.append(p_new)
             qs.append(q_new)
             if emits:
-                yield ThetaTriple(tuple(ks), tuple(ps), tuple(qs), n)
+                yield ThetaTriple._of(tuple(ks), tuple(ps), tuple(qs), n)
             if child:
                 yield from replay(child)
             ks.pop()
@@ -656,15 +681,13 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                 for q_new in _q_candidates(n, ks, ps, qs, a, negatives):
                     qs.append(q_new)
                     a_new = i + 1 if q_new > 0 else a
-                    placed = admit(a_new, k_new - k_prev)
+                    placed = admit(a_new, k_new - k_prev, mask)
                     if placed is not None:
                         values, positions = placed
                         step_values.append(values)
-                        used.update(abs(v) for v in values)
-                        taken.update(positions)
                         emits = all(row[1] for row in _closing_checks(ks, ps, qs, a_new, R))
                         if emits:
-                            yield ThetaTriple(tuple(ks), tuple(ps), tuple(qs), n)
+                            yield ThetaTriple._of(tuple(ks), tuple(ps), tuple(qs), n)
                         child_mask = mask
                         for v, z in zip(values, positions):
                             child_mask |= 1 << abs(v) | 1 << n + z
@@ -683,8 +706,6 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                         if emits or child:
                             record += k_new, p_new, q_new, emits, child
                         step_values.pop()
-                        used.difference_update(abs(v) for v in values)
-                        taken.difference_update(positions)
                     qs.pop()
                 ps.pop()
             ks.pop()

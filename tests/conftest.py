@@ -131,6 +131,13 @@ def mirrored_construction(t):
     return SignedPermutation([full[z] for z in range(1, n + 1)])
 
 
+def reference_inverse(w):
+    """The inverse v of w by its definition, v(w(i)) = i on the full
+    form, built through the checked constructor."""
+    preimage = {w(i): i for i in range(-w.n, w.n + 1)}
+    return SignedPermutation([preimage[j] for j in range(1, w.n + 1)])
+
+
 @functools.lru_cache(maxsize=None)
 def constructible_windows(n):
     """Windows of every generated triple of rank n, cached per rank so

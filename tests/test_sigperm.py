@@ -6,6 +6,7 @@ from conftest import (
     length_by_descent_stripping,
     naive_find_pattern,
     naive_first_pattern,
+    reference_inverse,
     signed_permutations,
 )
 from thetavex.sigperm import (
@@ -97,6 +98,16 @@ def test_inverse_examples():
     assert SignedPermutation.identity(3).inverse() == SignedPermutation.identity(3)
     assert BIG.inverse() == BIG_INV
     assert BIG_INV.inverse() == BIG
+
+
+def test_unchecked_elements_match_checked_ones_exhaustively():
+    """enumerate_group and inverse build their elements unchecked: on
+    all of W_5 each passes the checked constructor, and the inverse
+    equals the reference inverse."""
+    for w in enumerate_group(5):
+        assert SignedPermutation(w.window) == w
+        assert w.inverse() == reference_inverse(w)
+        assert type(w.inverse().window) is tuple
 
 
 @given(signed_permutations())

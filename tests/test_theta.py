@@ -59,7 +59,7 @@ TIED_OK = [
     (ThetaTriple((1, 2, 3), (5, 5, 3), (2, -4, -4), 6), (1, 5, 3, 6, -2, 4)),
 ]
 
-GENERATED_COUNTS = {1: 2, 2: 8, 3: 44, 4: 286, 5: 2061}
+GENERATED_COUNTS = {1: 2, 2: 8, 3: 44, 4: 286, 5: 2061, 6: 15964}
 
 # sha256 of repr([(t.k, t.p, t.q) for t in generate_triples(n)]): the
 # generation order is part of the contract, not only the set
@@ -69,6 +69,7 @@ GENERATED_DIGESTS = {
     3: "223442bbd512767a41dc3d466904cb101b8c32743364888abd1493bbbbb935bb",
     4: "7caa877e7bcae5b8781c46ea98658e6bad1a434370640696a1e874116300cee7",
     5: "fdd98806c742f3cb88bf823143627e54a2b484a8c1b2efa0bb0a3b1333a792c3",
+    6: "441aa1bf17c394dfe3ec156cbcd3bf740691d381bcf158d3608b8cf8cea9b316",
 }
 
 
@@ -637,6 +638,26 @@ def test_q_candidates_skip_only_failing_values():
             skipped.add(failed[0])
     # every kind of skip occurs, so the check is not vacuous
     assert skipped == {"A2", "B1", "B2", "C1"}
+
+
+def test_generated_triples_equal_their_checked_rebuild():
+    """The generator builds its triples without the shape checks, which
+    its bounds make redundant: each equals the checked triple of its
+    fields, and the fields are tuples."""
+    for n in range(1, 7):
+        for t in generate_triples(n):
+            assert type(t.k) is type(t.p) is type(t.q) is tuple
+            assert t == ThetaTriple(t.k, t.p, t.q, t.n)
+
+
+def test_constructed_windows_pass_the_checked_constructor():
+    """construct and construct_inverse build their windows unchecked;
+    the checked constructor accepts each one and gives an equal element."""
+    for n in range(1, 6):
+        for t in generate_triples(n):
+            for w in (construct(t), construct_inverse(t)):
+                assert type(w.window) is tuple
+                assert SignedPermutation(w.window) == w
 
 
 def test_generated_triples_validate_and_fit():
