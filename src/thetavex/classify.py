@@ -19,6 +19,7 @@ from typing import Iterator, List, Optional, Tuple
 from . import theta
 from .diagram import CornerRecord, CornerSet, corners
 from .sigperm import (
+    PatternTable,
     SignedPattern,
     SignedPermutation,
     check_rank_guard,
@@ -29,8 +30,9 @@ from .sigperm import (
 )
 
 #: The thirteen signed patterns whose simultaneous avoidance characterizes
-#: the theta-vexillary class.  Do not edit: the table is pinned by hash.
-PATTERNS: Tuple[SignedPattern, ...] = tuple(
+#: the theta-vexillary class, compiled once for `find_pattern`.  Do not
+#: edit: the table is pinned by hash.
+PATTERNS: PatternTable = PatternTable(
     SignedPattern(win)
     for win in (
         (-1, 3, 2),

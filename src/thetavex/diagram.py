@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, Optional, Sequence, Tuple
+from functools import partial
+from typing import FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 from .sigperm import SignedPermutation
 
@@ -29,12 +30,18 @@ class CornerClass(Enum):
     OTHER = "other"
 
 
-_PATH_KINDS = (CornerClass.NE_PATH, CornerClass.OPTIONAL)
+_NE_PATH, _UNESSENTIAL, _OPTIONAL, _OTHER = (
+    CornerClass.NE_PATH, CornerClass.UNESSENTIAL, CornerClass.OPTIONAL, CornerClass.OTHER
+)
+_PATH_KINDS = (_NE_PATH, _OPTIONAL)
 
 
-@dataclass(frozen=True)
-class CornerRecord:
-    """An SE corner (k, p, q): box (q-1, -p) with rank value k."""
+class CornerRecord(NamedTuple):
+    """An SE corner (k, p, q): box (q-1, -p) with rank value k.
+
+    A named tuple, so a record compares equal to the plain tuple
+    (k, p, q, kind) and unpacks as one.
+    """
 
     k: int
     p: int
@@ -55,6 +62,9 @@ class CornerRecord:
 
     def __repr__(self) -> str:
         return f"CornerRecord({self.k}, {self.p}, {self.q}, {self.kind.value})"
+
+
+_record = partial(tuple.__new__, CornerRecord)  # a record from [k, p, q, kind]
 
 
 def reflect(t: CornerRecord) -> CornerRecord:
@@ -145,14 +155,6 @@ def build_extended_diagram(w: SignedPermutation) -> ExtendedDiagram:
     return ExtendedDiagram(n, dots, frozenset(crosses), frozenset(boxes))
 
 
-def _is_unessential(p: int, q: int, ne_positions: list) -> bool:
-    if q >= 0:
-        return False
-    has_column_mate = any(p1 == p and q1 < q for (p1, q1) in ne_positions)
-    has_row_mate = any(q2 == 1 - q for (_, q2) in ne_positions)
-    return has_column_mate and has_row_mate
-
-
 def _r_index(q: Sequence[int], a: int, i: int) -> Optional[int]:
     """R(i) for an index i >= a: the r in [0, a) with q_r > -q_i > q_{r+1},
     taking q_0 = +infinity.  Every q_j with j < a is positive and -q_i is
@@ -183,12 +185,19 @@ def corners(w: SignedPermutation) -> CornerSet:
     those positions is vacuous.
 
     The NE path is the set of positions minimal in the order
-    (p, q) < (p', q') iff p > p' and q < q'; a corner off the path is
-    unessential when q < 0 and the path has a mate in its column below
-    it and a mate in row -q + 1 (a path position smaller than it always
-    exists, since it is not minimal); any other corner is OTHER.
-    `_label_by_rank` then finds the stray corner or marks the OPTIONAL
-    ones.  Records come out sorted p desc, q desc.
+    (p, q) < (p', q') iff p > p' and q < q'.  With p descending, that
+    is q at most the least q at a strictly larger p, so the pass labels
+    each corner as it finds it.  A corner off the path is unessential
+    when q < 0 and the path has a mate in its column below it and a
+    mate in row -q + 1 (a path position smaller than it always exists,
+    since it is not minimal); any other corner is OTHER.  The row mate
+    has q > 0 and so a larger p, and the column mates come last in
+    their column.  The first OTHER corner is the stray.  Only without
+    one, and only when the path has a corner with q < 0, does
+    `_label_by_rank` read the rank relation, to find an unforced
+    unessential stray or mark the OPTIONAL corners: with no such corner
+    there is no unessential corner and no path index i >= a.  Records
+    come out sorted p desc, q desc.
     """
     win = w.window
     n = len(win)
@@ -197,72 +206,72 @@ def corners(w: SignedPermutation) -> CornerSet:
     for i, v in enumerate(win, start=1):
         inv[n + v] = i
         inv[n - v] = -i
-    found = []  # (k, p, q), already in p desc, q desc order
+    found = []  # [k, p, q, kind] per corner, in p desc, q desc order
+    path_qs = set()  # the q of every path corner found so far
+    bound = n + 1  # the least q of a corner at a larger p
+    stray = None
     for p in range(n, 0, -1):
         left, here = (win[p - 2] if p > 1 else 0), win[p - 1]
         if left < here:
             continue
         # k counts the tail's values up to -q; as q steps down, value -q
         # joins the count when it sits in the tail (position >= p)
-        k = sum(1 for x in win[p - 1:] if x < here)
+        k = 0
+        for x in win[p - 1:]:
+            if x < here:
+                k += 1
+        start, off = len(found), 0
         for q in range(-here, -left, -1):
             k += inv[n - q] >= p
             if inv[n + q - 1] > -p >= inv[n + q]:
-                found.append((k, p, q))
-
-    # with p descending, (p, q) is minimal iff no corner at a strictly
-    # larger p has a smaller q
-    ne_positions = []
-    min_q_seen = min_q_larger_p = n + 1
-    prev_p = None
-    for _, p, q in found:
-        if p != prev_p:
-            min_q_larger_p, prev_p = min_q_seen, p
-        if q <= min_q_larger_p:
-            ne_positions.append((p, q))
-        min_q_seen = min(min_q_seen, q)
-    ne_set = set(ne_positions)
-
-    kinds = [
-        CornerClass.NE_PATH if (p, q) in ne_set
-        else CornerClass.UNESSENTIAL if _is_unessential(p, q, ne_positions)
-        else CornerClass.OTHER
-        for _, p, q in found
-    ]
-    stray = _label_by_rank(found, kinds, n)
-    records = tuple(
-        CornerRecord(k, p, q, kind) for (k, p, q), kind in zip(found, kinds)
-    )
+                if q <= bound:
+                    found.append([k, p, q, _NE_PATH])
+                    path_qs.add(q)
+                else:
+                    found.append([k, p, q, _OTHER])
+                    off += 1
+        # the column's path corners come after its `off` corners off the path
+        column_mate = len(found) > start + off
+        for x in range(start, start + off):
+            c = found[x]
+            if column_mate and c[2] < 0 and 1 - c[2] in path_qs:
+                c[3] = _UNESSENTIAL
+            elif stray is None:
+                stray = x
+        if column_mate:
+            bound = found[-1][2]
+    if stray is None and bound < 0:  # the path has a corner with q < 0
+        stray = _label_by_rank(found, n)
+    records = tuple(map(_record, found))
     return CornerSet(records, None if stray is None else records[stray])
 
 
-def _label_by_rank(found: list, kinds: list, n: int) -> Optional[int]:
-    """The index in `found` of the stray corner, or None.
+def _label_by_rank(found: list, n: int) -> Optional[int]:
+    """The index in `found` of the stray corner of a corner set with no
+    OTHER corner, or None.
 
-    The stray is the first OTHER corner, else the first unessential
-    (k, p, q) that is not forced: forced means some i >= a with p_i = p,
-    q_i < q and R(i) defined, and some j < a with q_j = 1 - q, have
-    q - q_i = k_i - k + k_j - k_{R(i)}.  With no stray, each path corner
-    i >= a where (p_i - p_{i+1}) + (q_i - q_{i+1}) =
-    (k_{i+1} - k_i) + (k_{R(i)} - k_{R(i+1)}) is marked OPTIONAL in `kinds`.
-    The NE path is (k_i, p_i, q_i), i = 1..s, between the sentinels
-    (0, n, n) and (n, 1, -n), with a = 1 + #{i : q_i > 0} and
-    R(s+1) = 0, which makes the last identity the B3 boundary.
+    The stray is the first unessential (k, p, q) that is not forced:
+    forced means some i >= a with p_i = p, q_i < q and R(i) defined, and
+    some j < a with q_j = 1 - q, have q - q_i = k_i - k + k_j - k_{R(i)}.
+    With no stray, each path corner i >= a where (p_i - p_{i+1}) +
+    (q_i - q_{i+1}) = (k_{i+1} - k_i) + (k_{R(i)} - k_{R(i+1)}) is
+    marked OPTIONAL in `found`.  The NE path is (k_i, p_i, q_i),
+    i = 1..s, between the sentinels (0, n, n) and (n, 1, -n), with
+    a = 1 + #{i : q_i > 0} and R(s+1) = 0, which makes the last identity
+    the B3 boundary.
     """
-    if CornerClass.OTHER in kinds:
-        return kinds.index(CornerClass.OTHER)
-    at = [x for x, kind in enumerate(kinds) if kind is CornerClass.NE_PATH]
-    s = len(at)
-    K = [0, *(found[x][0] for x in at), n]
-    P = [n, *(found[x][1] for x in at), 1]
-    Q = [n, *(found[x][2] for x in at), -n]
+    path = [c for c in found if c[3] is _NE_PATH]
+    s = len(path)
+    K = [0, *(c[0] for c in path), n]
+    P = [n, *(c[1] for c in path), 1]
+    Q = [n, *(c[2] for c in path), -n]
     qs = Q[1:s + 1]
     a = sum(1 for v in qs if v > 0) + 1
     R = {i: _r_index(qs, a, i) for i in range(a, s + 1)}
     R[s + 1] = 0
 
-    for x, (k, p, q) in enumerate(found):
-        if kinds[x] is CornerClass.UNESSENTIAL and not any(
+    for x, (k, p, q, kind) in enumerate(found):
+        if kind is _UNESSENTIAL and not any(
             P[i] == p and Q[i] < q and R[i] is not None
             and any(Q[j] == 1 - q and q - Q[i] == K[i] - k + K[j] - K[R[i]]
                     for j in range(1, a))
@@ -276,7 +285,7 @@ def _label_by_rank(found: list, kinds: list, n: int) -> Optional[int]:
         lhs = (P[i] - P[i + 1]) + (Q[i] - Q[i + 1])
         rhs = (K[i + 1] - K[i]) + (K[R[i]] - K[R[i + 1]])
         if lhs == rhs:
-            kinds[at[i - 1]] = CornerClass.OPTIONAL
+            path[i - 1][3] = _OPTIONAL
     return None
 
 

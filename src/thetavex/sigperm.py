@@ -11,7 +11,6 @@ removed: -n < ... < -1 < 1 < ... < n.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -155,17 +154,30 @@ SignedPattern = SignedPermutation
 # pattern containment
 
 
-@lru_cache(maxsize=256)
-def _letter_steps(pat: Tuple[int, ...]) -> Tuple[Tuple[int, int, int], ...]:
-    """(sign, lower, upper) per letter j of a pattern window: the sign as
-    0/1 and the earlier letters whose |pat| is the nearest below and
-    above |pat[j]|, or -2 and -1 (the slots of the bounds) if none."""
+def _letter_steps(pat: Tuple[int, ...]) -> Tuple[Tuple[int, int, int, int], ...]:
+    """(sign, lower, upper, rest) per letter j of a pattern window: the
+    sign as 0/1, the earlier letters whose |pat| is the nearest below and
+    above |pat[j]|, or -2 and -1 (the slots of the bounds) if none, and
+    the number of letters after j."""
     steps = []
     for j, v in enumerate(pat):
         ranked = [-2, *sorted(range(j + 1), key=lambda k: abs(pat[k])), -1]
         r = ranked.index(j)
-        steps.append((int(v > 0), ranked[r - 1], ranked[r + 1]))
+        steps.append((int(v > 0), ranked[r - 1], ranked[r + 1], len(pat) - j - 1))
     return tuple(steps)
+
+
+class PatternTable(tuple):
+    """A tuple of patterns compiled once, when the table is built, for
+    `find_pattern`: `compiled` holds (pattern, its `_letter_steps`, its
+    length) per pattern, in table order."""
+
+    def __new__(cls, patterns: Iterable[SignedPermutation]) -> "PatternTable":
+        table = super().__new__(cls, patterns)
+        table.compiled = tuple(
+            (p, _letter_steps(p.window), len(p.window)) for p in table
+        )
+        return table
 
 
 def find_pattern(
@@ -185,44 +197,62 @@ def find_pattern(
     not j.  A scan is skipped in O(1) when the per-sign suffix maximum
     and minimum of |w| leave no entry of the right sign in that
     interval.  The arrays are built once per window and shared by all
-    patterns; each pattern's steps are memoised.
+    patterns.  A `PatternTable` comes compiled; any other sequence is
+    compiled on entry.
     """
+    if not isinstance(patterns, PatternTable):
+        patterns = PatternTable(patterns)
     win = w.window
     n = len(win)
-    # keys[s][i] is |w(i + 1)| if its sign is s (1 = positive), else 0, which
-    # fails every a < x < b; top/low[s][i]: max/min |w| of sign s from i on
-    keys = ([0] * n, [0] * n)
-    top = ([0] * (n + 1), [0] * (n + 1))
-    low = ([n + 1] * (n + 1), [n + 1] * (n + 1))
-    hi, lo = [0, 0], [n + 1, n + 1]
+    # pos_key[i] is w(i + 1) if positive, else 0, which fails every
+    # a < x < b, and neg_key[i] is -w(i + 1) if negative, else 0;
+    # *_top[i] and *_low[i] are the max and min |w| of that sign from i on
+    pos_key, neg_key = [0] * n, [0] * n
+    pos_top, neg_top = [0] * (n + 1), [0] * (n + 1)
+    pos_low, neg_low = [n + 1] * (n + 1), [n + 1] * (n + 1)
+    pos_hi = neg_hi = 0
+    pos_lo = neg_lo = n + 1
     for i in range(n - 1, -1, -1):
-        s = int(win[i] > 0)
-        x = keys[s][i] = abs(win[i])
-        if x > hi[s]:
-            hi[s] = x
-        if x < lo[s]:
-            lo[s] = x
-        top[0][i], top[1][i], low[0][i], low[1][i] = hi[0], hi[1], lo[0], lo[1]
+        x = win[i]
+        if x > 0:
+            pos_key[i] = x
+            if x > pos_hi:
+                pos_hi = x
+            if x < pos_lo:
+                pos_lo = x
+        else:
+            x = neg_key[i] = -x
+            if x > neg_hi:
+                neg_hi = x
+            if x < neg_lo:
+                neg_lo = x
+        pos_top[i], neg_top[i], pos_low[i], neg_low[i] = pos_hi, neg_hi, pos_lo, neg_lo
+    by_sign = ((neg_key, neg_top, neg_low), (pos_key, pos_top, pos_low))
     chosen = [0] * n
     size = [0] * n + [0, n + 1]  # |w| of the chosen letters, then the bounds
-    for pattern in patterns:
-        steps = _letter_steps(pattern.window)
-        m = len(steps)
+    for pattern, steps, m in patterns.compiled:
+        if m > n:
+            continue
         j = start = 0
-        while 0 <= j < m <= n:
-            s, lower, upper = steps[j]
-            a, b, key = size[lower], size[upper], keys[s]
-            fits = top[s][start] > a and low[s][start] < b
-            for i in range(start, n - m + j + 1 if fits else 0):
-                if a < key[i] < b:
-                    chosen[j], size[j] = i, key[i]
-                    j, start = j + 1, i + 1
-                    break
-            else:  # backtrack: the previous letter tries its next index
+        while 0 <= j < m:
+            s, lower, upper, rest = steps[j]
+            key, top, low = by_sign[s]
+            a, b = size[lower], size[upper]
+            if top[start] > a and low[start] < b:
+                for i in range(start, n - rest):
+                    if a < key[i] < b:
+                        break
+                else:  # backtrack: the previous letter tries its next index
+                    j -= 1
+                    start = chosen[j] + 1
+                    continue
+                chosen[j], size[j] = i, key[i]
+                j, start = j + 1, i + 1
+            else:  # no entry of this sign fits: backtrack the same way
                 j -= 1
                 start = chosen[j] + 1
-        if j == m <= n:
-            return pattern, tuple(i + 1 for i in chosen[:m])
+        if j == m:
+            return pattern, tuple([i + 1 for i in chosen[:m]])
     return None
 
 
@@ -247,10 +277,15 @@ def iter_windows(n: int, prefix: Sequence[int] = ()) -> Iterator[Tuple[int, ...]
     One depth-first walk extends the prefix by each free value in turn.
     The 2n one-letter prefixes split the stream into runs that follow
     each other in prefix order, which is how `verify_equivalence` hands
-    W_n to its workers.
+    W_n to its workers.  A prefix that no window of W_n begins with
+    raises ValueError here, before the walk.
     """
     window = list(prefix)
-    used = {abs(v) for v in window}
+    used = set()
+    for v in window:
+        if type(v) is not int or not 1 <= abs(v) <= n or abs(v) in used:
+            raise ValueError(f"no window of W_{n} begins with {tuple(window)}")
+        used.add(abs(v))
     values = [v for v in range(-n, n + 1) if v != 0]
 
     def walk(depth: int) -> Iterator[Tuple[int, ...]]:

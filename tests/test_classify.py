@@ -124,6 +124,17 @@ def test_report_with_pattern_witness_pickles_and_copies():
     assert copy.deepcopy(report) == report
 
 
+def test_report_with_corner_witness_pickles_and_copies():
+    import copy
+    import pickle
+
+    report = build_report(SignedPermutation([-2, 3, 1]))
+    assert report.corner_witness is not None
+    for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert twin == report
+        assert type(twin.corner_witness) is type(report.corner_witness)
+
+
 def test_corner_route_reports_stray_corner():
     ok, stray = classify_by_corners(SignedPermutation([-2, 3, 1]))
     assert not ok
@@ -321,6 +332,27 @@ def test_corner_set_computed_once_per_window(monkeypatch):
     assert calls == {"classify": 384, "theta": 0}
     build_report(BIG)
     assert calls == {"classify": 385, "theta": 0}
+
+
+def test_pattern_table_compiled_once(monkeypatch):
+    """The table's letter steps are compiled when it is built, not once
+    per window; a plain sequence is compiled on entry."""
+    from thetavex import classify, sigperm
+
+    calls = []
+    compile_steps = sigperm._letter_steps
+
+    def counting(pat):
+        calls.append(pat)
+        return compile_steps(pat)
+
+    monkeypatch.setattr(sigperm, "_letter_steps", counting)
+    monkeypatch.setattr(classify, "PATTERNS", sigperm.PatternTable(PATTERNS))
+    assert classify.PATTERNS == PATTERNS
+    assert verify_equivalence(4).theta_vexillary == THETA_VEXILLARY_COUNTS[4]
+    assert len(calls) == len(PATTERNS) == 13
+    assert sigperm.find_pattern(BIG, list(PATTERNS)) is None
+    assert len(calls) == 26
 
 
 def test_verify_respects_rank_guard():

@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import itertools
+import pickle
 import random
 from pathlib import Path
 
@@ -15,12 +18,19 @@ from thetavex.diagram import (
     reflect,
     render_extended,
 )
-from thetavex.sigperm import SignedPermutation, enumerate_group
+from thetavex.sigperm import SignedPermutation, enumerate_group, iter_windows
 
 GOLDEN = Path(__file__).parent / "golden"
 
 BIG = SignedPermutation([10, 1, 5, 3, -2, -4, 6, -9, -8, -7])
 FIG1 = SignedPermutation([-2, 3, 1])
+
+# sha256 of repr([(window, ((k, p, q, kind.value), ...), stray or None), ...])
+# of `corners` over W_6 in window order, the stray given the same way;
+# taken from the corner pass that labelled the corners after the scan
+W6_CORNER_LABELS_SHA256 = (
+    "ed39980c0d41ec76d3c356550106e515" "2b04789106317717476b41293699b916"
+)
 
 
 def naive_rank(w, p, q):
@@ -183,6 +193,26 @@ def test_corner_box_identification():
     assert CornerRecord(9, 2, -6, CornerClass.NE_PATH).kind is CornerClass.NE_PATH
 
 
+def test_corner_records_are_named_tuples():
+    rec = CornerRecord(9, 2, -6, CornerClass.NE_PATH)
+    assert rec == (9, 2, -6, CornerClass.NE_PATH)
+    assert rec != CornerRecord(9, 2, -6)
+    assert repr(rec) == "CornerRecord(9, 2, -6, ne_path)"
+    mirrored = reflect(rec)
+    assert type(mirrored) is CornerRecord
+    assert mirrored == CornerRecord(4, -1, 7, CornerClass.NE_PATH)
+    assert all(type(c) is CornerRecord for c in corners(BIG))
+
+
+def test_corner_sets_pickle_and_copy():
+    for w in (BIG, FIG1, SignedPermutation([3, 5, 1, 6, -2, 4])):
+        cs = corners(w)
+        for twin in (pickle.loads(pickle.dumps(cs)), copy.deepcopy(cs)):
+            assert twin == cs
+            assert twin.stray == cs.stray
+            assert all(type(c) is CornerRecord for c in twin)
+
+
 def test_identity_corner_set_empty():
     assert len(corners(SignedPermutation.identity(5))) == 0
 
@@ -278,6 +308,19 @@ def test_corners_match_brute_force_large_rank():
         expected = reference_corners(longest)
         assert corner_tuples(longest) == expected
         assert len(expected) == n
+
+
+def test_rank_six_corner_labels_are_pinned():
+    def plain(c):
+        return (c.k, c.p, c.q, c.kind.value)
+
+    rows = []
+    for win in iter_windows(6):
+        cs = corners(SignedPermutation(win))
+        stray = None if cs.stray is None else plain(cs.stray)
+        rows.append((win, tuple(plain(c) for c in cs), stray))
+    assert sum(stray is None for _, _, stray in rows) == 15964
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == W6_CORNER_LABELS_SHA256
 
 
 def test_no_corner_in_column_one_above_row_zero():

@@ -268,6 +268,20 @@ def test_pool_chunks_equal_slices_of_full_stream():
             assert list(iter_windows(n, (n, -1))) == two
 
 
+@pytest.mark.parametrize(
+    "prefix", [(1, 1), (1, -1), (5,), (0,), (-3,), (True,), (1.0,), (1, 2, 1)]
+)
+def test_iter_windows_rejects_bad_prefix(prefix):
+    # raised by the call itself, before any window is drawn
+    with pytest.raises(ValueError, match="no window of W_2 begins with"):
+        iter_windows(2, prefix)
+
+
+def test_iter_windows_takes_a_whole_window_as_prefix():
+    assert list(iter_windows(2, (2, -1))) == [(2, -1)]
+    assert list(iter_windows(2, [-1])) == [(-1, -2), (-1, 2)]
+
+
 @pytest.mark.parametrize("window", [[True], [1.0, -2.0]])
 def test_window_rejects_non_integer_entries(window):
     with pytest.raises(ValueError, match="not an integer"):
