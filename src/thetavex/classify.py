@@ -13,8 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from . import theta
 from .diagram import CornerRecord, CornerSet, corners
@@ -97,15 +96,15 @@ def classify_by_triple(
 # combined report
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Combined verdict of the three routes for a single permutation.
 
     `theta_vexillary` is the construction route's verdict.  The
     per-route verdicts are kept in `verdicts` (patterns, corners,
     triple, in the order they are computed) so that a divergence between
     the routes would stay visible instead of being masked by the summary
-    bit.
+    bit.  A named tuple, cheap to build once per window of `verify`; a
+    report compares equal to the plain tuple of its fields.
     """
 
     window: Tuple[int, ...]
@@ -175,8 +174,10 @@ def build_report(w: SignedPermutation) -> ClassificationReport:
 # exhaustive verification
 
 
-@dataclass(frozen=True)
-class VerifySummary:
+class VerifySummary(NamedTuple):
+    """The outcome of `verify_equivalence` over W_n.  A named tuple, so a
+    summary compares equal to the plain tuple of its fields."""
+
     n: int
     total: int
     theta_vexillary: int
@@ -215,9 +216,12 @@ def verify_equivalence(
     at the CPU count and at the 2n tasks (so at most 12 workers at
     n = 6 and 16 at n = 8), or in this process when that cap is 1.
     Results merge in task order, which is window order, so the summary
-    does not depend on the worker count.
+    does not depend on the worker count.  `jobs` must be a positive int.
     """
     check_rank_guard(n, allow_large)
+    # type(jobs), not isinstance: a bool is an int but no worker count
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     tasks = [(n, v) for v in range(-n, n + 1) if v != 0]
     workers = max(1, min(jobs, os.cpu_count() or 1, len(tasks)))
     if workers == 1:

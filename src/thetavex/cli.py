@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from . import theta
 from .classify import (
@@ -28,33 +28,41 @@ from .diagram import render_extended
 from .sigperm import RankTooLargeError, format_window, parse_window
 
 
-def _print_classify_text(report) -> None:
-    print(f"window: {' '.join(str(v) for v in report.window)}")
-    print(f"theta-vexillary: {'yes' if report.theta_vexillary else 'no'}")
+def _emit(args, payload: dict, lines: Iterable[str]) -> None:
+    """The one output path of the reporting commands: under --json the
+    object {"schema": "1", **payload}, else the text lines, which are
+    then the only ones read."""
+    if args.json:
+        print(json.dumps({"schema": "1", **payload}, indent=2))
+    else:
+        for line in lines:
+            print(line)
+
+
+def _classify_lines(report) -> Iterable[str]:
+    yield f"window: {' '.join(str(v) for v in report.window)}"
+    yield f"theta-vexillary: {'yes' if report.theta_vexillary else 'no'}"
     if report.triple is not None:
-        print(f"triple: {theta.format_triple(report.triple)}")
+        yield f"triple: {theta.format_triple(report.triple)}"
     if report.corner_records:
-        print("corners:")
+        yield "corners:"
         for c in report.corner_records:
-            print(f"  ({c.k}, {c.p}, {c.q}) {c.kind.value}")
+            yield f"  ({c.k}, {c.p}, {c.q}) {c.kind.value}"
     if report.pattern_witness is not None:
         pat, idx = report.pattern_witness
-        print(
+        yield (
             "pattern witness: "
             f"{format_window(pat)} at positions {' '.join(str(i) for i in idx)}"
         )
     if report.corner_witness is not None:
         c = report.corner_witness
-        print(f"stray corner: ({c.k}, {c.p}, {c.q})")
+        yield f"stray corner: ({c.k}, {c.p}, {c.q})"
 
 
 def cmd_classify(args) -> int:
     w = parse_window(args.window)
     report = build_report(w)
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        _print_classify_text(report)
+    _emit(args, report.to_json(), _classify_lines(report))
     return 0 if report.theta_vexillary else 1
 
 
@@ -68,21 +76,15 @@ def cmd_construct(args) -> int:
     t = theta.parse_triple(args.triple, args.rank)
     w = theta.construct(t)
     inverse = w.inverse()
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": "1",
-                    "triple": theta.triple_to_json(t),
-                    "window": list(w.window),
-                    "inverse": list(inverse.window),
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(format_window(w))
-        print(format_window(inverse))
+    _emit(
+        args,
+        {
+            "triple": theta.triple_to_json(t),
+            "window": list(w.window),
+            "inverse": list(inverse.window),
+        },
+        (format_window(w), format_window(inverse)),
+    )
     return 0
 
 
@@ -90,34 +92,25 @@ def cmd_recover(args) -> int:
     w = parse_window(args.window)
     ok, t = classify_by_triple(w)
     if not ok:
-        print("NOT THETA-VEXILLARY")
+        _emit(args, {"triple": None}, ("NOT THETA-VEXILLARY",))
         return 1
-    if args.json:
-        print(json.dumps({"schema": "1", "triple": theta.triple_to_json(t)}, indent=2))
-    else:
-        print(theta.format_triple(t).rstrip())
+    _emit(args, {"triple": theta.triple_to_json(t)}, (theta.format_triple(t).rstrip(),))
     return 0
 
 
 def cmd_verify(args) -> int:
     summary = verify_equivalence(args.rank, args.jobs, allow_large=args.allow_large)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": "1",
-                    "n": summary.n,
-                    "total": summary.total,
-                    "theta_vexillary": summary.theta_vexillary,
-                    "mismatches": [list(win) for win in summary.mismatches],
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(summary.describe())
-        for win in summary.mismatches:
-            print(f"mismatch: {' '.join(str(v) for v in win)}")
+    _emit(
+        args,
+        {
+            "n": summary.n,
+            "total": summary.total,
+            "theta_vexillary": summary.theta_vexillary,
+            "mismatches": [list(win) for win in summary.mismatches],
+        },
+        (summary.describe(),
+         *(f"mismatch: {' '.join(str(v) for v in win)}" for win in summary.mismatches)),
+    )
     return 1 if summary.mismatches else 0
 
 

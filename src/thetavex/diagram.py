@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import FrozenSet, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 from .sigperm import SignedPermutation
 
@@ -169,6 +169,13 @@ def _r_index(q: Sequence[int], a: int, i: int) -> Optional[int]:
     return r
 
 
+def _cut_and_r(q: Sequence[int]) -> Tuple[int, Dict[int, Optional[int]]]:
+    """The cut index a = 1 + #{i : q_i > 0} of a weakly decreasing q, and
+    R on [a, s] by `_r_index` (None where A2 fails)."""
+    a = sum(1 for v in q if v > 0) + 1
+    return a, {i: _r_index(q, a, i) for i in range(a, len(q) + 1)}
+
+
 def corners(w: SignedPermutation) -> CornerSet:
     """The corner set of a signed permutation, classified and sorted.
 
@@ -265,9 +272,7 @@ def _label_by_rank(found: list, n: int) -> Optional[int]:
     K = [0, *(c[0] for c in path), n]
     P = [n, *(c[1] for c in path), 1]
     Q = [n, *(c[2] for c in path), -n]
-    qs = Q[1:s + 1]
-    a = sum(1 for v in qs if v > 0) + 1
-    R = {i: _r_index(qs, a, i) for i in range(a, s + 1)}
+    a, R = _cut_and_r(Q[1:s + 1])
     R[s + 1] = 0
 
     for x, (k, p, q, kind) in enumerate(found):

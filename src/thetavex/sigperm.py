@@ -48,6 +48,8 @@ class SignedPermutation:
     def __init__(self, window: Iterable[int]):
         win = tuple(window)
         n = len(win)
+        if not n:
+            raise ValueError("empty window: the rank must be at least 1")
         seen = set()
         for v in win:
             if type(v) is not int:

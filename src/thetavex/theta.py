@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .diagram import CornerClass, CornerSet, _r_index, corners
+from .diagram import CornerClass, CornerSet, _cut_and_r, _r_index, corners
 from .sigperm import SignedPermutation, check_rank_guard
 
 
@@ -126,23 +126,13 @@ class TripleDerived:
 
 
 def derive(t: ThetaTriple) -> TripleDerived:
-    """Compute a, R, and L.  Requires nonzero q entries and no pair
-    q_i = -q_j (otherwise R is not well defined); both failures raise."""
-    q, k, s = t.q, t.k, t.s
-    if any(v == 0 for v in q):
-        raise InvalidTripleError("A1 fails: q contains a zero entry")
-    a = sum(1 for v in q if v > 0) + 1
-    R: Dict[int, int] = {}
-    L: Dict[int, Optional[int]] = {}
-    for i in range(a, s + 1):
-        r = _r_index(q, a, i)
-        if r is None:
-            raise InvalidTripleError(
-                f"A2 fails: -q_{i} = {-q[i - 1]} collides with a positive q entry"
-            )
-        R[i] = r
-        L[i] = _l_index(k, q, a, r)
-    return TripleDerived(a, R, L)
+    """Compute a, R, and L.  Requires A1 and A2 (nonzero q entries and no
+    pair q_i = -q_j, without which R is not well defined); when either
+    fails, raises InvalidTripleError worded as `validate` words it."""
+    rows, a, R = _condition_rows(t)
+    if R is None:
+        raise InvalidTripleError(_report(rows).failure_message())
+    return TripleDerived(a, R, {i: _l_index(t.k, t.q, a, r) for i, r in R.items()})
 
 
 def _l_index(k: Sequence[int], q: Sequence[int], a: int, r: int) -> Optional[int]:
@@ -214,10 +204,10 @@ def _condition_rows(t: ThetaTriple):
          f"q_{a2_bad[0]} = -q_{a2_bad[1]}" if a2_bad else ""),
     ]
 
-    a = sum(1 for v in q if v > 0) + 1
-    R = None
-    if not (a1_bad or a2_bad):
-        R = {i: _r_index(q, a, i) for i in range(a, s + 1)}
+    a, R = _cut_and_r(q)
+    if a1_bad or a2_bad:
+        R = None
+    else:
         for i in range(1, s + 1):
             rows += _entry_checks(k, p, q, a, R, i)
     rows += _closing_checks(k, p, q, a, R)
@@ -227,7 +217,11 @@ def _condition_rows(t: ThetaTriple):
 def validate(t: ThetaTriple) -> ConditionReport:
     """Check A1-A3, B1-B3, C1-C2 and report every verdict, grouped by
     condition in that order (see `_condition_rows`)."""
-    rows = _condition_rows(t)[0]
+    return _report(_condition_rows(t)[0])
+
+
+def _report(rows: list) -> ConditionReport:
+    """The report of the rows of `_condition_rows`, which it sorts."""
     rows.sort(key=lambda row: row[0])  # stable: indices stay ascending
     # from a list: tuple() over a generator allocates a larger tuple and
     # shrinks it, and the shrunk ones pile up in the tuple free lists
@@ -240,7 +234,7 @@ def _require_valid(t: ThetaTriple) -> Tuple[int, Dict[int, int]]:
     Only a failure builds the report."""
     rows, a, R = _condition_rows(t)
     if not all(row[1] for row in rows):
-        raise InvalidTripleError(validate(t).failure_message())
+        raise InvalidTripleError(_report(rows).failure_message())
     return a, R
 
 
@@ -318,14 +312,14 @@ class StepPlacement:
 
 
 def _place(count: int, bound: int, start: int, n: int,
-           used: int, taken: int) -> Optional[Tuple[List[int], List[int]]]:
+           mask: int) -> Optional[Tuple[List[int], List[int]]]:
     """One placement step, without side effects.
 
-    `used` has bit |v| set for each absolute value already placed and
-    `taken` bit z for each position already filled.  The values are the
-    `count` largest v <= bound of the sign of `bound`, v >= -n, with bit
-    |v| of `used` clear, in increasing order; the positions are the
-    first `count` positions z in [start, n] with bit z of `taken` clear.
+    `mask` is the placement state: bit |v| is set for each absolute
+    value already placed and bit n + z for each position already filled.
+    The values are the `count` largest v <= bound of the sign of `bound`,
+    v >= -n, with bit |v| clear, in increasing order; the positions are
+    the first `count` positions z in [start, n] with bit n + z clear.
     Returns (values, positions), or None when either runs short.
     """
     values: List[int] = []
@@ -334,11 +328,12 @@ def _place(count: int, bound: int, start: int, n: int,
     while len(values) < count:
         if v < floor:
             return None
-        if not used >> abs(v) & 1:
+        if not mask >> abs(v) & 1:
             values.append(v)
         v -= 1
     values.reverse()
     positions: List[int] = []
+    taken = mask >> n
     z = start
     while len(positions) < count:
         if z > n:
@@ -351,44 +346,38 @@ def _place(count: int, bound: int, start: int, n: int,
 
 def _placement_run(
     k: Sequence[int], p: Sequence[int], q: Sequence[int], n: int
-) -> Tuple[List[int], int, int, List[Tuple[List[int], List[int]]]]:
+) -> Tuple[List[int], List[Tuple[List[int], List[int]]]]:
     """The placement steps of (k, p, q) at rank n, over the window.
 
     Step i places the k_i - k_{i-1} largest unused values at or below
-    -q_i into the free positions from p_i on.  Returns the placed part
-    of the window (`window[z]` is the value at position z in 1..n, 0
-    while z is free), the used absolute values and the taken positions
-    as the bitmasks of `_place`, and the (values, positions) of each
-    step; the steps stop before the first one that runs short.
+    -q_i into the free positions from p_i on, reading and updating the
+    state `mask` of `_place`.  When all s steps place, step s + 1 fills:
+    the unused positive values in increasing order into the free
+    positions (each placement took one position and one absolute value,
+    so the two are equally many).  Returns the window (`window[z]` is
+    the value at position z in 1..n, 0 while z is free) and the
+    (values, positions) of each step; the steps stop before the first
+    one that runs short, so s + 1 of them mean the window is full.
     """
     window = [0] * (n + 1)
-    used = taken = 0
+    mask = 0
     steps = []
     prev_k = 0
     for k_i, p_i, q_i in zip(k, p, q):
-        placed = _place(k_i - prev_k, -q_i, p_i, n, used, taken)
+        placed = _place(k_i - prev_k, -q_i, p_i, n, mask)
         if placed is None:
-            break
+            return window, steps
         for v, z in zip(*placed):
             window[z] = v
-            used |= 1 << abs(v)
-            taken |= 1 << z
+            mask |= 1 << abs(v) | 1 << n + z
         steps.append(placed)
         prev_k = k_i
-    return window, used, taken, steps
-
-
-def _fill(window: List[int], n: int, used: int,
-          taken: int) -> Tuple[Tuple[int, int], ...]:
-    """The finishing step, written into the window of `_placement_run`:
-    the unused positive values in increasing order into the free
-    positions.  Returns its (value, position) pairs.  Each placement took
-    one position and one absolute value, so the two are equally many."""
-    rest = tuple(zip((v for v in range(1, n + 1) if not used >> v & 1),
-                     (z for z in range(1, n + 1) if not taken >> z & 1)))
-    for v, z in rest:
+    values = [v for v in range(1, n + 1) if not mask >> v & 1]
+    positions = [z for z in range(1, n + 1) if not mask >> n + z & 1]
+    for v, z in zip(values, positions):
         window[z] = v
-    return rest
+    steps.append((values, positions))
+    return window, steps
 
 
 def _coherence_failure(q: Sequence[int], a: int, R, step_values, i: int) -> Optional[str]:
@@ -416,15 +405,14 @@ def _coherence_failure(q: Sequence[int], a: int, R, step_values, i: int) -> Opti
 
 def _checked_run(
     t: ThetaTriple,
-) -> Tuple[List[int], int, int, List[Tuple[List[int], List[int]]]]:
+) -> Tuple[List[int], List[Tuple[List[int], List[int]]]]:
     """The placement run (`_placement_run`) of a triple that must be
     buildable at its rank: raises InvalidTripleError when a condition
     fails or the triple is degenerate, and InfeasibleRankError when a
     step runs short."""
     a, R = _require_valid(t)
-    run = _placement_run(t.k, t.p, t.q, t.n)
-    steps = run[3]
-    if len(steps) < t.s:
+    window, steps = _placement_run(t.k, t.p, t.q, t.n)
+    if len(steps) <= t.s:
         i = len(steps) + 1
         minimum = min_feasible_rank(t)
         raise InfeasibleRankError(
@@ -439,7 +427,7 @@ def _checked_run(
         failure = _coherence_failure(t.q, a, R, values, i)
         if failure:
             raise InvalidTripleError(failure)
-    return run
+    return window, steps
 
 
 def construct_with_trace(
@@ -454,17 +442,15 @@ def construct_with_trace(
     with the unused positive values in increasing order.  For another
     rank, build `t.with_rank(n)`.
     """
-    window, used, taken, steps = _checked_run(t)
-    trace = [StepPlacement(i, tuple(zip(*placed)))
-             for i, placed in enumerate(steps, start=1)]
-    trace.append(StepPlacement(t.s + 1, _fill(window, t.n, used, taken)))
-    return SignedPermutation._of(tuple(window[1:])), tuple(trace)
+    window, steps = _checked_run(t)
+    trace = tuple(StepPlacement(i, tuple(zip(*placed)))
+                  for i, placed in enumerate(steps, start=1))
+    return SignedPermutation._of(tuple(window[1:])), trace
 
 
 def construct(t: ThetaTriple) -> SignedPermutation:
     """The permutation of `construct_with_trace`, without the trace."""
-    window, used, taken, _ = _checked_run(t)
-    _fill(window, t.n, used, taken)
+    window = _checked_run(t)[0]
     return SignedPermutation._of(tuple(window[1:]))
 
 
@@ -483,7 +469,7 @@ def min_feasible_rank(t: ThetaTriple) -> int:
     lb = _fitting_rank(t.k, t.p, t.q)
     cap = lb + (t.k[-1] if t.k else 0)
     for n in range(lb, cap + 1):
-        if len(_placement_run(t.k, t.p, t.q, n)[3]) == t.s:
+        if len(_placement_run(t.k, t.p, t.q, n)[1]) > t.s:
             return n
     raise InvalidTripleError(
         f"no ambient rank fits the triple {format_triple(t)}: its placement "
@@ -561,13 +547,13 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     carries the prefix's state down: the cut index a, R of every negative
     entry and the values of each step, which it undoes on backtrack, and
     the placement state, one int `mask` with bit |v| set for each used
-    value and bit n + z for each taken position.  `_place` reads `mask`
-    and `mask >> n`, and a child gets a new int, so the parent's mask is
-    unchanged and backtracking needs no undo of it.  Each visited q_i
-    still costs the conditions it completes (`_entry_checks`), one
-    placement step (`_place`) and the coherence check at i
-    (`_coherence_failure`); a prefix that passes them is emitted when A3
-    and B3 hold (`_closing_checks`), and is then extended.
+    value and bit n + z for each taken position, as `_place` reads it.
+    A child gets a new int, so the parent's mask is unchanged and
+    backtracking needs no undo of it.  Each visited q_i still costs the
+    conditions it completes (`_entry_checks`), one placement step
+    (`_place`) and the coherence check at i (`_coherence_failure`); a
+    prefix that passes them is emitted when A3 and B3 hold
+    (`_closing_checks`), and is then extended.
 
     A prefix that fails any of these is cut with its whole subtree, and
     this loses nothing.  A condition that entry i completes reads only
@@ -641,7 +627,7 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
             return None
         if i >= a and _coherence_failure(qs, a, R, step_values, i):
             return None
-        return _place(count, -qs[-1], ps[-1], n, mask, mask >> n)
+        return _place(count, -qs[-1], ps[-1], n, mask)
 
     def replay(record: tuple) -> Iterator[ThetaTriple]:
         fields = iter(record)
@@ -743,12 +729,7 @@ def parse_triple(text: str, n: Optional[int] = None) -> ThetaTriple:
             except ValueError:
                 raise ValueError(f"bad triple token {tok!r}: not an integer") from None
         rows.append(tuple(row))
-    k, p, q = rows
-    if n is None:
-        n = _fitting_rank(k, p, q)
-    t = ThetaTriple(k, p, q, n)
-    _require_valid(t)
-    return t
+    return _checked_triple(*rows, n)
 
 
 def format_triple(t: ThetaTriple) -> str:
@@ -774,10 +755,17 @@ def triple_from_json(obj: dict) -> ThetaTriple:
             raise ValueError(
                 f"triple key {key!r} must be a list of integers, got {row!r}")
     n = obj.get("n")
+    if n is not None and type(n) is not int:
+        raise ValueError(f"triple key 'n' must be an integer, got {n!r}")
+    return _checked_triple(k, p, q, n)
+
+
+def _checked_triple(k: Sequence[int], p: Sequence[int], q: Sequence[int],
+                    n: Optional[int]) -> ThetaTriple:
+    """The triple of parsed rows at rank n, by default the smallest that
+    fits, with its shape and all eight conditions checked."""
     if n is None:
         n = _fitting_rank(k, p, q)
-    elif type(n) is not int:
-        raise ValueError(f"triple key 'n' must be an integer, got {n!r}")
     t = ThetaTriple(k, p, q, n)
     _require_valid(t)
     return t

@@ -355,6 +355,18 @@ def test_pattern_table_compiled_once(monkeypatch):
     assert len(calls) == 26
 
 
+@pytest.mark.parametrize("jobs", [0, -5, True, 2.0, "2", None])
+def test_verify_rejects_bad_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs must be a positive integer"):
+        verify_equivalence(2, jobs)
+
+
+def test_reports_and_summaries_are_named_tuples():
+    report = build_report(BIG)
+    assert report == tuple(report) and report.routes_agree
+    assert verify_equivalence(2) == (2, 8, 8, ())
+
+
 def test_verify_respects_rank_guard():
     with pytest.raises(RankTooLargeError, match="allow-large"):
         verify_equivalence(9)

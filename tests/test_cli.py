@@ -188,6 +188,27 @@ def test_recover_non_member(capsys):
     assert out == "NOT THETA-VEXILLARY\n"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("classify", BIG_WINDOW), 0),
+    (("classify", "-1 3 2"), 1),
+    (("construct", BIG_TRIPLE, "-n", "10"), 0),
+    (("recover", BIG_WINDOW), 0),
+    (("recover", "-1 3 2"), 1),
+    (("verify", "3"), 0),
+], ids=["classify-member", "classify-non-member", "construct", "recover-member",
+        "recover-non-member", "verify"])
+def test_json_output_is_one_object(capsys, argv, code):
+    # negative verdicts included: json.loads refuses plain text and a
+    # second object alike
+    got, out, err = run(capsys, *argv, "--json")
+    assert (got, err) == (code, "")
+    obj = json.loads(out)
+    assert type(obj) is dict and obj["schema"] == "1"
+    assert next(iter(obj)) == "schema"
+    if argv[0] == "recover":
+        assert (obj["triple"] is None) == bool(code)
+
+
 # ---------------------------------------------------------------------------
 # verify
 

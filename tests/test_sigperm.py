@@ -288,6 +288,15 @@ def test_window_rejects_non_integer_entries(window):
         SignedPermutation(window)
 
 
+def test_window_rejects_empty_window():
+    # rank 0 has no triple, so the empty window would pass the pattern
+    # and corner routes and fail the triple route
+    with pytest.raises(ValueError, match="empty window"):
+        SignedPermutation(())
+    with pytest.raises(ValueError, match="empty window"):
+        SignedPermutation.identity(0)
+
+
 def test_rank_guard():
     with pytest.raises(RankTooLargeError):
         next(enumerate_group(9))

@@ -189,6 +189,41 @@ def test_derive_big_triple():
     assert der.L == {4: 3, 5: 2}
 
 
+@pytest.mark.parametrize("t, condition", [
+    (ThetaTriple((1,), (1,), (0,), 2), "A1"),
+    (ThetaTriple((1, 2), (2, 1), (2, -2), 2), "A2"),
+], ids=["A1", "A2"])
+def test_derive_refuses_as_validate_words_it(t, condition):
+    message = validate(t).failure_message()
+    assert message.startswith(f"{condition} fails at i=1")
+    with pytest.raises(InvalidTripleError) as refused:
+        derive(t)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: construct(ThetaTriple((1, 2), (2, 1), (2, -2), 2)),
+    lambda: construct_with_trace(ThetaTriple((1,), (1,), (0,), 2)),
+    lambda: parse_triple("1 3; 2 2; 2 1"),
+    lambda: triple_from_json({"k": [2], "p": [2], "q": [-1], "n": 3}),
+    lambda: derive(ThetaTriple((1,), (1,), (0,), 2)),
+], ids=["construct", "construct_with_trace", "parse_triple", "triple_from_json",
+        "derive"])
+def test_refusal_checks_the_conditions_once(monkeypatch, refuse):
+    """A refused triple is worded from the rows the check already built."""
+    calls = []
+    rows_of = theta._condition_rows
+
+    def counting(t):
+        calls.append(t)
+        return rows_of(t)
+
+    monkeypatch.setattr(theta, "_condition_rows", counting)
+    with pytest.raises(InvalidTripleError):
+        refuse()
+    assert len(calls) == 1
+
+
 def test_validate_names_opposite_pair():
     report = validate(ThetaTriple((1, 2), (2, 1), (2, -2), 2))
     assert not report.ok
