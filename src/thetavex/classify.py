@@ -4,8 +4,11 @@ A signed permutation is theta-vexillary exactly when any (hence all) of
 the following hold: some triple constructs it; every corner lies on the
 NE path or is an unessential corner that the rank relation forces (see
 `diagram.corners`); it avoids the thirteen signed patterns below.
-`verify_equivalence` checks the agreement exhaustively over a whole
-group, optionally across processes.
+`build_report` runs the three routes on one window.
+`verify_equivalence` checks their agreement exhaustively over a whole
+group, optionally across processes, and `enumerate_theta_vexillary`
+lists the members; both read the pattern verdicts that
+`sigperm.walk_windows` decides once per prefix along its walk.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from .sigperm import (
     SignedPattern,
     SignedPermutation,
     check_rank_guard,
-    enumerate_group,
     find_pattern,
     group_order,
-    iter_windows,
+    walk_windows,
 )
 
 #: The thirteen signed patterns whose simultaneous avoidance characterizes
@@ -103,8 +105,8 @@ class ClassificationReport(NamedTuple):
     per-route verdicts are kept in `verdicts` (patterns, corners,
     triple, in the order they are computed) so that a divergence between
     the routes would stay visible instead of being masked by the summary
-    bit.  A named tuple, cheap to build once per window of `verify`; a
-    report compares equal to the plain tuple of its fields.
+    bit.  A named tuple, so a report compares equal to the plain tuple
+    of its fields.
     """
 
     window: Tuple[int, ...]
@@ -192,24 +194,30 @@ class VerifySummary(NamedTuple):
 
 def _verify_chunk(task: Tuple[int, int]) -> Tuple[int, List[Tuple[int, ...]]]:
     """Members and mismatching windows among the windows of W_n that
-    begin with the letter v, where task = (n, v), decided by
-    `build_report`."""
+    begin with the letter v, where task = (n, v).  The pattern verdict
+    is the one `walk_windows` decides along the walk; the corner set is
+    computed once per window and read by the corner and triple routes."""
     n, v = task
     count = 0
     mismatches: List[Tuple[int, ...]] = []
-    for win in iter_windows(n, (v,)):
-        report = build_report(SignedPermutation._of(win))
-        if not report.routes_agree:
+    for win, contains in walk_windows(n, (v,), PATTERNS):
+        w = SignedPermutation._of(win)
+        cs = corners(w)
+        by_cor = classify_by_corners(w, cs)[0]
+        by_tri = classify_by_triple(w, cs)[0]
+        if by_cor == by_tri == (not contains):
+            count += by_tri
+        else:
             mismatches.append(win)
-        elif report.theta_vexillary:
-            count += 1
     return count, mismatches
 
 
 def verify_equivalence(
     n: int, jobs: int = 1, *, allow_large: bool = False
 ) -> VerifySummary:
-    """Run all three classifiers over every element of W_n.
+    """Cross-check the three routes on every element of W_n: the pattern
+    verdict of `walk_windows`, then the corner and triple routes on one
+    corner set per window (see `_verify_chunk`).
 
     Each first letter v = -n..-1, 1..n is one task: the windows that
     begin with v.  The tasks run on a pool of `jobs` processes, capped
@@ -238,7 +246,8 @@ def enumerate_theta_vexillary(
     n: int, *, allow_large: bool = False
 ) -> Iterator[SignedPermutation]:
     """All theta-vexillary elements of W_n in window order, decided by
-    pattern avoidance."""
-    for w in enumerate_group(n, allow_large=allow_large):
-        if classify_by_patterns(w)[0]:
-            yield w
+    pattern avoidance along the walk of `walk_windows`, which skips every
+    subtree under a prefix that contains a pattern."""
+    check_rank_guard(n, allow_large)
+    for win, _ in walk_windows(n, (), PATTERNS, avoiders_only=True):
+        yield SignedPermutation._of(win)

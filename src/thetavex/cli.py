@@ -73,7 +73,8 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    t = theta.parse_triple(args.triple, args.rank)
+    # `construct` checks the eight conditions, once per call
+    t = theta.parse_triple(args.triple, args.rank, conditions=False)
     w = theta.construct(t)
     inverse = w.inverse()
     _emit(

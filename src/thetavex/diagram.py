@@ -1,4 +1,4 @@
-"""Extended diagrams, rank functions, SE corners, and the corner taxonomy.
+"""Extended diagrams, SE corners, and the corner taxonomy.
 
 Coordinates are matrix style throughout: rows run top to bottom over
 [-n, n], columns left to right.  The extended diagram of a signed
@@ -122,20 +122,6 @@ class ExtendedDiagram:
     @property
     def diagram_boxes(self) -> FrozenSet[Box]:
         return self.boxes - self.crosses
-
-
-def rank(w: SignedPermutation, p: int, q: int) -> int:
-    """Number of i in [p, n] with w(i) <= -q.
-
-    Counts the dots weakly southwest of the corner position (p, q); by
-    antisymmetry it also equals #{i <= -p | w(i) >= q}.
-    """
-    n = w.n
-    if not 1 <= p <= n:
-        raise ValueError(f"p must be in [1, {n}], got {p}")
-    if not -n <= q <= n:
-        raise ValueError(f"q must be in [{-n}, {n}], got {q}")
-    return sum(1 for i in range(p, n + 1) if w(i) <= -q)
 
 
 def build_extended_diagram(w: SignedPermutation) -> ExtendedDiagram:

@@ -170,50 +170,39 @@ def _letter_steps(pat: Tuple[int, ...]) -> Tuple[Tuple[int, int, int, int], ...]
 
 
 class PatternTable(tuple):
-    """A tuple of patterns compiled once, when the table is built, for
-    `find_pattern`: `compiled` holds (pattern, its `_letter_steps`, its
-    length) per pattern, in table order."""
+    """A tuple of patterns compiled once, when the table is built.
+    `compiled` holds (pattern, its `_letter_steps`, its length) per
+    pattern, in table order, for `find_pattern`.  `anchored[s]` holds the
+    same for each pattern whose last letter has sign s (0 negative,
+    1 positive), with the steps of the pattern rotated so that its last
+    letter comes first: the anchored test of `walk_windows`."""
 
     def __new__(cls, patterns: Iterable[SignedPermutation]) -> "PatternTable":
         table = super().__new__(cls, patterns)
         table.compiled = tuple(
             (p, _letter_steps(p.window), len(p.window)) for p in table
         )
+        anchored = ([], [])
+        for p in table:
+            win = p.window
+            anchored[win[-1] > 0].append(
+                (p, _letter_steps(win[-1:] + win[:-1]), len(win))
+            )
+        table.anchored = tuple(map(tuple, anchored))
         return table
 
 
-def find_pattern(
-    w: SignedPermutation, patterns: Sequence[SignedPermutation]
-) -> Optional[Tuple[SignedPermutation, Tuple[int, ...]]]:
-    """The first of the patterns, in order, that occurs in w, with its
-    lexicographically least witness (increasing 1-based indices whose
-    entries have the pattern's signs and the relative order of its
-    |values|); None if w avoids them all.
-
-    Each pattern is a depth-first search over index prefixes in
-    increasing order, so the table order and the least witnesses are
-    those of one search per pattern.  The chosen letters are
-    order-isomorphic to the pattern's prefix, so a candidate for letter
-    j fits them all iff its |w| lies strictly between those of the two
-    earlier letters nearest below and above |pat[j]|: two comparisons,
-    not j.  A scan is skipped in O(1) when the per-sign suffix maximum
-    and minimum of |w| leave no entry of the right sign in that
-    interval.  The arrays are built once per window and shared by all
-    patterns.  A `PatternTable` comes compiled; any other sequence is
-    compiled on entry.
-    """
-    if not isinstance(patterns, PatternTable):
-        patterns = PatternTable(patterns)
-    win = w.window
-    n = len(win)
-    # pos_key[i] is w(i + 1) if positive, else 0, which fails every
-    # a < x < b, and neg_key[i] is -w(i + 1) if negative, else 0;
-    # *_top[i] and *_low[i] are the max and min |w| of that sign from i on
+def _sign_index(win: Sequence[int], n: int, bound: int):
+    """What `_search` reads of the first n letters of a window whose |w|
+    all lie below `bound`, per sign (negative, then positive): key[i] is
+    |w(i + 1)| if w(i + 1) has that sign, else 0, which fails every
+    a < x < b; top[i] and low[i] are the max and min |w| of that sign
+    from i on, and 0 and `bound` at n."""
     pos_key, neg_key = [0] * n, [0] * n
     pos_top, neg_top = [0] * (n + 1), [0] * (n + 1)
-    pos_low, neg_low = [n + 1] * (n + 1), [n + 1] * (n + 1)
+    pos_low, neg_low = [bound] * (n + 1), [bound] * (n + 1)
     pos_hi = neg_hi = 0
-    pos_lo = neg_lo = n + 1
+    pos_lo = neg_lo = bound
     for i in range(n - 1, -1, -1):
         x = win[i]
         if x > 0:
@@ -229,14 +218,32 @@ def find_pattern(
             if x < neg_lo:
                 neg_lo = x
         pos_top[i], neg_top[i], pos_low[i], neg_low[i] = pos_hi, neg_hi, pos_lo, neg_lo
-    by_sign = ((neg_key, neg_top, neg_low), (pos_key, pos_top, pos_low))
-    chosen = [0] * n
-    size = [0] * n + [0, n + 1]  # |w| of the chosen letters, then the bounds
-    for pattern, steps, m in patterns.compiled:
-        if m > n:
+    return (neg_key, neg_top, neg_low), (pos_key, pos_top, pos_low)
+
+
+def _search(compiled, first: int, n: int, by_sign, chosen: list, size: list):
+    """The first pattern of `compiled` whose letters from `first` on occur
+    in the n letters indexed by `by_sign` (`_sign_index`), each fitting
+    the letters before it; None if none does.  `size[j]` holds |w| of
+    letter j once it is placed (letters before `first` are preset by the
+    caller), then the bounds at -2 and -1: 0 and the `bound` of
+    `_sign_index`.  `chosen[j]` is the index of letter j, so that a hit's
+    witness is `chosen[:length]`.
+
+    A depth-first search over index prefixes in increasing order, so
+    each hit is the lexicographically least.  The chosen letters are
+    order-isomorphic to the pattern's prefix, so a candidate for letter
+    j fits them all iff its |w| lies strictly between those of the two
+    earlier letters nearest below and above |pat[j]|: two comparisons,
+    not j.  A scan is skipped in O(1) when the per-sign suffix maximum
+    and minimum of |w| leave no entry of the right sign in that
+    interval.
+    """
+    for pattern, steps, m in compiled:
+        if m - first > n:
             continue
-        j = start = 0
-        while 0 <= j < m:
+        j, start = first, 0
+        while first <= j < m:
             s, lower, upper, rest = steps[j]
             key, top, low = by_sign[s]
             a, b = size[lower], size[upper]
@@ -254,13 +261,34 @@ def find_pattern(
                 j -= 1
                 start = chosen[j] + 1
         if j == m:
-            return pattern, tuple([i + 1 for i in chosen[:m]])
+            return pattern
     return None
 
 
-def contains_pattern(w: SignedPermutation, pattern: SignedPermutation) -> bool:
-    """True iff some subsequence of the window realizes the pattern."""
-    return find_pattern(w, (pattern,)) is not None
+def find_pattern(
+    w: SignedPermutation, patterns: Sequence[SignedPermutation]
+) -> Optional[Tuple[SignedPermutation, Tuple[int, ...]]]:
+    """The first of the patterns, in order, that occurs in w, with its
+    lexicographically least witness (increasing 1-based indices whose
+    entries have the pattern's signs and the relative order of its
+    |values|); None if w avoids them all.
+
+    One `_search` over the table, so the table order and the least
+    witnesses are those of one search per pattern; the arrays it reads
+    are built once per window and shared by all patterns.  A
+    `PatternTable` comes compiled; any other sequence is compiled on
+    entry.
+    """
+    if not isinstance(patterns, PatternTable):
+        patterns = PatternTable(patterns)
+    win = w.window
+    n = len(win)
+    chosen = [0] * n
+    size = [0] * n + [0, n + 1]
+    hit = _search(patterns.compiled, 0, n, _sign_index(win, n, n + 1), chosen, size)
+    if hit is None:
+        return None
+    return hit, tuple([i + 1 for i in chosen[:len(hit.window)]])
 
 
 # ---------------------------------------------------------------------------
@@ -271,39 +299,79 @@ def group_order(n: int) -> int:
     return (2 ** n) * factorial(n)
 
 
-def iter_windows(n: int, prefix: Sequence[int] = ()) -> Iterator[Tuple[int, ...]]:
-    """Windows of W_n that begin with `prefix`, in lexicographic order
-    (entries ordered -n < ... < -1 < 1 < ... < n); the empty prefix, the
-    default, gives all of W_n.
+def walk_windows(
+    n: int,
+    prefix: Sequence[int] = (),
+    patterns: Optional[PatternTable] = None,
+    *,
+    avoiders_only: bool = False,
+) -> Iterator[Tuple[Tuple[int, ...], bool]]:
+    """(window, contains) for each window of W_n that begins with
+    `prefix`, in lexicographic order (entries ordered
+    -n < ... < -1 < 1 < ... < n); `contains` says whether the window
+    contains a pattern of the table, and is False throughout without
+    one.  With `avoiders_only`, every window that contains one is
+    skipped, with the whole subtree under its shortest such prefix.
 
-    One depth-first walk extends the prefix by each free value in turn.
-    The 2n one-letter prefixes split the stream into runs that follow
-    each other in prefix order, which is how `verify_equivalence` hands
-    W_n to its workers.  A prefix that no window of W_n begins with
-    raises ValueError here, before the walk.
+    One depth-first walk extends the prefix by each free value in turn,
+    and decides each prefix on the way.  Containment is inherited by
+    extension, and a prefix of length m contains a pattern iff its first
+    m - 1 letters do or an occurrence ends at letter m.  So a prefix's
+    verdict is its parent's, or the anchored test of its last letter:
+    `_search` over the `PatternTable.anchored` steps of that letter's
+    sign, with letter 0 preset to it, on the parent's `_sign_index`,
+    which is built once for all its children.  A prefix that no window
+    of W_n begins with raises ValueError here, before the walk.
     """
-    window = list(prefix)
-    used = set()
-    for v in window:
-        if type(v) is not int or not 1 <= abs(v) <= n or abs(v) in used:
-            raise ValueError(f"no window of W_{n} begins with {tuple(window)}")
-        used.add(abs(v))
+    prefix = tuple(prefix)
+    seen = set()
+    for v in prefix:
+        if type(v) is not int or not 1 <= abs(v) <= n or abs(v) in seen:
+            raise ValueError(f"no window of W_{n} begins with {prefix}")
+        seen.add(abs(v))
+    anchored = patterns.anchored if patterns else None
     values = [v for v in range(-n, n + 1) if v != 0]
+    window: list = []
+    used: set = set()
+    chosen = [0] * n
+    size = [0] * n + [0, n + 1]
 
-    def walk(depth: int) -> Iterator[Tuple[int, ...]]:
-        if depth == n:
-            yield tuple(window)
-            return
-        for v in values:
-            if abs(v) in used:
+    def walk(depth: int, contains: bool) -> Iterator[Tuple[Tuple[int, ...], bool]]:
+        # the children of a prefix of length n - 1 are windows: yielded
+        # here, with no generator of their own
+        last = depth + 1 == n
+        test = anchored is not None and not contains
+        if test:
+            by_sign = _sign_index(window, depth, n + 1)
+        for v in prefix[depth:depth + 1] or values:
+            x = v if v > 0 else -v
+            if x in used:
                 continue
+            hit = contains
+            if test:
+                size[0] = x
+                hit = _search(anchored[v > 0], 1, depth, by_sign, chosen, size) is not None
+                if hit and avoiders_only:
+                    continue
             window.append(v)
-            used.add(abs(v))
-            yield from walk(depth + 1)
+            if last:
+                yield tuple(window), hit
+            else:
+                used.add(x)
+                yield from walk(depth + 1, hit)
+                used.remove(x)
             window.pop()
-            used.remove(abs(v))
 
-    return walk(len(window))
+    return walk(0, False)
+
+
+def iter_windows(n: int, prefix: Sequence[int] = ()) -> Iterator[Tuple[int, ...]]:
+    """The windows of `walk_windows` without verdicts: the windows of W_n
+    that begin with `prefix`, in lexicographic order; the empty prefix,
+    the default, gives all of W_n.  The 2n one-letter prefixes split the
+    stream into runs that follow each other in prefix order, which is how
+    `verify_equivalence` hands W_n to its workers."""
+    return (win for win, _ in walk_windows(n, prefix))
 
 
 def enumerate_group(n: int, *, allow_large: bool = False) -> Iterator[SignedPermutation]:

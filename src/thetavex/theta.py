@@ -40,8 +40,8 @@ class ThetaTriple:
     """Three s-tuples plus the ambient rank n.
 
     Only the shape constraints live here; use `validate` for the eight
-    conditions and `derive` for the cut index a, R(.), and L(.).
-    Slotted, since generation and exhaustive checks hold one per member.
+    conditions.  Slotted, since generation and exhaustive checks hold
+    one per member.
     """
 
     __slots__ = ("k", "p", "q", "n")
@@ -110,29 +110,6 @@ def _fitting_rank(k: Sequence[int], p: Sequence[int], q: Sequence[int]) -> int:
     triple may have, the default rank of a parsed triple and the lower
     bound of `min_feasible_rank`."""
     return max((1, *map(abs, (*k, *p, *q))))
-
-
-@dataclass(frozen=True)
-class TripleDerived:
-    """Cut index a, the map R on [a, s], and the map L on [a, s].
-
-    L[i] is None exactly when R[i] = a - 1, i.e. when the candidate
-    range for L is empty.
-    """
-
-    a: int
-    R: Dict[int, int]
-    L: Dict[int, Optional[int]]
-
-
-def derive(t: ThetaTriple) -> TripleDerived:
-    """Compute a, R, and L.  Requires A1 and A2 (nonzero q entries and no
-    pair q_i = -q_j, without which R is not well defined); when either
-    fails, raises InvalidTripleError worded as `validate` words it."""
-    rows, a, R = _condition_rows(t)
-    if R is None:
-        raise InvalidTripleError(_report(rows).failure_message())
-    return TripleDerived(a, R, {i: _l_index(t.k, t.q, a, r) for i, r in R.items()})
 
 
 def _l_index(k: Sequence[int], q: Sequence[int], a: int, r: int) -> Optional[int]:
@@ -709,11 +686,15 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
 # notation
 
 
-def parse_triple(text: str, n: Optional[int] = None) -> ThetaTriple:
+def parse_triple(text: str, n: Optional[int] = None, *,
+                 conditions: bool = True) -> ThetaTriple:
     """Parse "k1 k2 ...; p1 p2 ...; q1 q2 ..." into a triple.
 
     The ambient rank defaults to the smallest value that fits the
     entries.  Raises with the first violated shape or condition named.
+    With `conditions` False only the shape is checked: for a caller that
+    hands the triple to `construct`, which checks the eight conditions
+    first and words a refusal the same way.
     """
     parts = text.split(";")
     if len(parts) != 3:
@@ -729,7 +710,7 @@ def parse_triple(text: str, n: Optional[int] = None) -> ThetaTriple:
             except ValueError:
                 raise ValueError(f"bad triple token {tok!r}: not an integer") from None
         rows.append(tuple(row))
-    return _checked_triple(*rows, n)
+    return _checked_triple(*rows, n, conditions)
 
 
 def format_triple(t: ThetaTriple) -> str:
@@ -761,11 +742,13 @@ def triple_from_json(obj: dict) -> ThetaTriple:
 
 
 def _checked_triple(k: Sequence[int], p: Sequence[int], q: Sequence[int],
-                    n: Optional[int]) -> ThetaTriple:
+                    n: Optional[int], conditions: bool = True) -> ThetaTriple:
     """The triple of parsed rows at rank n, by default the smallest that
-    fits, with its shape and all eight conditions checked."""
+    fits, with its shape checked, and all eight conditions unless
+    `conditions` is False."""
     if n is None:
         n = _fitting_rank(k, p, q)
     t = ThetaTriple(k, p, q, n)
-    _require_valid(t)
+    if conditions:
+        _require_valid(t)
     return t

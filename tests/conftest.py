@@ -2,11 +2,13 @@
 
 import functools
 import itertools
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import hypothesis.strategies as st
 
 from thetavex import diagram, theta
-from thetavex.sigperm import SignedPermutation
+from thetavex.sigperm import SignedPermutation, find_pattern
 
 _ACCEPTANCE_OUTCOMES = {}
 
@@ -77,6 +79,50 @@ def naive_first_pattern(w, patterns):
         if witness is not None:
             return pat, witness
     return None
+
+
+def contains_pattern(w, pattern):
+    """True iff some subsequence of the window realizes the pattern: the
+    one-pattern question put to the library's matcher."""
+    return find_pattern(w, (pattern,)) is not None
+
+
+def rank(w, p, q):
+    """Number of i in [p, n] with w(i) <= -q.
+
+    Counts the dots weakly southwest of the corner position (p, q); by
+    antisymmetry it also equals #{i <= -p | w(i) >= q}.
+    """
+    n = w.n
+    if not 1 <= p <= n:
+        raise ValueError(f"p must be in [1, {n}], got {p}")
+    if not -n <= q <= n:
+        raise ValueError(f"q must be in [{-n}, {n}], got {q}")
+    return sum(1 for i in range(p, n + 1) if w(i) <= -q)
+
+
+@dataclass(frozen=True)
+class TripleDerived:
+    """Cut index a, the map R on [a, s], and the map L on [a, s].
+
+    L[i] is None exactly when R[i] = a - 1, i.e. when the candidate
+    range for L is empty.
+    """
+
+    a: int
+    R: Dict[int, int]
+    L: Dict[int, Optional[int]]
+
+
+def derive(t):
+    """Compute a, R, and L from the library's condition rows.  Requires
+    A1 and A2 (nonzero q entries and no pair q_i = -q_j, without which R
+    is not well defined); when either fails, raises InvalidTripleError
+    worded as `validate` words it."""
+    rows, a, R = theta._condition_rows(t)
+    if R is None:
+        raise theta.InvalidTripleError(theta._report(rows).failure_message())
+    return TripleDerived(a, R, {i: theta._l_index(t.k, t.q, a, r) for i, r in R.items()})
 
 
 def full_corners(w):
@@ -203,7 +249,7 @@ def reference_optional_corners(w, t, cs=None):
         cs = diagram.corners(w)
     if t.s == 0:
         return ()
-    der = theta.derive(t)
+    der = derive(t)
     a = der.a
     in_triple = set(zip(t.p, t.q))
     found = []
@@ -245,7 +291,7 @@ def assert_structural_facts(t):
     w, trace = theta.construct_with_trace(t)
     winv = w.inverse()
     s = t.s
-    a = theta.derive(t).a
+    a = derive(t).a
     full = {c.position for c in full_corners(w)}
     d = diagram.build_extended_diagram(w)
 
@@ -278,7 +324,7 @@ def assert_structural_facts(t):
 
     # k_i is both the rank at (p_i, q_i) and the region's dot count
     for ki, pi, qi in t.entries():
-        assert diagram.rank(w, pi, qi) == ki
+        assert rank(w, pi, qi) == ki
         assert sum(1 for r, c in d.dots if r >= qi and c <= -pi) == ki
 
     # step i places inside its own region and outside the previous one;

@@ -27,7 +27,9 @@ from thetavex.sigperm import (
     RankTooLargeError,
     SignedPermutation,
     enumerate_group,
+    find_pattern,
     iter_windows,
+    walk_windows,
 )
 
 BIG = SignedPermutation([10, 1, 5, 3, -2, -4, 6, -9, -8, -7])
@@ -314,29 +316,70 @@ def test_verify_caps_pool_size(monkeypatch):
 
 def test_corner_set_computed_once_per_window(monkeypatch):
     """Every route reads one shared corner set: the sweep and a report
-    each compute it once per window, and `recover` never recomputes it."""
+    each compute it once per window, and `recover` never recomputes it.
+    The sweep runs the triple route on every window, and no pattern
+    search: the walk decides the pattern verdicts."""
     from thetavex import classify, diagram
 
-    calls = {"classify": 0, "theta": 0}
+    calls = {"classify": 0, "theta": 0, "triple": 0, "find_pattern": 0}
 
-    def counting(module):
-        def corners(w):
+    def counting(module, fn):
+        def counted(*args):
             calls[module] += 1
-            return diagram.corners(w)
+            return fn(*args)
 
-        return corners
+        return counted
 
-    monkeypatch.setattr(classify, "corners", counting("classify"))
-    monkeypatch.setattr(theta, "corners", counting("theta"))
+    monkeypatch.setattr(classify, "corners", counting("classify", diagram.corners))
+    monkeypatch.setattr(theta, "corners", counting("theta", diagram.corners))
+    monkeypatch.setattr(classify, "classify_by_triple",
+                        counting("triple", classify.classify_by_triple))
+    monkeypatch.setattr(classify, "find_pattern",
+                        counting("find_pattern", classify.find_pattern))
     assert verify_equivalence(4).total == 384
-    assert calls == {"classify": 384, "theta": 0}
+    assert calls == {"classify": 384, "theta": 0, "triple": 384, "find_pattern": 0}
     build_report(BIG)
-    assert calls == {"classify": 385, "theta": 0}
+    assert calls == {"classify": 385, "theta": 0, "triple": 385, "find_pattern": 1}
+
+
+@pytest.mark.parametrize("target, members", [((2, -1, 3), 43), ((-1, 3, 2), 44)],
+                         ids=["member", "non-member"])
+def test_forced_route_disagreement_is_a_mismatch(monkeypatch, target, members):
+    """A triple verdict flipped on one window of W_3 disagrees with the
+    walk's pattern verdict and the corner route there: that window, and
+    only it, is a mismatch, and the member count leaves it out."""
+    from thetavex import classify
+
+    route = classify.classify_by_triple
+
+    def flipped(w, cs=None):
+        ok, t = route(w, cs)
+        return (not ok, t) if w.window == target else (ok, t)
+
+    monkeypatch.setattr(classify, "classify_by_triple", flipped)
+    assert verify_equivalence(3) == (3, 48, members, (target,))
+
+
+def test_walk_verdicts_match_find_pattern():
+    """The walk's verdict (its parent's, or the anchored test of the last
+    letter) equals the full search on every window of W_1..W_6, and
+    `avoiders_only` keeps exactly the avoiders, in window order."""
+    for n in range(1, 7):
+        walked = list(walk_windows(n, (), PATTERNS))
+        for win, contains in walked:
+            assert contains == (find_pattern(SignedPermutation._of(win), PATTERNS) is not None)
+        avoiders = list(walk_windows(n, (), PATTERNS, avoiders_only=True))
+        assert avoiders == [(win, False) for win, contains in walked if not contains]
+    # a prefix is decided on the way too: -1 3 2 is itself a pattern
+    assert all(contains for _, contains in walk_windows(5, (-1, 4, 2), PATTERNS))
+    assert list(walk_windows(5, (-1, 4, 2), PATTERNS, avoiders_only=True)) == []
 
 
 def test_pattern_table_compiled_once(monkeypatch):
-    """The table's letter steps are compiled when it is built, not once
-    per window; a plain sequence is compiled on entry."""
+    """The table's letter steps are compiled when it is built, two
+    tables per pattern (the steps of `find_pattern` and the anchored
+    steps of the walk), not once per window; a plain sequence is
+    compiled on entry."""
     from thetavex import classify, sigperm
 
     calls = []
@@ -349,10 +392,13 @@ def test_pattern_table_compiled_once(monkeypatch):
     monkeypatch.setattr(sigperm, "_letter_steps", counting)
     monkeypatch.setattr(classify, "PATTERNS", sigperm.PatternTable(PATTERNS))
     assert classify.PATTERNS == PATTERNS
+    assert len(calls) == 2 * len(PATTERNS) == 26
     assert verify_equivalence(4).theta_vexillary == THETA_VEXILLARY_COUNTS[4]
-    assert len(calls) == len(PATTERNS) == 13
-    assert sigperm.find_pattern(BIG, list(PATTERNS)) is None
+    assert sum(1 for _ in enumerate_theta_vexillary(4)) == THETA_VEXILLARY_COUNTS[4]
+    assert build_report(BIG).theta_vexillary
     assert len(calls) == 26
+    assert sigperm.find_pattern(BIG, list(PATTERNS)) is None
+    assert len(calls) == 52
 
 
 @pytest.mark.parametrize("jobs", [0, -5, True, 2.0, "2", None])

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -9,13 +10,24 @@ from pathlib import Path
 import pytest
 
 import thetavex
-from thetavex import cli
+from thetavex import cli, theta
 from thetavex.classify import VerifySummary
 
 GOLDEN = Path(__file__).parent / "golden"
 
 BIG_WINDOW = "10 1 5 3 -2 -4 6 -9 -8 -7"
 BIG_TRIPLE = "3 4 5 6 9; 8 6 5 4 2; 7 4 2 -3 -6"
+
+# sha256 of the stdout of `thetavex enumerate n`, taken from the scan of
+# all of W_n that the pruned walk replaced
+ENUMERATE_SHA256 = {
+    1: "4a6fea88f1f4b219ceb90682c04fd1ba" "1febd0ba67fd1dd30fcca180eecbb7b5",
+    2: "0de158c0b6c4ef1d8c95502ebb0ff8aa" "d9d6110b312d89d17c111c1c3423786e",
+    3: "b75c64803cc1d51f03477a8251366615" "10ccfd05cc10d1bd5d1f29d185630489",
+    4: "37f83e78f0275c160a2c348369c8d1ce" "5ca8278d438a309d42ebe4d6a4ba80d4",
+    5: "917bbb3736f7b2b23f0f8aa5b869482e" "97c329dc8d10db3982418b60e5a22128",
+    6: "645775cc9af30d1e98959864029ad0e6" "d21c8979fdef9bff419ffc14e7f30a28",
+}
 
 
 def run(capsys, *argv):
@@ -158,6 +170,28 @@ def test_construct_help_example_builds(capsys):
     assert len(out.splitlines()) == 2
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    ((BIG_TRIPLE, "-n", "10"), 0, ""),
+    ((BIG_TRIPLE, "-n", "9"), 2, "minimum feasible rank is 10"),
+    (("1; 1; -1",), 2, "error: A3 fails at i=1: q_s = -1 < 0 needs p_s > 1\n"),
+    (("1 2 3 4; 5 3 3 2; 3 3 1 -4", "-n", "5"), 2, "degenerate triple"),
+], ids=["member", "rank-too-small", "A3", "degenerate"])
+def test_construct_checks_the_conditions_once(capsys, monkeypatch, argv, code, err):
+    """One `construct` call checks the eight conditions once: the parse
+    checks the shape, and `construct` the conditions."""
+    calls = []
+    rows_of = theta._condition_rows
+
+    def counting(t):
+        calls.append(t)
+        return rows_of(t)
+
+    monkeypatch.setattr(theta, "_condition_rows", counting)
+    got_code, _, got_err = run(capsys, "construct", *argv)
+    assert got_code == code and err in got_err and bool(err) == bool(got_err)
+    assert len(calls) == 1
+
+
 def test_construct_bad_shape(capsys):
     code, _, err = run(capsys, "construct", "2 1; 2 1; 2 1")
     assert code == 2
@@ -278,6 +312,13 @@ def test_enumerate_small_group(capsys):
         "2 -1",
         "2 1",
     ]
+
+
+def test_enumerate_stdout_is_pinned(capsys):
+    for n, digest in ENUMERATE_SHA256.items():
+        code, out, err = run(capsys, "enumerate", str(n))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_enumerate_guard_message(capsys):

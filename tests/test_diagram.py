@@ -8,13 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import full_corners, signed_permutations
+from conftest import full_corners, rank, signed_permutations
 from thetavex.diagram import (
     CornerClass,
     CornerRecord,
     build_extended_diagram,
     corners,
-    rank,
     reflect,
     render_extended,
 )

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import (
+    contains_pattern,
     length_by_descent_stripping,
     naive_find_pattern,
     naive_first_pattern,
@@ -12,7 +13,6 @@ from conftest import (
 from thetavex.sigperm import (
     RankTooLargeError,
     SignedPermutation,
-    contains_pattern,
     enumerate_group,
     find_pattern,
     format_window,

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     assert_structural_facts,
+    derive,
     mirrored_construction,
     reference_optional_corners,
 )
@@ -22,7 +23,6 @@ from thetavex.theta import (
     construct,
     construct_inverse,
     construct_with_trace,
-    derive,
     format_triple,
     generate_triples,
     min_feasible_rank,
