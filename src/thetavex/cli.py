@@ -74,7 +74,7 @@ def cmd_diagram(args) -> int:
 
 def cmd_construct(args) -> int:
     # `construct` checks the eight conditions, once per call
-    t = theta.parse_triple(args.triple, args.rank, conditions=False)
+    t = theta._parse_rows(args.triple, args.rank)
     w = theta.construct(t)
     inverse = w.inverse()
     _emit(

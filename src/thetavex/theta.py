@@ -686,16 +686,21 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
 # notation
 
 
-def parse_triple(text: str, n: Optional[int] = None, *,
-                 conditions: bool = True) -> ThetaTriple:
+def parse_triple(text: str, n: Optional[int] = None) -> ThetaTriple:
     """Parse "k1 k2 ...; p1 p2 ...; q1 q2 ..." into a triple.
 
     The ambient rank defaults to the smallest value that fits the
     entries.  Raises with the first violated shape or condition named.
-    With `conditions` False only the shape is checked: for a caller that
-    hands the triple to `construct`, which checks the eight conditions
-    first and words a refusal the same way.
     """
+    t = _parse_rows(text, n)
+    _require_valid(t)
+    return t
+
+
+def _parse_rows(text: str, n: Optional[int]) -> ThetaTriple:
+    """`parse_triple` with only the shape checked: for a caller that
+    hands the triple to `construct`, which checks the eight conditions
+    first and words a refusal the same way."""
     parts = text.split(";")
     if len(parts) != 3:
         raise ValueError(
@@ -710,7 +715,9 @@ def parse_triple(text: str, n: Optional[int] = None, *,
             except ValueError:
                 raise ValueError(f"bad triple token {tok!r}: not an integer") from None
         rows.append(tuple(row))
-    return _checked_triple(*rows, n, conditions)
+    if n is None:
+        n = _fitting_rank(*rows)
+    return ThetaTriple(*rows, n)
 
 
 def format_triple(t: ThetaTriple) -> str:
@@ -742,13 +749,11 @@ def triple_from_json(obj: dict) -> ThetaTriple:
 
 
 def _checked_triple(k: Sequence[int], p: Sequence[int], q: Sequence[int],
-                    n: Optional[int], conditions: bool = True) -> ThetaTriple:
+                    n: Optional[int]) -> ThetaTriple:
     """The triple of parsed rows at rank n, by default the smallest that
-    fits, with its shape checked, and all eight conditions unless
-    `conditions` is False."""
+    fits, with its shape and all eight conditions checked."""
     if n is None:
         n = _fitting_rank(k, p, q)
     t = ThetaTriple(k, p, q, n)
-    if conditions:
-        _require_valid(t)
+    _require_valid(t)
     return t
