@@ -168,14 +168,20 @@ def corners(w: SignedPermutation) -> CornerSet:
     A position (p, q) with p in [1, n] is a corner when the box
     (q-1, -p) is an SE corner of the embedded diagram.  In terms of the
     full form (with w(0) = 0) and its inverse v, that box needs
-    w(p-1) > w(p), so p-1 is a descent, and q in [1 - w(p-1), -w(p)];
-    each such candidate is then a corner exactly when
-    v(q-1) > -p >= v(q).  The work is one pass over the descents plus
-    one O(1) test per candidate, never a scan of all boxes.
+    w(p-1) > w(p), so p-1 is a descent, and q in [1 - w(p-1), -w(p)],
+    and then v(q-1) > -p >= v(q).  Read on the tail, the set of values
+    at positions >= p, that test says -q is in the tail and 1 - q is
+    not.  The pass keeps the tail as one int bitmask, bit n + v for the
+    value v, while p steps down from n; a descent column's corners are
+    then the bits v in [w(p), w(p-1)) of `tail & ~(tail >> 1)`, each
+    with q = -v and k the number of tail values up to v.  The work is
+    a few operations on that int per descent and per corner, never a
+    scan of all boxes.
 
     So no position with p = 1 and q < 0 needs excluding: for p = 1 the
-    candidate range starts at q = 1 - w(0) = 1, and the exclusion of
-    those positions is vacuous.
+    value range ends below w(0) = 0, and the exclusion of those
+    positions is vacuous.  Nor is q = 0 ever a corner: bit n, the
+    value 0, is never set.
 
     The NE path is the set of positions minimal in the order
     (p, q) < (p', q') iff p > p' and q < q'.  With p descending, that
@@ -194,35 +200,32 @@ def corners(w: SignedPermutation) -> CornerSet:
     """
     win = w.window
     n = len(win)
-    # inverse of the full form on [-n, n], stored at offset n
-    inv = [0] * (2 * n + 1)
-    for i, v in enumerate(win, start=1):
-        inv[n + v] = i
-        inv[n - v] = -i
     found = []  # [k, p, q, kind] per corner, in p desc, q desc order
     path_qs = set()  # the q of every path corner found so far
     bound = n + 1  # the least q of a corner at a larger p
     stray = None
+    tail = 0  # bit n + v set for each value v at a position >= p
     for p in range(n, 0, -1):
-        left, here = (win[p - 2] if p > 1 else 0), win[p - 1]
+        here = win[p - 1]
+        tail |= 1 << n + here
+        left = win[p - 2] if p > 1 else 0
         if left < here:
             continue
-        # k counts the tail's values up to -q; as q steps down, value -q
-        # joins the count when it sits in the tail (position >= p)
-        k = 0
-        for x in win[p - 1:]:
-            if x < here:
-                k += 1
+        # the values v in [here, left) with v in the tail and v + 1 not,
+        # lowest first, which is q = -v descending
+        ends = tail & ~(tail >> 1) & (1 << n + left) - (1 << n + here)
         start, off = len(found), 0
-        for q in range(-here, -left, -1):
-            k += inv[n - q] >= p
-            if inv[n + q - 1] > -p >= inv[n + q]:
-                if q <= bound:
-                    found.append([k, p, q, _NE_PATH])
-                    path_qs.add(q)
-                else:
-                    found.append([k, p, q, _OTHER])
-                    off += 1
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            k = (tail & (low << 1) - 1).bit_count()
+            q = n + 1 - low.bit_length()  # low is bit n + v, and q = -v
+            if q <= bound:
+                found.append([k, p, q, _NE_PATH])
+                path_qs.add(q)
+            else:
+                found.append([k, p, q, _OTHER])
+                off += 1
         # the column's path corners come after its `off` corners off the path
         column_mate = len(found) > start + off
         for x in range(start, start + off):

@@ -67,11 +67,13 @@ class ThetaTriple:
             raise ValueError("k, p, q must have equal lengths")
         if self.n < 1:
             raise ValueError(f"ambient rank must be positive, got {self.n}")
-        if any(v < 1 for v in k) or any(k[i] >= k[i + 1] for i in range(len(k) - 1)):
+        # each row against its shift, the entries being ints by now:
+        # 0 < k_1 < ... < k_s and p_1 >= ... >= p_s >= 1
+        if not all(map(int.__lt__, (0, *k), k)):
             raise ValueError(f"k must be strictly increasing and positive: {k}")
-        if any(v < 1 for v in p) or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+        if not all(map(int.__ge__, p, (*p[1:], 1))):
             raise ValueError(f"p must be weakly decreasing and positive: {p}")
-        if any(q[i] < q[i + 1] for i in range(len(q) - 1)):
+        if not all(map(int.__ge__, q, q[1:])):
             raise ValueError(f"q must be weakly decreasing: {q}")
         bound = _fitting_rank(k, p, q)
         if bound > self.n:
@@ -380,28 +382,65 @@ def _coherence_failure(q: Sequence[int], a: int, R, step_values, i: int) -> Opti
     return None
 
 
+def _entry_ok(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
+              R: Dict[int, Optional[int]], step_values, i: int) -> bool:
+    """Whether entry i passes the checks it completes: for a negative
+    q_i, R(i) must exist (A2), and it is stored in R; the conditions of
+    `_entry_checks` must hold; and from the cut a on, `_coherence_failure`
+    must find nothing.  a is the cut index of entries 1..i, and R and
+    `step_values` must hold entries and steps up to i-1.
+    `generate_triples` runs it on each new entry of a prefix, and
+    `_checked_run` on each entry of a placed triple."""
+    if q[i - 1] < 0:
+        r = R[i] = _r_index(q, a, i)
+        if r is None:
+            return False
+    for row in _entry_checks(k, p, q, a, R, i):
+        if not row[1]:
+            return False
+    return i < a or _coherence_failure(q, a, R, step_values, i) is None
+
+
 def _checked_run(
     t: ThetaTriple,
 ) -> Tuple[List[int], List[Tuple[List[int], List[int]]]]:
     """The placement run (`_placement_run`) of a triple that must be
     buildable at its rank: raises InvalidTripleError when a condition
     fails or the triple is degenerate, and InfeasibleRankError when a
-    step runs short."""
+    step runs short.
+
+    The run places first.  When every step placed, no q is 0 and every
+    entry passes `_entry_ok` (so every R(i) exists, and A1 and A2 hold)
+    and then A3 and B3 hold, the triple is buildable, and no verdict
+    row is built.  Only a refusal takes the wording path: the first
+    failing condition (`_require_valid`), then the step that runs
+    short, then the first coherence failure."""
+    k, p, q, s = t.k, t.p, t.q, len(t.k)
+    window, steps = _placement_run(k, p, q, t.n)
+    if len(steps) > s and 0 not in q:
+        a = 1 + sum(v > 0 for v in q)
+        R: Dict[int, Optional[int]] = {}
+        values = [v for v, _ in steps]
+        for i in range(1, s + 1):
+            if not _entry_ok(k, p, q, a, R, values, i):
+                break
+        else:
+            if all(row[1] for row in _closing_checks(k, p, q, a, R)):
+                return window, steps
     a, R = _require_valid(t)
-    window, steps = _placement_run(t.k, t.p, t.q, t.n)
-    if len(steps) <= t.s:
+    if len(steps) <= s:
         i = len(steps) + 1
         minimum = min_feasible_rank(t)
         raise InfeasibleRankError(
-            f"step {i} needs {t.k[i - 1] - _k_at(t.k, i - 1)} unused values "
-            f"at or below {-t.q[i - 1]} and as many free positions at or "
-            f"after {t.p[i - 1]}; rank {t.n} is too small (minimum feasible "
+            f"step {i} needs {k[i - 1] - _k_at(k, i - 1)} unused values "
+            f"at or below {-q[i - 1]} and as many free positions at or "
+            f"after {p[i - 1]}; rank {t.n} is too small (minimum feasible "
             f"rank is {minimum})",
             minimum=minimum,
         )
     values = [v for v, _ in steps]
-    for i in range(a, t.s + 1):
-        failure = _coherence_failure(t.q, a, R, values, i)
+    for i in range(a, s + 1):
+        failure = _coherence_failure(q, a, R, values, i)
         if failure:
             raise InvalidTripleError(failure)
     return window, steps
@@ -483,10 +522,10 @@ def recover(
         cs = corners(w)
     if cs.stray is not None:
         return None
-    kept = [c for c in cs if c.kind is CornerClass.NE_PATH]
+    kept = [c for c in cs.corners if c.kind is CornerClass.NE_PATH]
+    k, p, q, _ = zip(*kept) if kept else ((),) * 4
     try:
-        return ThetaTriple(tuple(c.k for c in kept), tuple(c.p for c in kept),
-                           tuple(c.q for c in kept), w.n)
+        return ThetaTriple(k, p, q, w.n)
     except ValueError:
         return None
 
@@ -527,10 +566,10 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     value and bit n + z for each taken position, as `_place` reads it.
     A child gets a new int, so the parent's mask is unchanged and
     backtracking needs no undo of it.  Each visited q_i still costs the
-    conditions it completes (`_entry_checks`), one placement step
-    (`_place`) and the coherence check at i (`_coherence_failure`); a
-    prefix that passes them is emitted when A3 and B3 hold
-    (`_closing_checks`), and is then extended.
+    checks it completes (`_entry_ok`: R(i), the conditions and the
+    coherence check at i) and one placement step (`_place`); a prefix
+    that passes them is emitted when A3 and B3 hold (`_closing_checks`),
+    and is then extended.
 
     A prefix that fails any of these is cut with its whole subtree, and
     this loses nothing.  A condition that entry i completes reads only
@@ -566,9 +605,10 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     it at once.  Every later visit replays the record without checks:
     it appends the entries to the prefix and builds each emitted
     `ThetaTriple` from the whole prefix, as the first visit would, so the
-    output and its order are those of the unshared search.  The record
-    lives for one call and is cleared when the generator finishes or is
-    closed.
+    output and its order are those of the unshared search.  The emitted
+    triples share their rows, one tuple per distinct k, p or q row.  The
+    record and the rows live for one call and are cleared when the
+    generator finishes or is closed.
 
     Both visits build their triples with `ThetaTriple._of`, skipping the
     shape checks, which the loop bounds already guarantee: k_i runs up
@@ -590,21 +630,15 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     # holds them in half the memory of a tuple per extension); () marks
     # a state with nothing below it
     memo: Dict[int, tuple] = {}
+    # one tuple per distinct row emitted, shared by every triple that has it
+    rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     base = 2 * n + 1  # every key digit lies in [0, 2n]
 
-    def admit(a: int, count: int, mask: int) -> Optional[Tuple[List[int], List[int]]]:
-        # the newest entry's placement into the parent's mask, or None to
-        # cut it with its subtree
-        i = len(ks)
-        if qs[-1] < 0:
-            R[i] = _r_index(qs, a, i)
-            if R[i] is None:
-                return None
-        if not all(row[1] for row in _entry_checks(ks, ps, qs, a, R, i)):
-            return None
-        if i >= a and _coherence_failure(qs, a, R, step_values, i):
-            return None
-        return _place(count, -qs[-1], ps[-1], n, mask)
+    def triple() -> ThetaTriple:
+        # the prefix as a triple, each row the shared tuple of its value
+        k, p, q = tuple(ks), tuple(ps), tuple(qs)
+        return ThetaTriple._of(rows.setdefault(k, k), rows.setdefault(p, p),
+                               rows.setdefault(q, q), n)
 
     def replay(record: tuple) -> Iterator[ThetaTriple]:
         fields = iter(record)
@@ -613,7 +647,7 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
             ps.append(p_new)
             qs.append(q_new)
             if emits:
-                yield ThetaTriple._of(tuple(ks), tuple(ps), tuple(qs), n)
+                yield triple()
             if child:
                 yield from replay(child)
             ks.pop()
@@ -644,13 +678,14 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                 for q_new in _q_candidates(n, ks, ps, qs, a, negatives):
                     qs.append(q_new)
                     a_new = i + 1 if q_new > 0 else a
-                    placed = admit(a_new, k_new - k_prev, mask)
-                    if placed is not None:
+                    placed = _entry_ok(ks, ps, qs, a_new, R, step_values, i) and _place(
+                        k_new - k_prev, -q_new, p_new, n, mask)
+                    if placed:
                         values, positions = placed
                         step_values.append(values)
                         emits = all(row[1] for row in _closing_checks(ks, ps, qs, a_new, R))
                         if emits:
-                            yield ThetaTriple._of(tuple(ks), tuple(ps), tuple(qs), n)
+                            yield triple()
                         child_mask = mask
                         for v, z in zip(values, positions):
                             child_mask |= 1 << abs(v) | 1 << n + z
@@ -677,9 +712,10 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     try:
         yield from extend(1, 0, 0)
     finally:
-        # extend refers to itself, so the closure and the memo it holds
-        # would otherwise live on until the cycle collector runs
+        # extend refers to itself, so the closure and the memo and rows it
+        # holds would otherwise live on until the cycle collector runs
         memo.clear()
+        rows.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -177,19 +177,31 @@ def test_construct_help_example_builds(capsys):
     (("1 2 3 4; 5 3 3 2; 3 3 1 -4", "-n", "5"), 2, "degenerate triple"),
 ], ids=["member", "rank-too-small", "A3", "degenerate"])
 def test_construct_checks_the_conditions_once(capsys, monkeypatch, argv, code, err):
-    """One `construct` call checks the eight conditions once: the parse
-    checks the shape, and `construct` the conditions."""
-    calls = []
-    rows_of = theta._condition_rows
+    """One `construct` call checks the conditions once: the parse checks
+    the shape, and `construct` the conditions.  A member runs the shared
+    per-entry check once per entry and builds no verdict rows; a refusal
+    builds the rows exactly once, to word its message."""
+    rows, entries = [], []
+    rows_of, entry_ok = theta._condition_rows, theta._entry_ok
 
-    def counting(t):
-        calls.append(t)
+    def counting_rows(t):
+        rows.append(t)
         return rows_of(t)
 
-    monkeypatch.setattr(theta, "_condition_rows", counting)
+    def counting_entries(*args):
+        entries.append(args[-1])
+        return entry_ok(*args)
+
+    monkeypatch.setattr(theta, "_condition_rows", counting_rows)
+    monkeypatch.setattr(theta, "_entry_ok", counting_entries)
     got_code, _, got_err = run(capsys, "construct", *argv)
     assert got_code == code and err in got_err and bool(err) == bool(got_err)
-    assert len(calls) == 1
+    if code == 0:
+        s = len(argv[0].split(";")[0].split())
+        assert entries == list(range(1, s + 1))
+        assert rows == []
+    else:
+        assert len(rows) == 1
 
 
 def test_construct_bad_shape(capsys):

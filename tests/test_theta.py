@@ -468,6 +468,42 @@ def test_degenerate_tuples_not_generated():
     assert not set(DEGENERATE) & set(generate_triples(5))
 
 
+def test_lean_construction_check_agrees_with_the_wording_path():
+    """`construct` places first and then checks each entry with
+    `_entry_ok`, building no verdict rows.  It builds exactly when
+    `validate(t).ok` holds, every step places and no coherence check
+    fails; otherwise it refuses as the full report, the short step
+    (with its `minimum`) or the first coherence failure words it."""
+    built = refused = 0
+    for t in [*shape_valid_triples(4), *DEGENERATE, *A1_A2_TRIPLES]:
+        report = validate(t)
+        window, steps = theta._placement_run(t.k, t.p, t.q, t.n)
+        if not report.ok:
+            expected = (InvalidTripleError, report.failure_message())
+        elif len(steps) <= t.s:
+            try:
+                expected = (InfeasibleRankError, min_feasible_rank(t))
+            except InvalidTripleError as exc:
+                expected = (InvalidTripleError, str(exc))
+        else:
+            a, R = theta._cut_and_r(t.q)
+            values = [v for v, _ in steps]
+            failure = next(filter(None, (theta._coherence_failure(t.q, a, R, values, i)
+                                         for i in range(a, t.s + 1))), None)
+            expected = (InvalidTripleError, failure) if failure else (None, tuple(window[1:]))
+        try:
+            got = (None, construct(t).window)
+            built += 1
+        except InfeasibleRankError as exc:
+            got = (InfeasibleRankError, exc.minimum)
+            refused += 1
+        except InvalidTripleError as exc:
+            got = (InvalidTripleError, str(exc))
+            refused += 1
+        assert got == expected, format_triple(t)
+    assert built and refused
+
+
 def test_tied_triples_construct_and_round_trip():
     for t, window in TIED_OK:
         w = construct(t)
@@ -683,6 +719,16 @@ def test_generated_triples_equal_their_checked_rebuild():
         for t in generate_triples(n):
             assert type(t.k) is type(t.p) is type(t.q) is tuple
             assert t == ThetaTriple(t.k, t.p, t.q, t.n)
+
+
+def test_generated_triples_share_equal_rows():
+    """Within one call the generator keeps one tuple per distinct row:
+    equal rows of the emitted triples are the same object."""
+    for n in (4, 6):
+        rows = {}
+        for t in generate_triples(n):
+            for row in (t.k, t.p, t.q):
+                assert rows.setdefault(row, row) is row
 
 
 def test_constructed_windows_pass_the_checked_constructor():
