@@ -359,38 +359,41 @@ def _placement_run(
     return window, steps
 
 
-def _coherence_failure(q: Sequence[int], a: int, R, step_values, i: int) -> Optional[str]:
-    """The executable form of C1 and C2 at an index i >= a: the steps
-    R(i)+1 .. a-1 must place values strictly above q_i.  (Steps from a on
-    place positives by construction, their bound -q_i being positive.)
-    The eight written conditions do not quite imply this on their own —
-    some tied tuples pass them yet place entries out of range, and the
-    placed positions then fail to reproduce the tuple's corners.  Such
-    tuples are rejected rather than silently constructing a permutation
-    that does not belong to them.  `step_values[j - 1]` holds the values
-    of step j in increasing order.  Returns a description of the
-    violation, or None.
+def _coherence_failure(k: Sequence[int], q: Sequence[int], a: int, R,
+                       i: int) -> Optional[int]:
+    """The written coherence condition at an index i >= a: the first step
+    j in (R(i), a) with q_j + k_j - k_{R(i)} > -q_i, or None.
+
+    The construction realizes the triple's corners only when the steps
+    R(i)+1 .. a-1 place values strictly above q_i, that is absolute
+    values below -q_i.  Each such step j places, as negatives, the
+    k_j - k_{j-1} least unused absolute values from q_j on; the steps up
+    to R(i) used only absolute values above -q_i, and while the steps
+    before j stayed below -q_i they used k_{j-1} - k_{R(i)} of the
+    -q_i - q_j values in [q_j, -q_i).  So step j stays below too exactly
+    when the inequality holds, and the first failing j is the first step
+    that places a value at or below q_i.  C2 is the inequality at the
+    one step j = L(i); some tied tuples pass the eight written
+    conditions yet fail it at another j, and are refused as degenerate
+    rather than built into a permutation that does not belong to them.
     """
+    k_r = _k_at(k, R[i])
     for j in range(R[i] + 1, a):
-        low = step_values[j - 1][0]
-        if low <= q[i - 1]:
-            return (
-                f"degenerate triple: step {j} placed {low}, at or "
-                f"below q_{i} = {q[i - 1]}, so the construction "
-                f"cannot realize the triple's corners"
-            )
+        if q[j - 1] + k[j - 1] - k_r > -q[i - 1]:
+            return j
     return None
 
 
 def _entry_ok(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
-              R: Dict[int, Optional[int]], step_values, i: int) -> bool:
+              R: Dict[int, Optional[int]], i: int) -> bool:
     """Whether entry i passes the checks it completes: for a negative
     q_i, R(i) must exist (A2), and it is stored in R; the conditions of
-    `_entry_checks` must hold; and from the cut a on, `_coherence_failure`
-    must find nothing.  a is the cut index of entries 1..i, and R and
-    `step_values` must hold entries and steps up to i-1.
-    `generate_triples` runs it on each new entry of a prefix, and
-    `_checked_run` on each entry of a placed triple."""
+    `_entry_checks` must hold; and from the cut a on, the coherence
+    condition (`_coherence_failure`) must hold.  a is the cut index of
+    entries 1..i, and R must hold the entries up to i-1.  Every check
+    reads the triple alone, never a placed value.  `generate_triples`
+    runs it on each new entry of a prefix, and `_checked_run` on each
+    entry of a placed triple."""
     if q[i - 1] < 0:
         r = R[i] = _r_index(q, a, i)
         if r is None:
@@ -398,7 +401,7 @@ def _entry_ok(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
     for row in _entry_checks(k, p, q, a, R, i):
         if not row[1]:
             return False
-    return i < a or _coherence_failure(q, a, R, step_values, i) is None
+    return i < a or _coherence_failure(k, q, a, R, i) is None
 
 
 def _checked_run(
@@ -414,15 +417,15 @@ def _checked_run(
     and then A3 and B3 hold, the triple is buildable, and no verdict
     row is built.  Only a refusal takes the wording path: the first
     failing condition (`_require_valid`), then the step that runs
-    short, then the first coherence failure."""
+    short, then the first coherence failure, worded with the least
+    value that its step placed."""
     k, p, q, s = t.k, t.p, t.q, len(t.k)
     window, steps = _placement_run(k, p, q, t.n)
     if len(steps) > s and 0 not in q:
         a = 1 + sum(v > 0 for v in q)
         R: Dict[int, Optional[int]] = {}
-        values = [v for v, _ in steps]
         for i in range(1, s + 1):
-            if not _entry_ok(k, p, q, a, R, values, i):
+            if not _entry_ok(k, p, q, a, R, i):
                 break
         else:
             if all(row[1] for row in _closing_checks(k, p, q, a, R)):
@@ -438,11 +441,14 @@ def _checked_run(
             f"rank is {minimum})",
             minimum=minimum,
         )
-    values = [v for v, _ in steps]
     for i in range(a, s + 1):
-        failure = _coherence_failure(q, a, R, values, i)
-        if failure:
-            raise InvalidTripleError(failure)
+        j = _coherence_failure(k, q, a, R, i)
+        if j is not None:
+            raise InvalidTripleError(
+                f"degenerate triple: step {j} placed {steps[j - 1][0][0]}, at "
+                f"or below q_{i} = {q[i - 1]}, so the construction cannot "
+                f"realize the triple's corners"
+            )
     return window, steps
 
 
@@ -560,12 +566,11 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     decreasing, then q decreasing over the values of `_q_candidates`,
     which skips the values that A2, B1, B2 or C1 rule out (and, after a
     negative entry, the p_i and k_i that B2 leaves no value).  The search
-    carries the prefix's state down: the cut index a, R of every negative
-    entry and the values of each step, which it undoes on backtrack, and
-    the placement state, one int `mask` with bit |v| set for each used
-    value and bit n + z for each taken position, as `_place` reads it.
-    A child gets a new int, so the parent's mask is unchanged and
-    backtracking needs no undo of it.  Each visited q_i still costs the
+    carries the prefix's state down: the cut index a and R of every
+    negative entry, and the placement state, one int `mask` with bit |v|
+    set for each used value and bit n + z for each taken position, as
+    `_place` reads it.  A child gets a new int, so the parent's mask is
+    unchanged and backtracking needs no undo of it.  Each visited q_i still costs the
     checks it completes (`_entry_ok`: R(i), the conditions and the
     coherence check at i) and one placement step (`_place`); a prefix
     that passes them is emitted when A3 and B3 hold (`_closing_checks`),
@@ -577,27 +582,27 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     q_i keeps i below the final cut).  Steps 1..i of every extension are
     the steps of the prefix, so a step that runs short runs short in
     every extension.  The coherence check at i reads R(i), the cut a and
-    the steps before a, all fixed once a negative q has appeared, so its
-    failures are permanent too.  Emitted triples thus pass `validate`, fit at
-    rank n and build coherently (see `construct_with_trace`); the
-    degenerate tied tuples that pass the written conditions but cannot
-    realize their own corners are never emitted, so emitted triples
-    correspond one-to-one with the permutations they construct.
+    the entries before a, all fixed once a negative q has appeared, so
+    its failures are permanent too.  Emitted triples thus pass
+    `validate`, fit at rank n and build coherently (see
+    `construct_with_trace`); the degenerate tied tuples that pass the
+    written conditions but cannot realize their own corners are never
+    emitted, so emitted triples correspond one-to-one with the
+    permutations they construct.
 
     Prefixes that reach the same search state share one search below it.
     The state of a placed prefix is its key: (1) for each positive entry
-    j < a, the pair (k_j, q_j) and the least value of step j; (2) the last
-    entry (k, p, q), and its R when q < 0; (3) the used absolute values
-    and the taken positions.  Everything below the prefix reads only the
-    key.  R(i) (A2) and L (C2) read the positive entries' k_j and q_j
-    (1), and so does the A2 exclusion of `_q_candidates`; the cut a is
-    their count plus one.  B1 and B2 read the last entry and its R (2)
-    and k_{R(i)}, a positive entry's k (1); C1 and the C1 cap read
-    k_{R(i)} and k_{a-1} (1).  The coherence check reads the least value
-    of steps R(i)+1 .. a-1 (1).  The B1/B2 cap of `_q_candidates` and the
-    p and k bounds read the last entry (2), whose sign tells whether a
-    negative entry has appeared.  `_place` reads the used values and the
-    taken positions (3) and the last k; A3 and B3 read the new entry and
+    j < a, the pair (k_j, q_j); (2) the last entry (k, p, q), and its R
+    when q < 0; (3) the used absolute values and the taken positions.
+    Everything below the prefix reads only the key.  R(i) (A2), L (C2)
+    and the coherence check read the positive entries' k_j and q_j (1),
+    and so does the A2 exclusion of `_q_candidates`; the cut a is their
+    count plus one.  B1 and B2 read the last entry and its R (2) and
+    k_{R(i)}, a positive entry's k (1); C1 and the C1 cap read k_{R(i)}
+    and k_{a-1} (1).  The B1/B2 cap of `_q_candidates` and the p and k
+    bounds read the last entry (2), whose sign tells whether a negative
+    entry has appeared.  `_place` reads the used values and the taken
+    positions (3) and the last k; A3 and B3 read the new entry and
     k_{R(s)}.  The first visit of a state runs every check below it and
     records its extensions in search order as (k, p, q, emits, child),
     keeping only those that emit or lead to a state with something below
@@ -624,7 +629,6 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     ps: List[int] = []
     qs: List[int] = []
     R: Dict[int, Optional[int]] = {}  # R(i) of the negative entries
-    step_values: List[List[int]] = []
     # state key -> the state's extensions in search order, each as five
     # consecutive fields k, p, q, emits, child record (one flat tuple
     # holds them in half the memory of a tuple per extension); () marks
@@ -657,9 +661,8 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     def extend(a: int, pos: int, mask: int) -> Iterator[ThetaTriple]:
         # the first visit of a state: a is the prefix's cut index (len + 1
         # while every q is positive), pos packs the positive entries'
-        # (k_j, q_j, least value of step j) and mask the used absolute
-        # values (bits 1..n) and taken positions (bits n+1..2n); returns
-        # the state's record
+        # (k_j, q_j) and mask the used absolute values (bits 1..n) and
+        # taken positions (bits n+1..2n); returns the state's record
         record = []
         i = len(ks) + 1
         k_prev = ks[-1] if ks else 0
@@ -678,19 +681,17 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                 for q_new in _q_candidates(n, ks, ps, qs, a, negatives):
                     qs.append(q_new)
                     a_new = i + 1 if q_new > 0 else a
-                    placed = _entry_ok(ks, ps, qs, a_new, R, step_values, i) and _place(
+                    placed = _entry_ok(ks, ps, qs, a_new, R, i) and _place(
                         k_new - k_prev, -q_new, p_new, n, mask)
                     if placed:
-                        values, positions = placed
-                        step_values.append(values)
                         emits = all(row[1] for row in _closing_checks(ks, ps, qs, a_new, R))
                         if emits:
                             yield triple()
                         child_mask = mask
-                        for v, z in zip(values, positions):
+                        for v, z in zip(*placed):
                             child_mask |= 1 << abs(v) | 1 << n + z
                         if q_new > 0:
-                            child_pos = ((pos * base + k_new) * base + q_new) * base - values[0]
+                            child_pos = (pos * base + k_new) * base + q_new
                             r = 0
                         else:
                             child_pos, r = pos, R[i]
@@ -703,7 +704,6 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                             yield from replay(child)
                         if emits or child:
                             record += k_new, p_new, q_new, emits, child
-                        step_values.pop()
                     qs.pop()
                 ps.pop()
             ks.pop()
@@ -751,9 +751,14 @@ def _parse_rows(text: str, n: Optional[int]) -> ThetaTriple:
             except ValueError:
                 raise ValueError(f"bad triple token {tok!r}: not an integer") from None
         rows.append(tuple(row))
-    if n is None:
-        n = _fitting_rank(*rows)
-    return ThetaTriple(*rows, n)
+    return _at_rank(*rows, n)
+
+
+def _at_rank(k: Sequence[int], p: Sequence[int], q: Sequence[int],
+             n: Optional[int]) -> ThetaTriple:
+    """The triple of rows k, p, q at rank n, by default the smallest
+    rank that fits them, with its shape checked."""
+    return ThetaTriple(k, p, q, _fitting_rank(k, p, q) if n is None else n)
 
 
 def format_triple(t: ThetaTriple) -> str:
@@ -781,15 +786,6 @@ def triple_from_json(obj: dict) -> ThetaTriple:
     n = obj.get("n")
     if n is not None and type(n) is not int:
         raise ValueError(f"triple key 'n' must be an integer, got {n!r}")
-    return _checked_triple(k, p, q, n)
-
-
-def _checked_triple(k: Sequence[int], p: Sequence[int], q: Sequence[int],
-                    n: Optional[int]) -> ThetaTriple:
-    """The triple of parsed rows at rank n, by default the smallest that
-    fits, with its shape and all eight conditions checked."""
-    if n is None:
-        n = _fitting_rank(k, p, q)
-    t = ThetaTriple(k, p, q, n)
+    t = _at_rank(k, p, q, n)
     _require_valid(t)
     return t

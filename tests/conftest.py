@@ -177,6 +177,60 @@ def mirrored_construction(t):
     return SignedPermutation([full[z] for z in range(1, n + 1)])
 
 
+def placed_coherence_failure(q, a, R, step_values, i):
+    """The coherence check at an index i >= a read off the placed
+    values: the steps R(i)+1 .. a-1 must place values strictly above
+    q_i.  `step_values[j - 1]` holds the values of
+    step j in increasing order.  Returns the refusal message of the first
+    step that places a value at or below q_i, or None.  The reference
+    for the library's written form, which reads k and q alone."""
+    for j in range(R[i] + 1, a):
+        low = step_values[j - 1][0]
+        if low <= q[i - 1]:
+            return (
+                f"degenerate triple: step {j} placed {low}, at or "
+                f"below q_{i} = {q[i - 1]}, so the construction "
+                f"cannot realize the triple's corners"
+            )
+    return None
+
+
+def compare_coherence_checks(n):
+    """(checks, failures, disagreements) of the written coherence
+    condition `theta._coherence_failure` against
+    `placed_coherence_failure`, over every index i >= a of every (k, q)
+    with entries bounded by n for which A1 and A2 hold, with steps
+    1..a-1 placed at rank 2n, where none runs short.  A disagreement is a
+    (k, q, i) where the two differ in verdict or in the first failing
+    step j, or where the written condition holds and C2 fails at L(i)."""
+    q_values = [v for v in range(n, -n - 1, -1) if v != 0]
+    checks = failures = 0
+    disagreements = []
+    for s in range(1, n + 1):
+        for k in itertools.combinations(range(1, n + 1), s):
+            for q in itertools.combinations_with_replacement(q_values, s):
+                if any(-v in q for v in q if v > 0):
+                    continue  # A2
+                a, R = theta._cut_and_r(q)
+                steps = theta._placement_run(k[:a - 1], (1,) * (a - 1), q[:a - 1], 2 * n)[1]
+                values = [v for v, _ in steps]
+                for i in range(a, s + 1):
+                    placed = placed_coherence_failure(q, a, R, values, i)
+                    j = theta._coherence_failure(k, q, a, R, i)
+                    checks += 1
+                    failures += j is not None
+                    if j is None:
+                        L = theta._l_index(k, q, a, R[i])
+                        agree = placed is None and (L is None or -q[i - 1] >= (
+                            q[L - 1] + k[L - 1] - theta._k_at(k, R[i])))
+                    else:
+                        agree = placed is not None and placed.startswith(
+                            f"degenerate triple: step {j} placed ")
+                    if not agree:
+                        disagreements.append((k, q, i))
+    return checks, failures, disagreements
+
+
 def reference_inverse(w):
     """The inverse v of w by its definition, v(w(i)) = i on the full
     form, built through the checked constructor."""

@@ -8,8 +8,10 @@ import pytest
 
 from conftest import (
     assert_structural_facts,
+    compare_coherence_checks,
     derive,
     mirrored_construction,
+    placed_coherence_failure,
     reference_optional_corners,
 )
 from thetavex import theta
@@ -50,6 +52,13 @@ CORNER_ROUTE_REJECTS = [
 DEGENERATE = [
     ThetaTriple((1, 2, 3, 4), p, (3, 3, 1, -4), 5)
     for p in [(5, 3, 3, 2), (5, 3, 2, 2), (5, 2, 2, 2), (4, 2, 2, 2)]
+]
+
+# degenerate tuples of rank 6 whose first failing step places two
+# values: the refusal names the least of them
+DEGENERATE_WIDE_STEP = [
+    ThetaTriple((1, 3, 4, 5), (6, 4, 3, 2), (4, 3, 1, -5), 6),
+    ThetaTriple((1, 3, 4, 5), (5, 2, 2, 2), (3, 3, 1, -5), 6),
 ]
 
 # repeated p or q values are not degenerate by themselves
@@ -473,9 +482,10 @@ def test_lean_construction_check_agrees_with_the_wording_path():
     `_entry_ok`, building no verdict rows.  It builds exactly when
     `validate(t).ok` holds, every step places and no coherence check
     fails; otherwise it refuses as the full report, the short step
-    (with its `minimum`) or the first coherence failure words it."""
+    (with its `minimum`) or the first coherence failure words it, the
+    last read off the placed values by `placed_coherence_failure`."""
     built = refused = 0
-    for t in [*shape_valid_triples(4), *DEGENERATE, *A1_A2_TRIPLES]:
+    for t in [*shape_valid_triples(4), *DEGENERATE, *DEGENERATE_WIDE_STEP, *A1_A2_TRIPLES]:
         report = validate(t)
         window, steps = theta._placement_run(t.k, t.p, t.q, t.n)
         if not report.ok:
@@ -488,7 +498,7 @@ def test_lean_construction_check_agrees_with_the_wording_path():
         else:
             a, R = theta._cut_and_r(t.q)
             values = [v for v, _ in steps]
-            failure = next(filter(None, (theta._coherence_failure(t.q, a, R, values, i)
+            failure = next(filter(None, (placed_coherence_failure(t.q, a, R, values, i)
                                          for i in range(a, t.s + 1))), None)
             expected = (InvalidTripleError, failure) if failure else (None, tuple(window[1:]))
         try:
@@ -502,6 +512,16 @@ def test_lean_construction_check_agrees_with_the_wording_path():
             refused += 1
         assert got == expected, format_triple(t)
     assert built and refused
+
+
+def test_written_coherence_condition_agrees_with_the_placed_steps():
+    """The coherence condition that `_entry_ok` checks reads k and q
+    alone: entry i >= a fails at the first j in (R(i), a) with
+    q_j + k_j - k_{R(i)} > -q_i.  Over every (k, q) with entries bounded
+    by 6 for which A1 and A2 hold, it fails exactly where the placed
+    values do, at the same first step j, and where it holds, so does C2,
+    its one inequality at j = L(i) (`compare_coherence_checks`)."""
+    assert compare_coherence_checks(6) == (88704, 9884, [])
 
 
 def test_tied_triples_construct_and_round_trip():
