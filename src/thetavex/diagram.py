@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .sigperm import SignedPermutation
 
@@ -103,42 +103,6 @@ class CornerSet:
 
     def __len__(self):
         return len(self.corners)
-
-
-@dataclass(frozen=True)
-class ExtendedDiagram:
-    """Dots, crossed boxes, and surviving boxes on the (2n+1) x n grid.
-
-    `boxes` is everything not weakly south or east of a dot; removing the
-    crossed boxes leaves `diagram_boxes`, whose cardinality equals the
-    length of the permutation.
-    """
-
-    n: int
-    dots: FrozenSet[Box]
-    crosses: FrozenSet[Box]
-    boxes: FrozenSet[Box]
-
-    @property
-    def diagram_boxes(self) -> FrozenSet[Box]:
-        return self.boxes - self.crosses
-
-
-def build_extended_diagram(w: SignedPermutation) -> ExtendedDiagram:
-    n = w.n
-    dots = frozenset((w(i), i) for i in range(-n, 0))
-    crosses = set()
-    for j in range(1, n + 1):
-        # the dot in column -j sits at row -w(j); its crosses fill row w(j)
-        for b in range(-j, 0):
-            crosses.add((w(j), b))
-    winv = w.inverse()
-    boxes = set()
-    for r in range(-n, n + 1):
-        for c in range(-n, 0):
-            if w(c) > r and winv(r) > c:
-                boxes.add((r, c))
-    return ExtendedDiagram(n, dots, frozenset(crosses), frozenset(boxes))
 
 
 def _r_index(q: Sequence[int], a: int, i: int) -> Optional[int]:
@@ -306,18 +270,21 @@ def render_extended(w: SignedPermutation, *, show_crosses: bool = False) -> str:
     column indices sit in the margins.
     """
     n = w.n
-    d = build_extended_diagram(w)
+    v = w.inverse()
     overlay = {t.box: _corner_token(t.k, t.kind) for t in corners(w).corners}
+    crossed = "x" if show_crosses else "."
 
     def cell(r, c):
+        # the dot of column c sits in row w(c); a box has its column's
+        # dot below it and its row's dot, in column v(r), right of it;
+        # the dot (-r, -v(r)) crosses row r from column -v(r) on, which
+        # lies right of the grid unless v(r) > 0
         if (r, c) in overlay:
             return overlay[(r, c)]
-        if (r, c) in d.dots:
+        if w(c) == r:
             return "o"
-        if (r, c) in d.boxes:
-            if (r, c) in d.crosses:
-                return "x" if show_crosses else "."
-            return "#"
+        if w(c) > r and v(r) > c:
+            return crossed if c >= -v(r) else "#"
         return "."
 
     cols = range(-n, 0)

@@ -240,7 +240,20 @@ def _entry_checks(k: Sequence[int], p: Sequence[int], q: Sequence[int],
     is unconstrained), and C1 and C2 at i from the cut on.  Each depends
     on entries 1..i only, so the generator checks a prefix as it grows,
     stopping at the first failing row, and `_condition_rows` checks every
-    i of a finished triple.  R must map every index from a up to i."""
+    i of a finished triple.  R must map every index from a up to i.
+
+    C2 is checked in its exact form, q_j + k_j - k_{R(i)} <= -q_i for
+    every j in (R(i), a); the paper states it at j = L(i) only.  Step
+    j < a places, as negatives, the k_j - k_{j-1} least unused absolute
+    values from q_j on, and the steps up to R(i) use only absolute values
+    above -q_i; while the steps before j stay below -q_i they use
+    k_{j-1} - k_{R(i)} of the -q_i - q_j values in [q_j, -q_i), so step
+    j stays below too exactly when the inequality holds.  A step that
+    does not places a value at or below q_i, and the permutation cannot
+    realize the triple's corners.  A failing row takes its bound from
+    L(i) when the inequality fails there, else from the first failing j,
+    so it words a failure of the paper's C2 as the paper's C2 does
+    (README, "Erratum")."""
     if 2 <= i < a or i > a:
         lhs = (p[i - 2] - p[i - 1]) + (q[i - 2] - q[i - 1])
         rhs = k[i - 1] - k[i - 2]
@@ -253,11 +266,15 @@ def _entry_checks(k: Sequence[int], p: Sequence[int], q: Sequence[int],
         r = R[i]
         k_r = _k_at(k, r)
         yield _row("C1", (i,), -q[i - 1], k[i - 1] - k_r)
-        li = _l_index(k, q, a, r)
-        if li is None:
-            yield ("C2", True, (i,), "vacuous, L absent")
-        else:
-            yield _row("C2", (i,), -q[i - 1], q[li - 1] + k[li - 1] - k_r)
+        for j in range(r + 1, a):
+            if q[j - 1] + k[j - 1] - k_r > -q[i - 1]:
+                li = _l_index(k, q, a, r)
+                if q[li - 1] + k[li - 1] - k_r > -q[i - 1]:
+                    j = li
+                yield _row("C2", (i,), -q[i - 1], q[j - 1] + k[j - 1] - k_r)
+                break
+        else:  # L(i) exists exactly when the range is not empty
+            yield ("C2", True, (i,), "" if r < a - 1 else "vacuous, L absent")
 
 
 def _closing_checks(k: Sequence[int], p: Sequence[int], q: Sequence[int],
@@ -359,41 +376,15 @@ def _placement_run(
     return window, steps
 
 
-def _coherence_failure(k: Sequence[int], q: Sequence[int], a: int, R,
-                       i: int) -> Optional[int]:
-    """The written coherence condition at an index i >= a: the first step
-    j in (R(i), a) with q_j + k_j - k_{R(i)} > -q_i, or None.
-
-    The construction realizes the triple's corners only when the steps
-    R(i)+1 .. a-1 place values strictly above q_i, that is absolute
-    values below -q_i.  Each such step j places, as negatives, the
-    k_j - k_{j-1} least unused absolute values from q_j on; the steps up
-    to R(i) used only absolute values above -q_i, and while the steps
-    before j stayed below -q_i they used k_{j-1} - k_{R(i)} of the
-    -q_i - q_j values in [q_j, -q_i).  So step j stays below too exactly
-    when the inequality holds, and the first failing j is the first step
-    that places a value at or below q_i.  C2 is the inequality at the
-    one step j = L(i); some tied tuples pass the eight written
-    conditions yet fail it at another j, and are refused as degenerate
-    rather than built into a permutation that does not belong to them.
-    """
-    k_r = _k_at(k, R[i])
-    for j in range(R[i] + 1, a):
-        if q[j - 1] + k[j - 1] - k_r > -q[i - 1]:
-            return j
-    return None
-
-
 def _entry_ok(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
               R: Dict[int, Optional[int]], i: int) -> bool:
     """Whether entry i passes the checks it completes: for a negative
-    q_i, R(i) must exist (A2), and it is stored in R; the conditions of
-    `_entry_checks` must hold; and from the cut a on, the coherence
-    condition (`_coherence_failure`) must hold.  a is the cut index of
-    entries 1..i, and R must hold the entries up to i-1.  Every check
-    reads the triple alone, never a placed value.  `generate_triples`
-    runs it on each new entry of a prefix, and `_checked_run` on each
-    entry of a placed triple."""
+    q_i, R(i) must exist (A2), and it is stored in R; and the conditions
+    of `_entry_checks` must hold.  a is the cut index of entries 1..i,
+    and R must hold the entries up to i-1.  Every check reads the triple
+    alone, never a placed value.  `generate_triples` runs it on each new
+    entry of a prefix, and `_checked_run` on each entry of a placed
+    triple."""
     if q[i - 1] < 0:
         r = R[i] = _r_index(q, a, i)
         if r is None:
@@ -401,7 +392,7 @@ def _entry_ok(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
     for row in _entry_checks(k, p, q, a, R, i):
         if not row[1]:
             return False
-    return i < a or _coherence_failure(k, q, a, R, i) is None
+    return True
 
 
 def _checked_run(
@@ -409,16 +400,14 @@ def _checked_run(
 ) -> Tuple[List[int], List[Tuple[List[int], List[int]]]]:
     """The placement run (`_placement_run`) of a triple that must be
     buildable at its rank: raises InvalidTripleError when a condition
-    fails or the triple is degenerate, and InfeasibleRankError when a
-    step runs short.
+    fails, and InfeasibleRankError when a step runs short.
 
     The run places first.  When every step placed, no q is 0 and every
     entry passes `_entry_ok` (so every R(i) exists, and A1 and A2 hold)
     and then A3 and B3 hold, the triple is buildable, and no verdict
     row is built.  Only a refusal takes the wording path: the first
-    failing condition (`_require_valid`), then the step that runs
-    short, then the first coherence failure, worded with the least
-    value that its step placed."""
+    failing condition (`_require_valid`), else the step that runs short,
+    since the lean path reads the same conditions."""
     k, p, q, s = t.k, t.p, t.q, len(t.k)
     window, steps = _placement_run(k, p, q, t.n)
     if len(steps) > s and 0 not in q:
@@ -430,26 +419,16 @@ def _checked_run(
         else:
             if all(row[1] for row in _closing_checks(k, p, q, a, R)):
                 return window, steps
-    a, R = _require_valid(t)
-    if len(steps) <= s:
-        i = len(steps) + 1
-        minimum = min_feasible_rank(t)
-        raise InfeasibleRankError(
-            f"step {i} needs {k[i - 1] - _k_at(k, i - 1)} unused values "
-            f"at or below {-q[i - 1]} and as many free positions at or "
-            f"after {p[i - 1]}; rank {t.n} is too small (minimum feasible "
-            f"rank is {minimum})",
-            minimum=minimum,
-        )
-    for i in range(a, s + 1):
-        j = _coherence_failure(k, q, a, R, i)
-        if j is not None:
-            raise InvalidTripleError(
-                f"degenerate triple: step {j} placed {steps[j - 1][0][0]}, at "
-                f"or below q_{i} = {q[i - 1]}, so the construction cannot "
-                f"realize the triple's corners"
-            )
-    return window, steps
+    _require_valid(t)
+    i = len(steps) + 1
+    minimum = _min_rank(t)
+    raise InfeasibleRankError(
+        f"step {i} needs {k[i - 1] - _k_at(k, i - 1)} unused values "
+        f"at or below {-q[i - 1]} and as many free positions at or "
+        f"after {p[i - 1]}; rank {t.n} is too small (minimum feasible "
+        f"rank is {minimum})",
+        minimum=minimum,
+    )
 
 
 def construct_with_trace(
@@ -477,7 +456,15 @@ def construct(t: ThetaTriple) -> SignedPermutation:
 
 
 def min_feasible_rank(t: ThetaTriple) -> int:
-    """Smallest ambient rank at which the construction succeeds.
+    """Smallest ambient rank at which the construction succeeds; raises
+    InvalidTripleError naming the first failing condition when there is
+    none, as `construct` refuses such a triple at every rank."""
+    _require_valid(t)
+    return _min_rank(t)
+
+
+def _min_rank(t: ThetaTriple) -> int:
+    """The smallest rank at which every placement step of t places.
 
     Found by simulation between the obvious lower bound and a cap that
     always suffices (the lower bound plus the total number of placed
@@ -570,9 +557,9 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     negative entry, and the placement state, one int `mask` with bit |v|
     set for each used value and bit n + z for each taken position, as
     `_place` reads it.  A child gets a new int, so the parent's mask is
-    unchanged and backtracking needs no undo of it.  Each visited q_i still costs the
-    checks it completes (`_entry_ok`: R(i), the conditions and the
-    coherence check at i) and one placement step (`_place`); a prefix
+    unchanged and backtracking needs no undo of it.  Each visited q_i
+    still costs the checks it completes (`_entry_ok`: R(i) and the
+    conditions at i) and one placement step (`_place`); a prefix
     that passes them is emitted when A3 and B3 hold (`_closing_checks`),
     and is then extended.
 
@@ -581,21 +568,18 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     entries 1..i and stays a condition of every extension (a positive
     q_i keeps i below the final cut).  Steps 1..i of every extension are
     the steps of the prefix, so a step that runs short runs short in
-    every extension.  The coherence check at i reads R(i), the cut a and
-    the entries before a, all fixed once a negative q has appeared, so
-    its failures are permanent too.  Emitted triples thus pass
-    `validate`, fit at rank n and build coherently (see
-    `construct_with_trace`); the degenerate tied tuples that pass the
-    written conditions but cannot realize their own corners are never
-    emitted, so emitted triples correspond one-to-one with the
-    permutations they construct.
+    every extension.  Emitted triples thus pass `validate` and fit at
+    rank n; with C2 in its exact form, the tied tuples that pass the
+    paper's eight conditions but cannot realize their own corners fail
+    C2 and are never emitted, so emitted triples correspond one-to-one
+    with the permutations they construct.
 
     Prefixes that reach the same search state share one search below it.
     The state of a placed prefix is its key: (1) for each positive entry
     j < a, the pair (k_j, q_j); (2) the last entry (k, p, q), and its R
     when q < 0; (3) the used absolute values and the taken positions.
-    Everything below the prefix reads only the key.  R(i) (A2), L (C2)
-    and the coherence check read the positive entries' k_j and q_j (1),
+    Everything below the prefix reads only the key.  R(i) (A2) and C2
+    read the positive entries' k_j and q_j (1),
     and so does the A2 exclusion of `_q_candidates`; the cut a is their
     count plus one.  B1 and B2 read the last entry and its R (2) and
     k_{R(i)}, a positive entry's k (1); C1 and the C1 cap read k_{R(i)}

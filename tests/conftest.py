@@ -3,7 +3,7 @@
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import hypothesis.strategies as st
 
@@ -125,6 +125,45 @@ def derive(t):
     return TripleDerived(a, R, {i: theta._l_index(t.k, t.q, a, r) for i, r in R.items()})
 
 
+@dataclass(frozen=True)
+class ExtendedDiagram:
+    """Dots, crossed boxes, and surviving boxes on the (2n+1) x n grid.
+
+    `boxes` is everything not weakly south or east of a dot; removing the
+    crossed boxes leaves `diagram_boxes`, whose cardinality equals the
+    length of the permutation.
+    """
+
+    n: int
+    dots: FrozenSet[Tuple[int, int]]
+    crosses: FrozenSet[Tuple[int, int]]
+    boxes: FrozenSet[Tuple[int, int]]
+
+    @property
+    def diagram_boxes(self):
+        return self.boxes - self.crosses
+
+
+def build_extended_diagram(w):
+    """The extended diagram of w as sets of (row, col) cells, built cell
+    by cell from the definition: the reference that the diagram facts
+    and `render_extended`'s per-cell rule are checked against."""
+    n = w.n
+    dots = frozenset((w(i), i) for i in range(-n, 0))
+    crosses = set()
+    for j in range(1, n + 1):
+        # the dot in column -j sits at row -w(j); its crosses fill row w(j)
+        for b in range(-j, 0):
+            crosses.add((w(j), b))
+    winv = w.inverse()
+    boxes = set()
+    for r in range(-n, n + 1):
+        for c in range(-n, 0):
+            if w(c) > r and winv(r) > c:
+                boxes.add((r, c))
+    return ExtendedDiagram(n, dots, frozenset(crosses), frozenset(boxes))
+
+
 def full_corners(w):
     """Brute-force SE corners (k, p, q) of the full form's diagram on
     [-n, n], p <= 0 included: every box (a, b) where w drops across
@@ -180,29 +219,25 @@ def mirrored_construction(t):
 def placed_coherence_failure(q, a, R, step_values, i):
     """The coherence check at an index i >= a read off the placed
     values: the steps R(i)+1 .. a-1 must place values strictly above
-    q_i.  `step_values[j - 1]` holds the values of
-    step j in increasing order.  Returns the refusal message of the first
-    step that places a value at or below q_i, or None.  The reference
-    for the library's written form, which reads k and q alone."""
-    for j in range(R[i] + 1, a):
-        low = step_values[j - 1][0]
-        if low <= q[i - 1]:
-            return (
-                f"degenerate triple: step {j} placed {low}, at or "
-                f"below q_{i} = {q[i - 1]}, so the construction "
-                f"cannot realize the triple's corners"
-            )
-    return None
+    q_i.  `step_values[j - 1]` holds the values of step j in increasing
+    order.  Returns the first step j that places a value at or below
+    q_i, or None.  The reference for the library's exact C2, which reads
+    k and q alone."""
+    return next((j for j in range(R[i] + 1, a) if step_values[j - 1][0] <= q[i - 1]), None)
 
 
 def compare_coherence_checks(n):
-    """(checks, failures, disagreements) of the written coherence
-    condition `theta._coherence_failure` against
-    `placed_coherence_failure`, over every index i >= a of every (k, q)
-    with entries bounded by n for which A1 and A2 hold, with steps
-    1..a-1 placed at rank 2n, where none runs short.  A disagreement is a
-    (k, q, i) where the two differ in verdict or in the first failing
-    step j, or where the written condition holds and C2 fails at L(i)."""
+    """(checks, failures, disagreements) of the C2 row of
+    `theta._entry_checks` against `placed_coherence_failure`, over every
+    index i >= a of every (k, q) with entries bounded by n for which A1
+    and A2 hold, with steps 1..a-1 placed at rank 2n, where none runs
+    short (C2 does not read p).  A disagreement is a (k, q, i) where the
+    two differ in verdict, or where the row fails with another bound
+    than b(L(i)) when b(L(i)) > -q_i, else b(j) for the first step j
+    that places at or below q_i, where b(j) = q_j + k_j - k_{R(i)}.
+    The first failing step is the one to check: once a step has placed
+    at or below q_i, a later j may fail the inequality and yet place
+    above q_i, as L(i) = 3 does for k = 1 3 4 5, q = 3 3 1 -4."""
     q_values = [v for v in range(n, -n - 1, -1) if v != 0]
     checks = failures = 0
     disagreements = []
@@ -216,16 +251,18 @@ def compare_coherence_checks(n):
                 values = [v for v, _ in steps]
                 for i in range(a, s + 1):
                     placed = placed_coherence_failure(q, a, R, values, i)
-                    j = theta._coherence_failure(k, q, a, R, i)
+                    row = next(row for row in theta._entry_checks(k, (1,) * s, q, a, R, i)
+                               if row[0] == "C2")
                     checks += 1
-                    failures += j is not None
-                    if j is None:
-                        L = theta._l_index(k, q, a, R[i])
-                        agree = placed is None and (L is None or -q[i - 1] >= (
-                            q[L - 1] + k[L - 1] - theta._k_at(k, R[i])))
+                    failures += not row[1]
+                    if row[1] or placed is None:
+                        agree = row[1] and placed is None
                     else:
-                        agree = placed is not None and placed.startswith(
-                            f"degenerate triple: step {j} placed ")
+                        k_r = theta._k_at(k, R[i])
+                        j = theta._l_index(k, q, a, R[i])
+                        if q[j - 1] + k[j - 1] - k_r <= -q[i - 1]:
+                            j = placed
+                        agree = row[3] == (-q[i - 1], q[j - 1] + k[j - 1] - k_r)
                     if not agree:
                         disagreements.append((k, q, i))
     return checks, failures, disagreements
@@ -347,7 +384,7 @@ def assert_structural_facts(t):
     s = t.s
     a = derive(t).a
     full = {c.position for c in full_corners(w)}
-    d = diagram.build_extended_diagram(w)
+    d = build_extended_diagram(w)
 
     # box count realizes the length
     assert len(d.diagram_boxes) == w.length()

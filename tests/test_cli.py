@@ -174,7 +174,7 @@ def test_construct_help_example_builds(capsys):
     ((BIG_TRIPLE, "-n", "10"), 0, ""),
     ((BIG_TRIPLE, "-n", "9"), 2, "minimum feasible rank is 10"),
     (("1; 1; -1",), 2, "error: A3 fails at i=1: q_s = -1 < 0 needs p_s > 1\n"),
-    (("1 2 3 4; 5 3 3 2; 3 3 1 -4", "-n", "5"), 2, "degenerate triple"),
+    (("1 2 3 4; 5 3 3 2; 3 3 1 -4", "-n", "5"), 2, "error: C2 fails at i=4: 4 is not >= 5\n"),
 ], ids=["member", "rank-too-small", "A3", "degenerate"])
 def test_construct_checks_the_conditions_once(capsys, monkeypatch, argv, code, err):
     """One `construct` call checks the conditions once: the parse checks

@@ -8,11 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import full_corners, rank, signed_permutations
+from conftest import build_extended_diagram, full_corners, rank, signed_permutations
 from thetavex.diagram import (
     CornerClass,
     CornerRecord,
-    build_extended_diagram,
     corners,
     reflect,
     render_extended,
@@ -396,6 +395,41 @@ def test_render_crosses_toggle():
     assert "x" not in plain
     assert "x" in crossed
     assert plain.replace(".", "") != crossed.replace(".", "")
+
+
+def rendered_cells(w, **options):
+    """{(row, col): token} of `render_extended(w, **options)`."""
+    lines = render_extended(w, **options).splitlines()[1:]
+    return {
+        (r, c): token
+        for r, line in zip(range(-w.n, w.n + 1), lines)
+        for c, token in zip(range(-w.n, 0), line.split()[1:])
+    }
+
+
+def test_render_cells_match_the_reference_diagram():
+    """Each cell `render_extended` draws from w and its inverse is the
+    cell of the reference diagram, on all of W_1..W_4, and the "#" cells
+    with the corner overlays off the crossed boxes number the length of
+    w.  A corner can sit on a crossed box (the one corner of -2 1 does),
+    so those overlays are left out of the count."""
+    for n in (1, 2, 3, 4):
+        for w in enumerate_group(n):
+            d = build_extended_diagram(w)
+            overlays = {c.box for c in corners(w)}
+            cells = rendered_cells(w, show_crosses=True)
+            for cell, token in cells.items():
+                if cell in overlays:
+                    assert cell in d.boxes
+                elif cell in d.dots:
+                    assert token == "o"
+                elif cell in d.boxes:
+                    assert token == ("x" if cell in d.crosses else "#")
+                else:
+                    assert token == "."
+            count = sum(token == "#" or cell in overlays - d.crosses
+                        for cell, token in cells.items())
+            assert count == w.length()
 
 
 @given(signed_permutations(max_n=4))

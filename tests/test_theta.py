@@ -47,15 +47,15 @@ CORNER_ROUTE_REJECTS = [
     (3, 6, 1, 5, 4, -2),
 ]
 
-# tuples that satisfy all eight written conditions yet cannot realize
-# their own corners; the library must refuse to build them
+# tuples that satisfy the paper's eight conditions yet cannot realize
+# their own corners; C2 in its exact form refuses them
 DEGENERATE = [
     ThetaTriple((1, 2, 3, 4), p, (3, 3, 1, -4), 5)
     for p in [(5, 3, 3, 2), (5, 3, 2, 2), (5, 2, 2, 2), (4, 2, 2, 2)]
 ]
 
 # degenerate tuples of rank 6 whose first failing step places two
-# values: the refusal names the least of them
+# values
 DEGENERATE_WIDE_STEP = [
     ThetaTriple((1, 3, 4, 5), (6, 4, 3, 2), (4, 3, 1, -5), 6),
     ThetaTriple((1, 3, 4, 5), (5, 2, 2, 2), (3, 3, 1, -5), 6),
@@ -347,11 +347,30 @@ def test_min_feasible_rank():
 
 
 def test_min_feasible_rank_refuses_unbuildable_triple():
-    # step 1 needs two positive values at or below 1 at every rank; the
-    # refusal is a real exception, not an assert that python -O drops
+    # step 1 needs two positive values at or below 1 at every rank, which
+    # C1 rules out; the rank search refuses it too, with a real
+    # exception, not an assert that python -O drops
     t = ThetaTriple((2,), (4,), (-1,), 4)
-    with pytest.raises(InvalidTripleError, match=r"no ambient rank fits the triple 2; 4; -1"):
+    with pytest.raises(InvalidTripleError, match=r"^C1 fails at i=1: 1 is not >= 2$"):
         min_feasible_rank(t)
+    with pytest.raises(InvalidTripleError, match=r"no ambient rank fits the triple 2; 4; -1"):
+        theta._min_rank(t)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2; 3 3; 2 1", "B1 fails at i=1: 1 is not > 1"),
+    ("1 2 3 4; 5 3 3 2; 3 3 1 -4", "C2 fails at i=4: 4 is not >= 5"),
+], ids=["B1", "degenerate"])
+def test_min_feasible_rank_refuses_what_no_rank_builds(text, message):
+    """A triple that `construct` refuses at every rank has no minimum
+    feasible rank: the refusal names its first failing condition."""
+    t = theta._parse_rows(text, None)
+    for n in range(t.n, 2 * t.n + 1):
+        with pytest.raises(InvalidTripleError, match=message):
+            construct(t.with_rank(n))
+    with pytest.raises(InvalidTripleError) as refused:
+        min_feasible_rank(t)
+    assert str(refused.value) == message
 
 
 def construction_outcome(t):
@@ -461,16 +480,26 @@ def test_construct_inverse_checks_conditions():
 
 
 def test_degenerate_tuples_pass_written_conditions():
-    for t in DEGENERATE:
-        assert validate(t).ok
+    """The degenerate tuples pass C2 as the paper writes it, at j = L(i)
+    alone, and fail it in its exact form, at another j in (R(i), a)."""
+    for t in [*DEGENERATE, *DEGENERATE_WIDE_STEP]:
+        der = derive(t)
+        i = t.s  # the one negative entry
+        L, k_r = der.L[i], theta._k_at(t.k, der.R[i])
+        assert -t.q[i - 1] >= t.q[L - 1] + t.k[L - 1] - k_r
+        report = validate(t)
+        assert [v.condition for v in report.verdicts if not v.ok] == ["C2"]
+        assert report.first_failure.index == (i,)
 
 
 def test_degenerate_tuples_refused_by_construction():
     for t in DEGENERATE:
-        with pytest.raises(InvalidTripleError, match="degenerate"):
-            construct(t)
-        with pytest.raises(InvalidTripleError, match="degenerate"):
-            construct_inverse(t)
+        message = validate(t).failure_message()
+        assert message.startswith("C2 fails")
+        for build in (construct, construct_inverse):
+            with pytest.raises(InvalidTripleError, match="C2 fails") as refused:
+                build(t)
+            assert str(refused.value) == message
 
 
 def test_degenerate_tuples_not_generated():
@@ -480,10 +509,10 @@ def test_degenerate_tuples_not_generated():
 def test_lean_construction_check_agrees_with_the_wording_path():
     """`construct` places first and then checks each entry with
     `_entry_ok`, building no verdict rows.  It builds exactly when
-    `validate(t).ok` holds, every step places and no coherence check
-    fails; otherwise it refuses as the full report, the short step
-    (with its `minimum`) or the first coherence failure words it, the
-    last read off the placed values by `placed_coherence_failure`."""
+    `validate(t).ok` holds and every step places; otherwise it refuses
+    as the full report or the short step (with its `minimum`) words it.
+    What it builds has no step placing at or below a later q_i, read
+    off the placed values by `placed_coherence_failure`."""
     built = refused = 0
     for t in [*shape_valid_triples(4), *DEGENERATE, *DEGENERATE_WIDE_STEP, *A1_A2_TRIPLES]:
         report = validate(t)
@@ -491,16 +520,13 @@ def test_lean_construction_check_agrees_with_the_wording_path():
         if not report.ok:
             expected = (InvalidTripleError, report.failure_message())
         elif len(steps) <= t.s:
-            try:
-                expected = (InfeasibleRankError, min_feasible_rank(t))
-            except InvalidTripleError as exc:
-                expected = (InvalidTripleError, str(exc))
+            expected = (InfeasibleRankError, min_feasible_rank(t))
         else:
             a, R = theta._cut_and_r(t.q)
             values = [v for v, _ in steps]
-            failure = next(filter(None, (placed_coherence_failure(t.q, a, R, values, i)
-                                         for i in range(a, t.s + 1))), None)
-            expected = (InvalidTripleError, failure) if failure else (None, tuple(window[1:]))
+            assert not any(placed_coherence_failure(t.q, a, R, values, i)
+                           for i in range(a, t.s + 1)), format_triple(t)
+            expected = (None, tuple(window[1:]))
         try:
             got = (None, construct(t).window)
             built += 1
@@ -515,13 +541,31 @@ def test_lean_construction_check_agrees_with_the_wording_path():
 
 
 def test_written_coherence_condition_agrees_with_the_placed_steps():
-    """The coherence condition that `_entry_ok` checks reads k and q
-    alone: entry i >= a fails at the first j in (R(i), a) with
-    q_j + k_j - k_{R(i)} > -q_i.  Over every (k, q) with entries bounded
-    by 6 for which A1 and A2 hold, it fails exactly where the placed
-    values do, at the same first step j, and where it holds, so does C2,
-    its one inequality at j = L(i) (`compare_coherence_checks`)."""
+    """C2 in its exact form reads k and q alone: entry i >= a fails when
+    q_j + k_j - k_{R(i)} > -q_i for some j in (R(i), a).  Over every
+    (k, q) with entries bounded by 6 for which A1 and A2 hold, the C2
+    row fails exactly where the placed values have a step placing at or
+    below q_i, and the bound it reports is that of such a step
+    (`compare_coherence_checks`)."""
     assert compare_coherence_checks(6) == (88704, 9884, [])
+
+
+def test_validate_holds_exactly_when_construct_builds():
+    """`validate(t).ok` means buildable: a triple passes exactly when
+    `construct` builds it at a rank large enough for every step, twice
+    the rank that fits its entries."""
+    built = set()
+    for t in [*shape_valid_triples(4), *DEGENERATE, *DEGENERATE_WIDE_STEP, *A1_A2_TRIPLES]:
+        wide = t.with_rank(2 * theta._fitting_rank(t.k, t.p, t.q))
+        try:
+            construct(wide)
+        except InvalidTripleError:
+            builds = False
+        else:
+            builds = True
+            built.add(t.entries())
+        assert validate(t).ok == builds, format_triple(t)
+    assert {t.entries() for t in generate_triples(4)} <= built
 
 
 def test_tied_triples_construct_and_round_trip():
