@@ -28,12 +28,10 @@ from .diagram import (
 from .sigperm import (
     PatternTable,
     RankTooLargeError,
-    SignedPattern,
     SignedPermutation,
     enumerate_group,
     find_pattern,
     format_window,
-    group_order,
     parse_window,
 )
 from .theta import (
@@ -66,7 +64,6 @@ __all__ = [
     "InvalidTripleError",
     "PatternTable",
     "RankTooLargeError",
-    "SignedPattern",
     "SignedPermutation",
     "StepPlacement",
     "ThetaTriple",
@@ -85,7 +82,6 @@ __all__ = [
     "format_triple",
     "format_window",
     "generate_triples",
-    "group_order",
     "min_feasible_rank",
     "parse_triple",
     "parse_window",

@@ -15,18 +15,15 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from . import theta
 from .diagram import CornerRecord, CornerSet, corners
 from .sigperm import (
     PatternTable,
-    SignedPattern,
     SignedPermutation,
     check_rank_guard,
     find_pattern,
-    group_order,
     walk_windows,
 )
 
@@ -34,7 +31,7 @@ from .sigperm import (
 #: the theta-vexillary class, compiled once for `find_pattern`.  Do not
 #: edit: the table is pinned by hash.
 PATTERNS: PatternTable = PatternTable(
-    SignedPattern(win)
+    SignedPermutation(win)
     for win in (
         (-1, 3, 2),
         (-2, 3, 1),
@@ -61,7 +58,7 @@ def pattern_table_digest() -> str:
 
 def classify_by_patterns(
     w: SignedPermutation,
-) -> Tuple[bool, Optional[Tuple[SignedPattern, Tuple[int, ...]]]]:
+) -> Tuple[bool, Optional[Tuple[SignedPermutation, Tuple[int, ...]]]]:
     """True iff w avoids every pattern; otherwise the first hit found."""
     hit = find_pattern(w, PATTERNS)
     return hit is None, hit
@@ -114,7 +111,7 @@ class ClassificationReport(NamedTuple):
     theta_vexillary: bool
     triple: Optional[theta.ThetaTriple]
     corner_records: Tuple[CornerRecord, ...]
-    pattern_witness: Optional[Tuple[SignedPattern, Tuple[int, ...]]]
+    pattern_witness: Optional[Tuple[SignedPermutation, Tuple[int, ...]]]
     corner_witness: Optional[CornerRecord]
     verdicts: Tuple[bool, bool, bool]
 
@@ -192,15 +189,17 @@ class VerifySummary(NamedTuple):
         )
 
 
-def _verify_chunk(task: Tuple[int, int]) -> Tuple[int, List[Tuple[int, ...]]]:
-    """Members and mismatching windows among the windows of W_n that
-    begin with the letter v, where task = (n, v).  The pattern verdict
+def _verify_chunk(task: Tuple[int, int]) -> Tuple[int, int, List[Tuple[int, ...]]]:
+    """The windows walked, the members and the mismatching windows among
+    the windows of W_n that begin with the letter v, where task = (n, v).
+    The pattern verdict
     is the one `walk_windows` decides along the walk; the corner set is
     computed once per window and read by the corner and triple routes."""
     n, v = task
-    count = 0
+    total = count = 0
     mismatches: List[Tuple[int, ...]] = []
     for win, contains in walk_windows(n, (v,), PATTERNS):
+        total += 1
         w = SignedPermutation._of(win)
         cs = corners(w)
         by_cor = classify_by_corners(w, cs)[0]
@@ -209,7 +208,7 @@ def _verify_chunk(task: Tuple[int, int]) -> Tuple[int, List[Tuple[int, ...]]]:
             count += by_tri
         else:
             mismatches.append(win)
-    return count, mismatches
+    return total, count, mismatches
 
 
 def verify_equivalence(
@@ -235,11 +234,14 @@ def verify_equivalence(
     if workers == 1:
         parts = list(map(_verify_chunk, tasks))
     else:
+        # imported only for a pool, since it pulls in multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_verify_chunk, tasks))
-    count = sum(part_count for part_count, _ in parts)
-    mismatches = tuple(win for _, part_bad in parts for win in part_bad)
-    return VerifySummary(n, group_order(n), count, mismatches)
+    total = sum(part[0] for part in parts)
+    count = sum(part[1] for part in parts)
+    mismatches = tuple(win for *_, part_bad in parts for win in part_bad)
+    return VerifySummary(n, total, count, mismatches)
 
 
 def enumerate_theta_vexillary(

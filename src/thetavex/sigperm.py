@@ -11,7 +11,6 @@ removed: -n < ... < -1 < 1 < ... < n.
 
 from __future__ import annotations
 
-from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 #: Exhaustive scans refuse ranks above this unless explicitly overridden.
@@ -145,11 +144,6 @@ class SignedPermutation:
 
     def __str__(self) -> str:
         return format_window(self)
-
-
-#: Signed patterns are just signed permutations of the pattern's rank;
-#: containment is tested against the window of a larger element.
-SignedPattern = SignedPermutation
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +287,6 @@ def find_pattern(
 
 # ---------------------------------------------------------------------------
 # enumeration of W_n
-
-
-def group_order(n: int) -> int:
-    return (2 ** n) * factorial(n)
 
 
 def walk_windows(

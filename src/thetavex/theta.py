@@ -174,8 +174,17 @@ def _condition_rows(t: ThetaTriple):
     k, p, q, s = t.k, t.p, t.q, t.s
 
     a1_bad = [i for i in range(1, s + 1) if q[i - 1] == 0]
-    a2_bad = next(((i, j) for i, u in enumerate(q, 1)
-                   for j, v in enumerate(q, 1) if u == -v and i != j), None)
+    # A2 names the least pair (i, j), i != j, with q_i = -q_j; equal
+    # entries are adjacent, so a first zero pairs only with the next one
+    first = {v: j for j, v in reversed(list(enumerate(q, 1)))}
+    a2_bad = None
+    for i, u in enumerate(q, 1):
+        j = first.get(-u)
+        if j == i:
+            j = i + 1 if i < s and q[i] == 0 else None
+        if j is not None:
+            a2_bad = (i, j)
+            break
     rows = [
         ("A1", not a1_bad, (a1_bad[0],) if a1_bad else None,
          "q entry is zero" if a1_bad else ""),
@@ -307,69 +316,49 @@ class StepPlacement:
     placements: Tuple[Tuple[int, int], ...]
 
 
-def _place(count: int, bound: int, start: int, n: int,
-           mask: int) -> Optional[Tuple[List[int], List[int]]]:
-    """One placement step, without side effects.
-
-    `mask` is the placement state: bit |v| is set for each absolute
-    value already placed and bit n + z for each position already filled.
-    The values are the `count` largest v <= bound of the sign of `bound`,
-    v >= -n, with bit |v| clear, in increasing order; the positions are
-    the first `count` positions z in [start, n] with bit n + z clear.
-    Returns (values, positions), or None when either runs short.
-    """
-    values: List[int] = []
-    floor = -n if bound < 0 else 1
-    v = bound
-    while len(values) < count:
-        if v < floor:
-            return None
-        if not mask >> abs(v) & 1:
-            values.append(v)
-        v -= 1
-    values.reverse()
-    positions: List[int] = []
-    taken = mask >> n
-    z = start
-    while len(positions) < count:
-        if z > n:
-            return None
-        if not taken >> z & 1:
-            positions.append(z)
-        z += 1
-    return values, positions
+def _step_rank(k_i: int, p_i: int, q_i: int) -> int:
+    """The step rank of entry i: once the steps before it have placed,
+    step i places exactly at the ranks from this one on, for a triple
+    that passes the conditions.  Its positions, and for q_i > 0 its
+    absolute values, park (README, "Feasibility")."""
+    return max(p_i, q_i) + k_i - 1
 
 
 def _placement_run(
     k: Sequence[int], p: Sequence[int], q: Sequence[int], n: int
 ) -> Tuple[List[int], List[Tuple[List[int], List[int]]]]:
-    """The placement steps of (k, p, q) at rank n, over the window.
-
+    """The s + 1 placement steps of (k, p, q) at rank n, for a triple
+    that passes the conditions at a rank of at least its `_min_rank`.
     Step i places the k_i - k_{i-1} largest unused values at or below
-    -q_i into the free positions from p_i on, reading and updating the
-    state `mask` of `_place`.  When all s steps place, step s + 1 fills:
-    the unused positive values in increasing order into the free
-    positions (each placement took one position and one absolute value,
-    so the two are equally many).  Returns the window (`window[z]` is
-    the value at position z in 1..n, 0 while z is free) and the
-    (values, positions) of each step; the steps stop before the first
-    one that runs short, so s + 1 of them mean the window is full.
-    """
+    -q_i, increasing, into the first free positions from p_i on; step
+    s + 1 fills the unused positive values, increasing, into the free
+    positions.  Returns the window (`window[z]` is the value at position
+    z in 1..n, 0 while z is free) and each step's (values, positions)."""
     window = [0] * (n + 1)
-    mask = 0
+    used = [False] * (n + 1)
     steps = []
     prev_k = 0
     for k_i, p_i, q_i in zip(k, p, q):
-        placed = _place(k_i - prev_k, -q_i, p_i, n, mask)
-        if placed is None:
-            return window, steps
-        for v, z in zip(*placed):
+        values: List[int] = []
+        positions: List[int] = []
+        v, z = -q_i, p_i
+        for _ in range(k_i - prev_k):
+            while used[abs(v)]:
+                v -= 1
+            while window[z]:
+                z += 1
+            values.append(v)
+            positions.append(z)
+            used[abs(v)] = True
+            v -= 1
+            z += 1
+        values.reverse()
+        for v, z in zip(values, positions):
             window[z] = v
-            mask |= 1 << abs(v) | 1 << n + z
-        steps.append(placed)
+        steps.append((values, positions))
         prev_k = k_i
-    values = [v for v in range(1, n + 1) if not mask >> v & 1]
-    positions = [z for z in range(1, n + 1) if not mask >> n + z & 1]
+    values = [v for v in range(1, n + 1) if not used[v]]
+    positions = [z for z in range(1, n + 1) if not window[z]]
     for v, z in zip(values, positions):
         window[z] = v
     steps.append((values, positions))
@@ -383,7 +372,7 @@ def _entry_ok(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
     of `_entry_checks` must hold.  a is the cut index of entries 1..i,
     and R must hold the entries up to i-1.  Every check reads the triple
     alone, never a placed value.  `generate_triples` runs it on each new
-    entry of a prefix, and `_checked_run` on each entry of a placed
+    entry of a prefix, and `_conditions_hold` on each entry of a whole
     triple."""
     if q[i - 1] < 0:
         r = R[i] = _r_index(q, a, i)
@@ -395,54 +384,53 @@ def _entry_ok(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
     return True
 
 
+def _conditions_hold(k: Sequence[int], p: Sequence[int], q: Sequence[int]) -> bool:
+    """Whether the eight conditions hold, read without verdict rows: no
+    q is 0, every entry passes `_entry_ok` (so every R(i) exists, and A1
+    and A2 hold), and A3 and B3 hold."""
+    if 0 in q:
+        return False
+    a = 1 + len([v for v in q if v > 0])
+    R: Dict[int, Optional[int]] = {}
+    for i in range(1, len(k) + 1):
+        if not _entry_ok(k, p, q, a, R, i):
+            return False
+    return all(row[1] for row in _closing_checks(k, p, q, a, R))
+
+
 def _checked_run(
     t: ThetaTriple,
 ) -> Tuple[List[int], List[Tuple[List[int], List[int]]]]:
     """The placement run (`_placement_run`) of a triple that must be
     buildable at its rank: raises InvalidTripleError when a condition
-    fails, and InfeasibleRankError when a step runs short.
+    fails, and InfeasibleRankError when the rank is below `_min_rank`.
 
-    The run places first.  When every step placed, no q is 0 and every
-    entry passes `_entry_ok` (so every R(i) exists, and A1 and A2 hold)
-    and then A3 and B3 hold, the triple is buildable, and no verdict
-    row is built.  Only a refusal takes the wording path: the first
-    failing condition (`_require_valid`), else the step that runs short,
-    since the lean path reads the same conditions."""
-    k, p, q, s = t.k, t.p, t.q, len(t.k)
-    window, steps = _placement_run(k, p, q, t.n)
-    if len(steps) > s and 0 not in q:
-        a = 1 + sum(v > 0 for v in q)
-        R: Dict[int, Optional[int]] = {}
-        for i in range(1, s + 1):
-            if not _entry_ok(k, p, q, a, R, i):
-                break
-        else:
-            if all(row[1] for row in _closing_checks(k, p, q, a, R)):
-                return window, steps
-    _require_valid(t)
-    i = len(steps) + 1
-    minimum = _min_rank(t)
-    raise InfeasibleRankError(
-        f"step {i} needs {k[i - 1] - _k_at(k, i - 1)} unused values "
-        f"at or below {-q[i - 1]} and as many free positions at or "
-        f"after {p[i - 1]}; rank {t.n} is too small (minimum feasible "
-        f"rank is {minimum})",
-        minimum=minimum,
-    )
+    The conditions come first (`_conditions_hold`); only a failure
+    builds the verdict rows, to name the first failing condition
+    (`_require_valid`).  The rank comes next: the first step whose step
+    rank exceeds it is the first step that would run short."""
+    k, p, q = t.k, t.p, t.q
+    if not _conditions_hold(k, p, q):
+        _require_valid(t)
+    for i, (k_i, p_i, q_i) in enumerate(zip(k, p, q), 1):
+        if _step_rank(k_i, p_i, q_i) > t.n:
+            minimum = _min_rank(t)
+            raise InfeasibleRankError(
+                f"step {i} needs {k_i - _k_at(k, i - 1)} unused values "
+                f"at or below {-q_i} and as many free positions at or "
+                f"after {p_i}; rank {t.n} is too small (minimum feasible "
+                f"rank is {minimum})",
+                minimum=minimum,
+            )
+    return _placement_run(k, p, q, t.n)
 
 
 def construct_with_trace(
     t: ThetaTriple,
 ) -> Tuple[SignedPermutation, Tuple[StepPlacement, ...]]:
-    """Run the s+1 placement steps at the triple's rank, returning the
-    permutation and the per-step placements.
-
-    Step (i) places the k_i - k_{i-1} largest unused values of the same
-    sign as -q_i that are <= -q_i, in increasing order, into the free
-    positions scanning right from p_i.  Step (s+1) fills what is left
-    with the unused positive values in increasing order.  For another
-    rank, build `t.with_rank(n)`.
-    """
+    """Run the s+1 placement steps (`_placement_run`) at the triple's
+    rank, returning the permutation and the per-step placements.  For
+    another rank, build `t.with_rank(n)`."""
     window, steps = _checked_run(t)
     trace = tuple(StepPlacement(i, tuple(zip(*placed)))
                   for i, placed in enumerate(steps, start=1))
@@ -464,26 +452,10 @@ def min_feasible_rank(t: ThetaTriple) -> int:
 
 
 def _min_rank(t: ThetaTriple) -> int:
-    """The smallest rank at which every placement step of t places.
-
-    Found by simulation between the obvious lower bound and a cap that
-    always suffices (the lower bound plus the total number of placed
-    entries); the construction is stable under rank growth, so the first
-    success is the minimum.  From the cap on, the negative value pools
-    and the runs of positions are large enough and every step places the
-    same values at every rank, so a triple that still runs short there
-    (too few positive values under some step's bound) runs short at every
-    rank; it raises InvalidTripleError.
-    """
-    lb = _fitting_rank(t.k, t.p, t.q)
-    cap = lb + (t.k[-1] if t.k else 0)
-    for n in range(lb, cap + 1):
-        if len(_placement_run(t.k, t.p, t.q, n)[1]) > t.s:
-            return n
-    raise InvalidTripleError(
-        f"no ambient rank fits the triple {format_triple(t)}: its placement "
-        f"steps run short at every rank from {lb} to {cap}"
-    )
+    """The smallest rank at which every placement step of t places, for
+    a t that passes the conditions: the rank that fits its entries or
+    its largest step rank (`_step_rank`), whichever is larger."""
+    return max((_fitting_rank(t.k, t.p, t.q), *map(_step_rank, t.k, t.p, t.q)))
 
 
 def construct_inverse(t: ThetaTriple) -> SignedPermutation:
@@ -553,51 +525,46 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     decreasing, then q decreasing over the values of `_q_candidates`,
     which skips the values that A2, B1, B2 or C1 rule out (and, after a
     negative entry, the p_i and k_i that B2 leaves no value).  The search
-    carries the prefix's state down: the cut index a and R of every
-    negative entry, and the placement state, one int `mask` with bit |v|
-    set for each used value and bit n + z for each taken position, as
-    `_place` reads it.  A child gets a new int, so the parent's mask is
-    unchanged and backtracking needs no undo of it.  Each visited q_i
-    still costs the checks it completes (`_entry_ok`: R(i) and the
-    conditions at i) and one placement step (`_place`); a prefix
-    that passes them is emitted when A3 and B3 hold (`_closing_checks`),
-    and is then extended.
+    carries the cut index a and R of every negative entry down.  Each
+    visited q_i still costs its step rank (`_step_rank`, at most n) and
+    the checks it completes (`_entry_ok`: R(i) and the conditions at i);
+    a prefix that passes them is emitted when A3 and B3 hold
+    (`_closing_checks`), and is then extended.
 
     A prefix that fails any of these is cut with its whole subtree, and
     this loses nothing.  A condition that entry i completes reads only
     entries 1..i and stays a condition of every extension (a positive
-    q_i keeps i below the final cut).  Steps 1..i of every extension are
-    the steps of the prefix, so a step that runs short runs short in
-    every extension.  Emitted triples thus pass `validate` and fit at
-    rank n; with C2 in its exact form, the tied tuples that pass the
-    paper's eight conditions but cannot realize their own corners fail
-    C2 and are never emitted, so emitted triples correspond one-to-one
-    with the permutations they construct.
+    q_i keeps i below the final cut), and so does the step rank of entry
+    i.  A triple that passes the conditions is buildable at rank n
+    exactly when no step rank exceeds n (`_min_rank`).  So emitted
+    triples pass `validate` and fit at rank n; with C2 in its exact
+    form, the tied tuples that pass the paper's eight conditions but
+    cannot realize their own corners fail C2 and are never emitted, so
+    emitted triples correspond one-to-one with the permutations they
+    construct.
 
     Prefixes that reach the same search state share one search below it.
-    The state of a placed prefix is its key: (1) for each positive entry
-    j < a, the pair (k_j, q_j); (2) the last entry (k, p, q), and its R
-    when q < 0; (3) the used absolute values and the taken positions.
-    Everything below the prefix reads only the key.  R(i) (A2) and C2
-    read the positive entries' k_j and q_j (1),
-    and so does the A2 exclusion of `_q_candidates`; the cut a is their
-    count plus one.  B1 and B2 read the last entry and its R (2) and
-    k_{R(i)}, a positive entry's k (1); C1 and the C1 cap read k_{R(i)}
-    and k_{a-1} (1).  The B1/B2 cap of `_q_candidates` and the p and k
-    bounds read the last entry (2), whose sign tells whether a negative
-    entry has appeared.  `_place` reads the used values and the taken
-    positions (3) and the last k; A3 and B3 read the new entry and
-    k_{R(s)}.  The first visit of a state runs every check below it and
-    records its extensions in search order as (k, p, q, emits, child),
-    keeping only those that emit or lead to a state with something below
-    it; a state with nothing below it records (), so a later visit cuts
-    it at once.  Every later visit replays the record without checks:
-    it appends the entries to the prefix and builds each emitted
-    `ThetaTriple` from the whole prefix, as the first visit would, so the
-    output and its order are those of the unshared search.  The emitted
-    triples share their rows, one tuple per distinct k, p or q row.  The
-    record and the rows live for one call and are cleared when the
-    generator finishes or is closed.
+    The state of a prefix is its key: (1) for each positive entry j < a,
+    the pair (k_j, q_j); (2) the last entry (k, p, q), and its R when
+    q < 0.  Everything below the prefix reads only the key.  R(i) (A2)
+    and C2 read the positive entries' k_j and q_j (1), and so does the
+    A2 exclusion of `_q_candidates`; the cut a is their count plus one.
+    B1 and B2 read the last entry and its R (2) and k_{R(i)}, a positive
+    entry's k (1); C1 and the C1 cap read k_{R(i)} and k_{a-1} (1).  The
+    B1/B2 cap of `_q_candidates` and the p and k bounds read the last
+    entry (2), whose sign tells whether a negative entry has appeared.
+    The step rank reads the new entry alone; A3 and B3 read the new
+    entry and k_{R(s)}.  The first visit of a state runs every check
+    below it and records its extensions in search order as (k, p, q,
+    emits, child), keeping only those that emit or lead to a state with
+    something below it; a state with nothing below it records (), so a
+    later visit cuts it at once.  Every later visit replays the record
+    without checks: it appends the entries to the prefix and builds each
+    emitted `ThetaTriple` from the whole prefix, as the first visit
+    would, so the output and its order are those of the unshared search.
+    The emitted triples share their rows, one tuple per distinct k, p or
+    q row.  The record and the rows live for one call and are cleared
+    when the generator finishes or is closed.
 
     Both visits build their triples with `ThetaTriple._of`, skipping the
     shape checks, which the loop bounds already guarantee: k_i runs up
@@ -642,11 +609,10 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
             ps.pop()
             qs.pop()
 
-    def extend(a: int, pos: int, mask: int) -> Iterator[ThetaTriple]:
+    def extend(a: int, pos: int) -> Iterator[ThetaTriple]:
         # the first visit of a state: a is the prefix's cut index (len + 1
-        # while every q is positive), pos packs the positive entries'
-        # (k_j, q_j) and mask the used absolute values (bits 1..n) and
-        # taken positions (bits n+1..2n); returns the state's record
+        # while every q is positive) and pos packs the positive entries'
+        # (k_j, q_j); returns the state's record
         record = []
         i = len(ks) + 1
         k_prev = ks[-1] if ks else 0
@@ -665,25 +631,21 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                 for q_new in _q_candidates(n, ks, ps, qs, a, negatives):
                     qs.append(q_new)
                     a_new = i + 1 if q_new > 0 else a
-                    placed = _entry_ok(ks, ps, qs, a_new, R, i) and _place(
-                        k_new - k_prev, -q_new, p_new, n, mask)
-                    if placed:
+                    if _step_rank(k_new, p_new, q_new) <= n and _entry_ok(
+                            ks, ps, qs, a_new, R, i):
                         emits = all(row[1] for row in _closing_checks(ks, ps, qs, a_new, R))
                         if emits:
                             yield triple()
-                        child_mask = mask
-                        for v, z in zip(*placed):
-                            child_mask |= 1 << abs(v) | 1 << n + z
                         if q_new > 0:
                             child_pos = (pos * base + k_new) * base + q_new
                             r = 0
                         else:
                             child_pos, r = pos, R[i]
-                        key = ((((child_pos << 2 * n + 1 | child_mask) * base + k_new)
-                                * base + p_new) * base + q_new + n) * base + r
+                        key = (((child_pos * base + k_new) * base + p_new)
+                               * base + q_new + n) * base + r
                         child = memo.get(key)
                         if child is None:
-                            child = memo[key] = yield from extend(a_new, child_pos, child_mask)
+                            child = memo[key] = yield from extend(a_new, child_pos)
                         elif child:
                             yield from replay(child)
                         if emits or child:
@@ -694,7 +656,7 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
         return tuple(record)
 
     try:
-        yield from extend(1, 0, 0)
+        yield from extend(1, 0)
     finally:
         # extend refers to itself, so the closure and the memo and rows it
         # holds would otherwise live on until the cycle collector runs

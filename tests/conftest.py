@@ -216,6 +216,77 @@ def mirrored_construction(t):
     return SignedPermutation([full[z] for z in range(1, n + 1)])
 
 
+def reference_place(count, bound, start, n, mask):
+    """One placement step by simulation, without side effects.  `mask`
+    has bit |v| set for each absolute value already placed and bit n + z
+    for each position already filled.  The values are the `count`
+    largest v <= bound of the sign of `bound`, v >= -n, with bit |v|
+    clear, in increasing order; the positions are the first `count`
+    positions z in [start, n] with bit n + z clear.  Returns (values,
+    positions), or None when either runs short."""
+    values = []
+    floor = -n if bound < 0 else 1
+    v = bound
+    while len(values) < count:
+        if v < floor:
+            return None
+        if not mask >> abs(v) & 1:
+            values.append(v)
+        v -= 1
+    values.reverse()
+    positions = []
+    taken = mask >> n
+    z = start
+    while len(positions) < count:
+        if z > n:
+            return None
+        if not taken >> z & 1:
+            positions.append(z)
+        z += 1
+    return values, positions
+
+
+def reference_placement_run(k, p, q, n):
+    """(window, steps) of the placement steps of (k, p, q) at rank n,
+    simulated step by step with `reference_place`, stopping before the
+    first step that runs short: s + 1 steps mean the window is full, and
+    fewer name the step that ran short.  The reference for the library's
+    `_placement_run`, which places only what the closed-form rank check
+    has found buildable."""
+    window = [0] * (n + 1)
+    mask = 0
+    steps = []
+    prev_k = 0
+    for k_i, p_i, q_i in zip(k, p, q):
+        placed = reference_place(k_i - prev_k, -q_i, p_i, n, mask)
+        if placed is None:
+            return window, steps
+        for v, z in zip(*placed):
+            window[z] = v
+            mask |= 1 << abs(v) | 1 << n + z
+        steps.append(placed)
+        prev_k = k_i
+    values = [v for v in range(1, n + 1) if not mask >> v & 1]
+    positions = [z for z in range(1, n + 1) if not mask >> n + z & 1]
+    for v, z in zip(values, positions):
+        window[z] = v
+    steps.append((values, positions))
+    return window, steps
+
+
+def reference_min_rank(t):
+    """The least rank at which every step of `reference_placement_run`
+    places, found by trying each rank from the one that fits the entries
+    up to that plus k_s; None when none does.  The construction is
+    stable under rank growth, so the first rank that places is the
+    least.  The reference for the library's closed form `_min_rank`."""
+    low = theta._fitting_rank(t.k, t.p, t.q)
+    for n in range(low, low + (t.k[-1] if t.k else 0) + 1):
+        if len(reference_placement_run(t.k, t.p, t.q, n)[1]) > t.s:
+            return n
+    return None
+
+
 def placed_coherence_failure(q, a, R, step_values, i):
     """The coherence check at an index i >= a read off the placed
     values: the steps R(i)+1 .. a-1 must place values strictly above
@@ -230,8 +301,9 @@ def compare_coherence_checks(n):
     """(checks, failures, disagreements) of the C2 row of
     `theta._entry_checks` against `placed_coherence_failure`, over every
     index i >= a of every (k, q) with entries bounded by n for which A1
-    and A2 hold, with steps 1..a-1 placed at rank 2n, where none runs
-    short (C2 does not read p).  A disagreement is a (k, q, i) where the
+    and A2 hold, with steps 1..a-1 placed at rank 2n by
+    `reference_placement_run`, where none runs short (C2 does not read
+    p).  A disagreement is a (k, q, i) where the
     two differ in verdict, or where the row fails with another bound
     than b(L(i)) when b(L(i)) > -q_i, else b(j) for the first step j
     that places at or below q_i, where b(j) = q_j + k_j - k_{R(i)}.
@@ -247,7 +319,7 @@ def compare_coherence_checks(n):
                 if any(-v in q for v in q if v > 0):
                     continue  # A2
                 a, R = theta._cut_and_r(q)
-                steps = theta._placement_run(k[:a - 1], (1,) * (a - 1), q[:a - 1], 2 * n)[1]
+                steps = reference_placement_run(k[:a - 1], (1,) * (a - 1), q[:a - 1], 2 * n)[1]
                 values = [v for v, _ in steps]
                 for i in range(a, s + 1):
                     placed = placed_coherence_failure(q, a, R, values, i)

@@ -1,6 +1,8 @@
+import concurrent.futures
 import hashlib
 import json
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -266,7 +268,8 @@ def test_all_positive_q_triples_classify_true():
 def test_verify_equivalence_counts_small_ranks():
     for n in (1, 2, 3, 4):
         summary = verify_equivalence(n)
-        assert summary.total == len(list(enumerate_group(n)))
+        # the total is counted by the walk, |W_n| = 2^n n!
+        assert summary.total == len(list(enumerate_group(n))) == 2 ** n * factorial(n)
         assert summary.theta_vexillary == THETA_VEXILLARY_COUNTS[n]
         assert summary.mismatches == ()
 
@@ -302,7 +305,7 @@ def test_verify_caps_pool_size(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(classify.os, "cpu_count", lambda: 4)
     assert verify_equivalence(4, jobs=10**6) == verify_equivalence(4, jobs=1)
     # W_1 has two windows, so two chunks

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -16,13 +18,17 @@ from thetavex.sigperm import (
     enumerate_group,
     find_pattern,
     format_window,
-    group_order,
     iter_windows,
     parse_window,
 )
 
 BIG = SignedPermutation([10, 1, 5, 3, -2, -4, 6, -9, -8, -7])
 BIG_INV = SignedPermutation([2, -5, 4, -6, 3, 7, -10, -9, -8, 1])
+
+
+def group_order(n):
+    """|W_n| = 2^n n!."""
+    return 2 ** n * factorial(n)
 
 
 def negative_one_line(n):

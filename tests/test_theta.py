@@ -12,7 +12,9 @@ from conftest import (
     derive,
     mirrored_construction,
     placed_coherence_failure,
+    reference_min_rank,
     reference_optional_corners,
+    reference_placement_run,
 )
 from thetavex import theta
 from thetavex.diagram import CornerClass, corners
@@ -240,6 +242,25 @@ def test_validate_names_opposite_pair():
     assert "A2 fails at i=1, j=2" in report.failure_message()
 
 
+def test_validate_names_the_least_opposite_pair():
+    """A2 names the least pair (i, j), i != j, with q_i = -q_j, as a scan
+    over all pairs finds it, on every weakly decreasing q with entries
+    in [-3, 3], zeros included, and up to five entries; a second zero
+    pairs with the first."""
+    pairs = set()
+    for s in range(1, 6):
+        for q in itertools.combinations_with_replacement(range(3, -4, -1), s):
+            k = tuple(range(1, s + 1))
+            row = next(v for v in validate(ThetaTriple(k, (1,) * s, q, 5)).verdicts
+                       if v.condition == "A2")
+            least = next(((i, j) for i, u in enumerate(q, 1)
+                          for j, v in enumerate(q, 1) if u == -v and i != j), None)
+            assert (row.ok, row.index) == (least is None, least), q
+            if least:
+                pairs.add(q[least[0] - 1] == 0)
+    assert pairs == {False, True}
+
+
 def test_validate_names_last_negative_guard():
     report = validate(ThetaTriple((1,), (1,), (-1,), 2))
     assert report.first_failure.condition == "A3"
@@ -348,13 +369,54 @@ def test_min_feasible_rank():
 
 def test_min_feasible_rank_refuses_unbuildable_triple():
     # step 1 needs two positive values at or below 1 at every rank, which
-    # C1 rules out; the rank search refuses it too, with a real
-    # exception, not an assert that python -O drops
+    # C1 rules out
     t = ThetaTriple((2,), (4,), (-1,), 4)
     with pytest.raises(InvalidTripleError, match=r"^C1 fails at i=1: 1 is not >= 2$"):
         min_feasible_rank(t)
-    with pytest.raises(InvalidTripleError, match=r"no ambient rank fits the triple 2; 4; -1"):
-        theta._min_rank(t)
+
+
+def test_min_feasible_rank_matches_the_rank_loop():
+    """The closed form of the least rank, the largest of the fitting
+    rank and the step ranks max(p_i, q_i) + k_i - 1, equals the least
+    rank at which a step-by-step simulation places every step, tried
+    rank by rank (`reference_min_rank`), on every generated triple of
+    ranks 1-6."""
+    checked = 0
+    for n in range(1, 7):
+        for t in generate_triples(n):
+            assert min_feasible_rank(t) == reference_min_rank(t), format_triple(t)
+            checked += 1
+    assert checked == sum(GENERATED_COUNTS.values())
+
+
+def test_rank_refusal_matches_the_placement_reference():
+    """On every triple with entries bounded by 4 that passes `validate`,
+    at each rank from the one that fits its entries to twice that:
+    `construct_with_trace` builds exactly when the simulated steps
+    (`reference_placement_run`) all place, with the same window and
+    steps, and otherwise refuses naming the step that ran short first,
+    with the least rank of the rank loop as its `minimum`."""
+    built = refused = 0
+    for t in shape_valid_triples(4):
+        if not validate(t).ok:
+            continue
+        minimum = reference_min_rank(t)
+        assert min_feasible_rank(t) == minimum, format_triple(t)
+        low = theta._fitting_rank(t.k, t.p, t.q)
+        for m in range(low, 2 * low + 1):
+            window, steps = reference_placement_run(t.k, t.p, t.q, m)
+            if len(steps) > t.s:
+                w, trace = construct_with_trace(t.with_rank(m))
+                assert w.window == tuple(window[1:])
+                assert [sp.placements for sp in trace] == [tuple(zip(*st)) for st in steps]
+                built += 1
+                continue
+            with pytest.raises(InfeasibleRankError) as short:
+                construct_with_trace(t.with_rank(m))
+            assert str(short.value).startswith(f"step {len(steps) + 1} needs ")
+            assert short.value.minimum == minimum
+            refused += 1
+    assert built and refused
 
 
 @pytest.mark.parametrize("text, message", [
@@ -507,20 +569,21 @@ def test_degenerate_tuples_not_generated():
 
 
 def test_lean_construction_check_agrees_with_the_wording_path():
-    """`construct` places first and then checks each entry with
-    `_entry_ok`, building no verdict rows.  It builds exactly when
-    `validate(t).ok` holds and every step places; otherwise it refuses
-    as the full report or the short step (with its `minimum`) words it.
+    """`construct` checks each entry with `_entry_ok`, building no
+    verdict rows, before it places.  It builds exactly when
+    `validate(t).ok` holds and every simulated step places
+    (`reference_placement_run`); otherwise it refuses as the full report
+    or the short step (with the `minimum` of the rank loop) words it.
     What it builds has no step placing at or below a later q_i, read
     off the placed values by `placed_coherence_failure`."""
     built = refused = 0
     for t in [*shape_valid_triples(4), *DEGENERATE, *DEGENERATE_WIDE_STEP, *A1_A2_TRIPLES]:
         report = validate(t)
-        window, steps = theta._placement_run(t.k, t.p, t.q, t.n)
+        window, steps = reference_placement_run(t.k, t.p, t.q, t.n)
         if not report.ok:
             expected = (InvalidTripleError, report.failure_message())
         elif len(steps) <= t.s:
-            expected = (InfeasibleRankError, min_feasible_rank(t))
+            expected = (InfeasibleRankError, reference_min_rank(t))
         else:
             a, R = theta._cut_and_r(t.q)
             values = [v for v, _ in steps]
@@ -702,9 +765,9 @@ def test_generation_frees_its_states_without_the_cycle_collector():
 
 def test_generation_visits_each_state_once(monkeypatch):
     """The search below a state runs once: at rank 5 the generator asks
-    for 4,888 q ranges and 7,627 placements (9,916 and 11,795 when every
-    prefix was searched on its own)."""
-    calls = {"_q_candidates": 0, "_place": 0}
+    for 2,847 q ranges and 5,396 entry checks (9,916 and 14,060 when
+    every prefix was searched on its own)."""
+    calls = {"_q_candidates": 0, "_entry_ok": 0}
 
     def counting(name):
         inner = getattr(theta, name)
@@ -717,7 +780,7 @@ def test_generation_visits_each_state_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(theta, name, counting(name))
     assert generation_digest(generate_triples(5)) == GENERATED_DIGESTS[5]
-    assert calls == {"_q_candidates": 4888, "_place": 7627}
+    assert calls == {"_q_candidates": 2847, "_entry_ok": 5396}
 
 
 def test_generation_matches_brute_force_reference():
