@@ -14,7 +14,6 @@ from .classify import (
     classify_by_patterns,
     classify_by_triple,
     enumerate_theta_vexillary,
-    pattern_table_digest,
     verify_equivalence,
 )
 from .diagram import (
@@ -22,14 +21,12 @@ from .diagram import (
     CornerRecord,
     CornerSet,
     corners,
-    reflect,
     render_extended,
 )
 from .sigperm import (
     PatternTable,
     RankTooLargeError,
     SignedPermutation,
-    enumerate_group,
     find_pattern,
     format_window,
     parse_window,
@@ -38,11 +35,9 @@ from .theta import (
     ConditionReport,
     InfeasibleRankError,
     InvalidTripleError,
-    StepPlacement,
     ThetaTriple,
     construct,
     construct_inverse,
-    construct_with_trace,
     format_triple,
     generate_triples,
     min_feasible_rank,
@@ -65,7 +60,6 @@ __all__ = [
     "PatternTable",
     "RankTooLargeError",
     "SignedPermutation",
-    "StepPlacement",
     "ThetaTriple",
     "VerifySummary",
     "build_report",
@@ -74,9 +68,7 @@ __all__ = [
     "classify_by_triple",
     "construct",
     "construct_inverse",
-    "construct_with_trace",
     "corners",
-    "enumerate_group",
     "enumerate_theta_vexillary",
     "find_pattern",
     "format_triple",
@@ -85,9 +77,7 @@ __all__ = [
     "min_feasible_rank",
     "parse_triple",
     "parse_window",
-    "pattern_table_digest",
     "recover",
-    "reflect",
     "render_extended",
     "triple_from_json",
     "triple_to_json",

@@ -13,7 +13,6 @@ lists the members; both read the pattern verdicts that
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
@@ -48,12 +47,6 @@ PATTERNS: PatternTable = PatternTable(
         (-4, -1, -2, 3),
     )
 )
-
-
-def pattern_table_digest() -> str:
-    """SHA-256 over the canonical text of the pattern table."""
-    text = "; ".join(" ".join(str(v) for v in p.window) for p in PATTERNS)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def classify_by_patterns(

@@ -75,7 +75,10 @@ def cmd_diagram(args) -> int:
 def cmd_construct(args) -> int:
     # `construct` checks the eight conditions, once per call
     t = theta._parse_rows(args.triple, args.rank)
-    w = theta.construct(t)
+    try:
+        w = theta.construct(t)
+    except OverflowError:  # no list indexes a rank past sys.maxsize
+        raise ValueError(f"rank {t.n} is too large to build a window") from None
     inverse = w.inverse()
     _emit(
         args,

@@ -67,15 +67,6 @@ class CornerRecord(NamedTuple):
 _record = partial(tuple.__new__, CornerRecord)  # a record from [k, p, q, kind]
 
 
-def reflect(t: CornerRecord) -> CornerRecord:
-    """The reflected corner (k + p + q - 1, -p + 1, -q + 1).
-
-    Reflection is an involution exchanging a corner of the embedded
-    diagram with its mirror image through the center.
-    """
-    return CornerRecord(t.k + t.p + t.q - 1, -t.p + 1, -t.q + 1, t.kind)
-
-
 @dataclass(frozen=True)
 class CornerSet:
     """All corners of a signed permutation, sorted p desc then q desc,

@@ -126,13 +126,6 @@ class SignedPermutation:
         )
         return inv + neg
 
-    def descents(self) -> frozenset:
-        """Positions d in [0, n-1] with w(d) > w(d+1) in the full form.
-
-        d = 0 is a descent exactly when w(1) < 0.
-        """
-        return frozenset(d for d in range(self.n) if self(d) > self(d + 1))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SignedPermutation) and self.window == other.window
 
@@ -362,15 +355,6 @@ def iter_windows(n: int, prefix: Sequence[int] = ()) -> Iterator[Tuple[int, ...]
     stream into runs that follow each other in prefix order, which is how
     `verify_equivalence` hands W_n to its workers."""
     return (win for win, _ in walk_windows(n, prefix))
-
-
-def enumerate_group(n: int, *, allow_large: bool = False) -> Iterator[SignedPermutation]:
-    """All 2^n * n! elements of W_n, each exactly once, in lexicographic
-    order on windows (entries ordered -n < ... < -1 < 1 < ... < n).
-    """
-    check_rank_guard(n, allow_large)
-    for win in iter_windows(n):
-        yield SignedPermutation._of(win)
 
 
 # ---------------------------------------------------------------------------

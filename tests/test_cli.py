@@ -212,6 +212,17 @@ def test_construct_bad_shape(capsys):
     assert "strictly increasing" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("99999999999999999999; 1; 1",),
+    ("1; 1; 1", "-n", "99999999999999999999"),
+], ids=["entry", "rank"])
+def test_construct_rank_past_the_index_range(capsys, argv):
+    # a rank above sys.maxsize indexes no list: one error line, no traceback
+    code, out, err = run(capsys, "construct", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: rank 99999999999999999999 is too large to build a window\n"
+
+
 # ---------------------------------------------------------------------------
 # recover
 

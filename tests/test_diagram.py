@@ -8,15 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import build_extended_diagram, full_corners, rank, signed_permutations
-from thetavex.diagram import (
-    CornerClass,
-    CornerRecord,
-    corners,
-    reflect,
-    render_extended,
-)
-from thetavex.sigperm import SignedPermutation, enumerate_group, iter_windows
+from conftest import build_extended_diagram, full_corners, rank, reflected, signed_permutations
+from thetavex.diagram import CornerClass, CornerRecord, corners, render_extended
+from thetavex.sigperm import SignedPermutation, iter_windows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -121,7 +115,7 @@ def test_rank_antisymmetric_count(w):
 
 def test_diagram_box_count_equals_length_exhaustive():
     for n in (1, 2, 3, 4):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             d = build_extended_diagram(w)
             assert len(d.diagram_boxes) == w.length()
 
@@ -130,7 +124,7 @@ def test_crossed_boxes_are_the_membership_rejects_exhaustive():
     """Inside the surviving region, the crossed boxes are exactly those
     the three-condition membership test rejects."""
     for n in (1, 2, 3, 4):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             d = build_extended_diagram(w)
             winv = w.inverse()
             assert d.diagram_boxes == {
@@ -196,9 +190,6 @@ def test_corner_records_are_named_tuples():
     assert rec == (9, 2, -6, CornerClass.NE_PATH)
     assert rec != CornerRecord(9, 2, -6)
     assert repr(rec) == "CornerRecord(9, 2, -6, ne_path)"
-    mirrored = reflect(rec)
-    assert type(mirrored) is CornerRecord
-    assert mirrored == CornerRecord(4, -1, 7, CornerClass.NE_PATH)
     assert all(type(c) is CornerRecord for c in corners(BIG))
 
 
@@ -231,17 +222,17 @@ def test_reflect_involution_and_symmetry():
     fc = full_corners(FIG1)
     triples = {c.triple for c in fc}
     for c in fc:
-        assert reflect(reflect(c)).triple == c.triple
-        assert reflect(c).triple in triples
+        assert reflected(CornerRecord(*reflected(c))) == c.triple
+        assert reflected(c) in triples
 
 
 def test_full_corner_sets_reflection_closed_exhaustive():
     """Reflection through the center permutes the full-form corner set."""
     for n in (1, 2, 3):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             fc = full_corners(w)
             triples = {c.triple for c in fc}
-            assert {reflect(c).triple for c in fc} == triples
+            assert {reflected(c) for c in fc} == triples
 
 
 def test_full_corners_are_signed_corners_and_reflections():
@@ -249,9 +240,9 @@ def test_full_corners_are_signed_corners_and_reflections():
     their reflections: a corner with p <= 0 is the mirror of a signed
     one.  W_6 holds as well, but takes about 6 s."""
     for n in range(1, 6):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             cs = corners(w).corners
-            expected = {c.triple for c in cs} | {reflect(c).triple for c in cs}
+            expected = {c.triple for c in cs} | {reflected(c) for c in cs}
             assert {c.triple for c in full_corners(w)} == expected
 
 
@@ -259,7 +250,7 @@ def test_se_corner_against_definition():
     """The double-descent test finds exactly the SE-most boxes of the
     full form's diagram D = {(a, b) | w(b) > a, w^-1(a) > b}: the boxes
     of D whose east and south neighbours lie outside D."""
-    for w in (BIG, *enumerate_group(3)):
+    for w in (BIG, *map(SignedPermutation, iter_windows(3))):
         n, winv = w.n, w.inverse()
 
         def in_diagram(a, b):
@@ -278,7 +269,7 @@ def test_se_corner_against_definition():
 
 def test_ne_path_is_minimal_set_exhaustive():
     for n in (2, 3, 4):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             cs = corners(w)
             positions = {c.position for c in cs}
             assert {c.position for c in cs.ne_path} == naive_minimal_positions(
@@ -291,7 +282,7 @@ def test_ne_path_is_minimal_set_exhaustive():
 
 def test_corners_match_brute_force_exhaustive():
     for n in (1, 2, 3, 4, 5):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             assert corner_tuples(w) == reference_corners(w), w
 
 
@@ -325,7 +316,7 @@ def test_no_corner_in_column_one_above_row_zero():
     """The box (q-1, -1) needs w(-1) > q-1 >= w(0) = 0, so column -1 has
     no corner with q <= 0; a rule excluding p = 1, q < 0 never fires."""
     for n in (1, 2, 3, 4, 5):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             assert not any(c.p == 1 and c.q <= 0 for c in full_corners(w))
 
 
@@ -355,7 +346,7 @@ def test_unessential_needs_negative_q_and_dominator(w):
 
 def test_corner_rank_equals_region_dot_count():
     for n in (2, 3, 4):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             d = build_extended_diagram(w)
             for c in corners(w):
                 dots = sum(1 for r, b in d.dots if r >= c.q and b <= -c.p)
@@ -414,7 +405,7 @@ def test_render_cells_match_the_reference_diagram():
     w.  A corner can sit on a crossed box (the one corner of -2 1 does),
     so those overlays are left out of the count."""
     for n in (1, 2, 3, 4):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             d = build_extended_diagram(w)
             overlays = {c.box for c in corners(w)}
             cells = rendered_cells(w, show_crosses=True)

@@ -6,16 +6,17 @@ import hypothesis.strategies as st
 
 from conftest import (
     contains_pattern,
+    descents,
     length_by_descent_stripping,
     naive_find_pattern,
     naive_first_pattern,
     reference_inverse,
     signed_permutations,
 )
+from thetavex.classify import enumerate_theta_vexillary
 from thetavex.sigperm import (
     RankTooLargeError,
     SignedPermutation,
-    enumerate_group,
     find_pattern,
     format_window,
     iter_windows,
@@ -82,7 +83,7 @@ def test_length_examples():
 
 def test_length_matches_oracle_exhaustive():
     for n in (1, 2, 3, 4):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             assert w.length() == length_by_descent_stripping(w)
 
 
@@ -93,7 +94,8 @@ def test_length_matches_oracle_random(w):
 
 def test_length_of_inverse_exhaustive():
     for n in (1, 2, 3, 4, 5):
-        assert all(w.length() == w.inverse().length() for w in enumerate_group(n))
+        assert all(w.length() == w.inverse().length()
+                   for w in map(SignedPermutation, iter_windows(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +109,12 @@ def test_inverse_examples():
 
 
 def test_unchecked_elements_match_checked_ones_exhaustively():
-    """enumerate_group and inverse build their elements unchecked: on
-    all of W_5 each passes the checked constructor, and the inverse
-    equals the reference inverse."""
-    for w in enumerate_group(5):
-        assert SignedPermutation(w.window) == w
-        assert w.inverse() == reference_inverse(w)
-        assert type(w.inverse().window) is tuple
+    """inverse builds its elements unchecked: on all of W_5 each inverse
+    passes the checked constructor and equals the reference inverse."""
+    for w in map(SignedPermutation, iter_windows(5)):
+        v = w.inverse()
+        assert SignedPermutation(v.window) == v == reference_inverse(w)
+        assert type(v.window) is tuple
 
 
 @given(signed_permutations())
@@ -144,15 +145,15 @@ def test_embed_odd():
 
 
 def test_descents_examples():
-    assert SignedPermutation.identity(5).descents() == frozenset()
-    assert BIG.descents() == {1, 3, 4, 5, 7}
+    assert descents(SignedPermutation.identity(5)) == frozenset()
+    assert descents(BIG) == {1, 3, 4, 5, 7}
     for n in (1, 2, 3, 4):
-        assert negative_one_line(n).descents() == set(range(n))
+        assert descents(negative_one_line(n)) == set(range(n))
 
 
 @given(signed_permutations())
 def test_descent_at_zero_iff_first_negative(w):
-    assert (0 in w.descents()) == (w.window[0] < 0)
+    assert (0 in descents(w)) == (w.window[0] < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +186,7 @@ def test_pattern_matcher_agrees_with_naive_exhaustive():
     patterns = [SignedPermutation(p) for p in
                 ([-1, 3, 2], [-2, 3, 1], [2, 1, 4, 3], [3, -4, 1, -2], [1, 2], [-2, -1])]
     for n in (2, 3, 4):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             for pat in patterns:
                 assert witness(w, pat) == naive_find_pattern(w, pat)
             assert find_pattern(w, patterns) == naive_first_pattern(w, patterns)
@@ -213,9 +214,9 @@ def test_pattern_sequence_edge_cases():
         SignedPermutation([1]), (1,))
     assert find_pattern(w, (one, SignedPermutation([1]))) == (one, (2,))
     # every 1- and 2-letter pattern against W_1..W_3
-    short = [*enumerate_group(1), *enumerate_group(2)]
+    short = [SignedPermutation(win) for n in (1, 2) for win in iter_windows(n)]
     for n in (1, 2, 3):
-        for v in enumerate_group(n):
+        for v in map(SignedPermutation, iter_windows(n)):
             for p in short:
                 assert witness(v, p) == naive_find_pattern(v, p)
 
@@ -232,19 +233,19 @@ def test_pattern_monotone_under_window_extension(w, pat):
 
 
 def test_enumerate_small():
-    assert [w.window for w in enumerate_group(1)] == [(-1,), (1,)]
-    windows = [w.window for w in enumerate_group(3)]
+    assert list(iter_windows(1)) == [(-1,), (1,)]
+    windows = list(iter_windows(3))
     assert len(windows) == len(set(windows)) == 48
 
 
 def test_enumerate_is_lexicographic_and_complete():
-    windows = [w.window for w in enumerate_group(4)]
+    windows = list(iter_windows(4))
     assert windows == sorted(windows)
     assert len(set(windows)) == group_order(4) == 384
 
 
 def test_enumerate_count_n5():
-    assert sum(1 for _ in enumerate_group(5)) == 3840
+    assert sum(1 for _ in iter_windows(5)) == 3840
 
 
 def test_enumerate_chunks_glue_to_full_stream():
@@ -305,12 +306,12 @@ def test_window_rejects_empty_window():
 
 def test_rank_guard():
     with pytest.raises(RankTooLargeError):
-        next(enumerate_group(9))
+        next(enumerate_theta_vexillary(9))
     # override lets the stream start
-    first = next(enumerate_group(9, allow_large=True))
+    first = next(enumerate_theta_vexillary(9, allow_large=True))
     assert first.window[0] == -9
     with pytest.raises(ValueError):
-        next(enumerate_group(0))
+        next(enumerate_theta_vexillary(0))
 
 
 # ---------------------------------------------------------------------------

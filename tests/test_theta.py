@@ -18,15 +18,13 @@ from conftest import (
 )
 from thetavex import theta
 from thetavex.diagram import CornerClass, corners
-from thetavex.sigperm import SignedPermutation, enumerate_group
+from thetavex.sigperm import SignedPermutation, iter_windows
 from thetavex.theta import (
     InfeasibleRankError,
     InvalidTripleError,
-    StepPlacement,
     ThetaTriple,
     construct,
     construct_inverse,
-    construct_with_trace,
     format_triple,
     generate_triples,
     min_feasible_rank,
@@ -212,16 +210,18 @@ def test_derive_refuses_as_validate_words_it(t, condition):
     assert str(refused.value) == message
 
 
-@pytest.mark.parametrize("refuse", [
-    lambda: construct(ThetaTriple((1, 2), (2, 1), (2, -2), 2)),
-    lambda: construct_with_trace(ThetaTriple((1,), (1,), (0,), 2)),
-    lambda: parse_triple("1 3; 2 2; 2 1"),
-    lambda: triple_from_json({"k": [2], "p": [2], "q": [-1], "n": 3}),
-    lambda: derive(ThetaTriple((1,), (1,), (0,), 2)),
-], ids=["construct", "construct_with_trace", "parse_triple", "triple_from_json",
-        "derive"])
-def test_refusal_checks_the_conditions_once(monkeypatch, refuse):
-    """A refused triple is worded from the rows the check already built."""
+@pytest.mark.parametrize("refuse, accept", [
+    (lambda: construct(ThetaTriple((1, 2), (2, 1), (2, -2), 2)), lambda: construct(BIG_T)),
+    (lambda: parse_triple("1 3; 2 2; 2 1"), lambda: parse_triple(format_triple(BIG_T))),
+    (lambda: triple_from_json({"k": [2], "p": [2], "q": [-1], "n": 3}),
+     lambda: triple_from_json(triple_to_json(BIG_T))),
+    (lambda: min_feasible_rank(ThetaTriple((2,), (4,), (-1,), 4)),
+     lambda: min_feasible_rank(BIG_T)),
+    (lambda: derive(ThetaTriple((1,), (1,), (0,), 2)), lambda: derive(BIG_T)),
+], ids=["construct", "parse_triple", "triple_from_json", "min_feasible_rank", "derive"])
+def test_refusal_checks_the_conditions_once(monkeypatch, refuse, accept):
+    """A refused triple is worded from the rows of one pass over the
+    conditions; a valid one passes the guard without building rows."""
     calls = []
     rows_of = theta._condition_rows
 
@@ -232,6 +232,8 @@ def test_refusal_checks_the_conditions_once(monkeypatch, refuse):
     monkeypatch.setattr(theta, "_condition_rows", counting)
     with pytest.raises(InvalidTripleError):
         refuse()
+    assert len(calls) == 1
+    accept()
     assert len(calls) == 1
 
 
@@ -320,16 +322,19 @@ def test_construct_big_window():
 
 
 def test_construct_big_trace():
-    """The full placement history of the worked example, step by step."""
-    _, trace = construct_with_trace(BIG_T)
-    assert trace == (
-        StepPlacement(1, ((-9, 8), (-8, 9), (-7, 10))),
-        StepPlacement(2, ((-4, 6),)),
-        StepPlacement(3, ((-2, 5),)),
-        StepPlacement(4, ((3, 4),)),
-        StepPlacement(5, ((1, 2), (5, 3), (6, 7))),
-        StepPlacement(6, ((10, 1),)),
-    )
+    """The full placement history of the worked example, step by step,
+    as (value, position) pairs of `reference_placement_run`, and the
+    window that `construct` builds from it."""
+    window, steps = reference_placement_run(BIG_T.k, BIG_T.p, BIG_T.q, BIG_T.n)
+    assert [tuple(zip(*placed)) for placed in steps] == [
+        ((-9, 8), (-8, 9), (-7, 10)),
+        ((-4, 6),),
+        ((-2, 5),),
+        ((3, 4),),
+        ((1, 2), (5, 3), (6, 7)),
+        ((10, 1),),
+    ]
+    assert construct(BIG_T).window == tuple(window[1:])
 
 
 def test_construct_empty_triple_gives_identity():
@@ -392,10 +397,10 @@ def test_min_feasible_rank_matches_the_rank_loop():
 def test_rank_refusal_matches_the_placement_reference():
     """On every triple with entries bounded by 4 that passes `validate`,
     at each rank from the one that fits its entries to twice that:
-    `construct_with_trace` builds exactly when the simulated steps
-    (`reference_placement_run`) all place, with the same window and
-    steps, and otherwise refuses naming the step that ran short first,
-    with the least rank of the rank loop as its `minimum`."""
+    `construct` builds exactly when the simulated steps
+    (`reference_placement_run`) all place, with the same window, and
+    otherwise refuses naming the step that ran short first, with the
+    least rank of the rank loop as its `minimum`."""
     built = refused = 0
     for t in shape_valid_triples(4):
         if not validate(t).ok:
@@ -406,13 +411,11 @@ def test_rank_refusal_matches_the_placement_reference():
         for m in range(low, 2 * low + 1):
             window, steps = reference_placement_run(t.k, t.p, t.q, m)
             if len(steps) > t.s:
-                w, trace = construct_with_trace(t.with_rank(m))
-                assert w.window == tuple(window[1:])
-                assert [sp.placements for sp in trace] == [tuple(zip(*st)) for st in steps]
+                assert construct(t.with_rank(m)).window == tuple(window[1:])
                 built += 1
                 continue
             with pytest.raises(InfeasibleRankError) as short:
-                construct_with_trace(t.with_rank(m))
+                construct(t.with_rank(m))
             assert str(short.value).startswith(f"step {len(steps) + 1} needs ")
             assert short.value.minimum == minimum
             refused += 1
@@ -436,9 +439,10 @@ def test_min_feasible_rank_refuses_what_no_rank_builds(text, message):
 
 
 def construction_outcome(t):
-    """(forward, inverse) for one triple: the window and the trace of
-    `construct_with_trace`, the window of `construct_inverse`, or for a
-    refusal its error type, message and `minimum`."""
+    """(forward, inverse) for one triple: the window of `construct` with
+    its steps as `reference_placement_run` places them, the window of
+    `construct_inverse`, or for a refusal its error type, message and
+    `minimum`."""
     def attempt(build):
         try:
             return build()
@@ -446,8 +450,9 @@ def construction_outcome(t):
             return (type(exc).__name__, str(exc), getattr(exc, "minimum", None))
 
     def forward():
-        w, trace = construct_with_trace(t)
-        return w.window, [(sp.step, sp.placements) for sp in trace]
+        window = construct(t).window
+        steps = reference_placement_run(t.k, t.p, t.q, t.n)[1]
+        return window, [(i, tuple(zip(*placed))) for i, placed in enumerate(steps, 1)]
 
     return attempt(forward), attempt(lambda: construct_inverse(t).window)
 
@@ -465,22 +470,6 @@ def test_construction_outcomes_are_pinned():
     assert len(outcomes) == 3972
     digest = hashlib.sha256(repr(outcomes).encode("ascii")).hexdigest()
     assert digest == CONSTRUCTION_OUTCOMES_SHA256
-
-
-def test_construct_matches_construct_with_trace():
-    """`construct` runs without the trace: over the cases of the pinned
-    digest it builds the same window, or refuses with the same error
-    type, message and `minimum`, as `construct_with_trace`."""
-    def outcome(build, t):
-        try:
-            return build(t).window
-        except ValueError as exc:
-            return (type(exc).__name__, str(exc), getattr(exc, "minimum", None))
-
-    cases = [t.with_rank(m) for t in shape_valid_triples(3) for m in range(3, 7)]
-    assert len(cases) == 3972
-    for t in cases:
-        assert outcome(construct, t) == outcome(lambda u: construct_with_trace(u)[0], t)
 
 
 def test_construct_stable_under_rank_growth():
@@ -712,7 +701,7 @@ def test_recover_finds_a_triple_exactly_for_members():
     from thetavex.classify import classify_by_patterns
 
     for n in range(1, 6):
-        for w in enumerate_group(n):
+        for w in map(SignedPermutation, iter_windows(n)):
             assert (recover(w) is None) is not classify_by_patterns(w)[0], w
 
 
@@ -765,7 +754,7 @@ def test_generation_frees_its_states_without_the_cycle_collector():
 
 def test_generation_visits_each_state_once(monkeypatch):
     """The search below a state runs once: at rank 5 the generator asks
-    for 2,847 q ranges and 5,396 entry checks (9,916 and 14,060 when
+    for 2,067 q ranges and 5,396 entry checks (9,916 and 14,060 when
     every prefix was searched on its own)."""
     calls = {"_q_candidates": 0, "_entry_ok": 0}
 
@@ -780,7 +769,7 @@ def test_generation_visits_each_state_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(theta, name, counting(name))
     assert generation_digest(generate_triples(5)) == GENERATED_DIGESTS[5]
-    assert calls == {"_q_candidates": 2847, "_entry_ok": 5396}
+    assert calls == {"_q_candidates": 2067, "_entry_ok": 5396}
 
 
 def test_generation_matches_brute_force_reference():
@@ -816,14 +805,15 @@ def _fails_at_entry(v, i):
 def test_q_candidates_skip_only_failing_values():
     """`_q_candidates` is sound: on every shape-valid triple of rank <= 4
     whose first s-1 entries pass all conditions but A3 and B3, a last q
-    that it leaves out fails A2, B1, B2 or C1 at the last entry."""
+    that it leaves out fails A2, B1, B2 or C1 at the last entry, or
+    gives the last entry a step rank above n."""
     skipped = set()
     for n in (1, 2, 3, 4):
         for t in shape_valid_triples(n):
             if t.s == 0:
                 continue
             k, p, q, s = t.k, t.p, t.q, t.s
-            rows = theta._condition_rows(ThetaTriple(k[:-1], p[:-1], q[:-1], n))[0]
+            rows = theta._condition_rows(ThetaTriple(k[:-1], p[:-1], q[:-1], n))
             if not all(ok for cond, ok, *_ in rows if cond not in ("A3", "B3")):
                 continue
             a = sum(1 for v in q[:-1] if v > 0) + 1
@@ -832,10 +822,12 @@ def test_q_candidates_skip_only_failing_values():
                 continue
             failed = [v.condition for v in validate(t).verdicts
                       if _fails_at_entry(v, s)]
+            if theta._step_rank(k[-1], p[-1], q[-1]) > n:
+                failed.append("step rank")
             assert failed, format_triple(t)
             skipped.add(failed[0])
     # every kind of skip occurs, so the check is not vacuous
-    assert skipped == {"A2", "B1", "B2", "C1"}
+    assert skipped == {"A2", "B1", "B2", "C1", "step rank"}
 
 
 def test_generated_triples_equal_their_checked_rebuild():
