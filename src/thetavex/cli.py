@@ -25,7 +25,7 @@ from .classify import (
     verify_equivalence,
 )
 from .diagram import render_extended
-from .sigperm import RankTooLargeError, format_window, parse_window
+from .sigperm import format_window, parse_window
 
 
 def _emit(args, payload: dict, lines: Iterable[str]) -> None:
@@ -77,7 +77,7 @@ def cmd_construct(args) -> int:
     t = theta._parse_rows(args.triple, args.rank)
     try:
         w = theta.construct(t)
-    except OverflowError:  # no list indexes a rank past sys.maxsize
+    except (OverflowError, MemoryError):  # no window list of that length fits
         raise ValueError(f"rank {t.n} is too large to build a window") from None
     inverse = w.inverse()
     _emit(
@@ -200,10 +200,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (
-        ValueError,  # covers bad windows, bad triples, and both triple errors
-        RankTooLargeError,
-    ) as exc:
+    except ValueError as exc:  # bad input, a refused triple, the rank guard
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,7 @@ the corner taxonomy.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagram import CornerClass, CornerSet, _cut_and_r, _r_index, corners
 from .sigperm import SignedPermutation, check_rank_guard
@@ -35,38 +34,32 @@ class InfeasibleRankError(ValueError):
         self.minimum = minimum
 
 
-@dataclass(frozen=True)
-class ThetaTriple:
-    """Three s-tuples plus the ambient rank n.
-
-    Only the shape constraints live here; use `validate` for the eight
-    conditions.  Slotted, since generation and exhaustive checks hold
-    one per member.
-    """
-
-    __slots__ = ("k", "p", "q", "n")
-
+class _Triple(NamedTuple):
     k: Tuple[int, ...]
     p: Tuple[int, ...]
     q: Tuple[int, ...]
     n: int
 
-    def __reduce__(self):
-        # the default reduction of a slotted frozen class restores the
-        # slots by assignment, which the frozen class refuses
-        return ThetaTriple, (self.k, self.p, self.q, self.n)
 
-    def __post_init__(self):
-        k, p, q = tuple(self.k), tuple(self.p), tuple(self.q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        if set(map(type, (*k, *p, *q, self.n))) != {int}:
-            raise ValueError(f"k, p, q, n must be integers: {k}, {p}, {q}, {self.n!r}")
+class ThetaTriple(_Triple):
+    """Three s-tuples plus the ambient rank n.
+
+    Only the shape constraints live here; use `validate` for the eight
+    conditions.  A named tuple, so a triple compares equal to the plain
+    tuple (k, p, q, n), hashes as it and unpacks as one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: Sequence[int], p: Sequence[int], q: Sequence[int],
+                n: int) -> "ThetaTriple":
+        k, p, q = tuple(k), tuple(p), tuple(q)
+        if set(map(type, (*k, *p, *q, n))) != {int}:
+            raise ValueError(f"k, p, q, n must be integers: {k}, {p}, {q}, {n!r}")
         if not (len(k) == len(p) == len(q)):
             raise ValueError("k, p, q must have equal lengths")
-        if self.n < 1:
-            raise ValueError(f"ambient rank must be positive, got {self.n}")
+        if n < 1:
+            raise ValueError(f"ambient rank must be positive, got {n}")
         # each row against its shift, the entries being ints by now:
         # 0 < k_1 < ... < k_s and p_1 >= ... >= p_s >= 1
         if not all(map(int.__lt__, (0, *k), k)):
@@ -76,22 +69,18 @@ class ThetaTriple:
         if not all(map(int.__ge__, q, q[1:])):
             raise ValueError(f"q must be weakly decreasing: {q}")
         bound = _fitting_rank(k, p, q)
-        if bound > self.n:
+        if bound > n:
             raise ValueError(
-                f"entries up to {bound} do not fit ambient rank {self.n}"
+                f"entries up to {bound} do not fit ambient rank {n}"
             )
+        return tuple.__new__(cls, (k, p, q, n))
 
     @classmethod
     def _of(cls, k: Tuple[int, ...], p: Tuple[int, ...], q: Tuple[int, ...],
             n: int) -> "ThetaTriple":
         """The triple of these tuples, unchecked: for triples whose shape
         holds by construction, the ones `generate_triples` emits."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "k", k)
-        object.__setattr__(t, "p", p)
-        object.__setattr__(t, "q", q)
-        object.__setattr__(t, "n", n)
-        return t
+        return tuple.__new__(cls, (k, p, q, n))
 
     @property
     def s(self) -> int:
@@ -128,8 +117,7 @@ def _l_index(k: Sequence[int], q: Sequence[int], a: int, r: int) -> Optional[int
 # the eight conditions
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     condition: str
     ok: bool
     index: Optional[Tuple[int, ...]] = None
@@ -147,8 +135,7 @@ class Verdict:
         return f"{self.condition} {state}{where}{tail}"
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     verdicts: Tuple[Verdict, ...]
 
     @property

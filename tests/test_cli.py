@@ -223,6 +223,21 @@ def test_construct_rank_past_the_index_range(capsys, argv):
     assert err == "error: rank 99999999999999999999 is too large to build a window\n"
 
 
+def test_construct_rank_past_memory():
+    # the window lists of rank 10^9 take about 16 GB, far past the 400 MB
+    # of address space the child gets: one error line, no traceback
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20,) * 2)
+
+    proc = start_cli("construct", "1; 1; 1", "-n", "1000000000",
+                     preexec_fn=cap_address_space)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (2, b"")
+    assert err == b"error: rank 1000000000 is too large to build a window\n"
+
+
 # ---------------------------------------------------------------------------
 # recover
 
@@ -382,7 +397,7 @@ def test_star_import_resolves_every_exported_name():
 # closed pipes
 
 
-def start_cli(*argv):
+def start_cli(*argv, **popen_args):
     env = dict(os.environ)
     src = str(Path(thetavex.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -391,6 +406,7 @@ def start_cli(*argv):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
+        **popen_args,
     )
 
 

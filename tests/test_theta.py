@@ -165,10 +165,25 @@ def test_triples_pickle_and_copy():
     import pickle
 
     for t in (BIG_T, ThetaTriple((), (), (), 3)):
-        assert pickle.loads(pickle.dumps(t)) == t
-        assert copy.deepcopy(t) == t and hash(copy.copy(t)) == hash(t)
+        for twin in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+            assert twin == t and hash(twin) == hash(t) and type(twin) is ThetaTriple
     with pytest.raises(AttributeError):
         BIG_T.n = 11
+
+
+def test_triples_and_verdicts_are_named_tuples():
+    """A triple equals its plain tuple (k, p, q, n), hashes as it, so
+    sets and dicts of triples are unchanged, and unpacks as one; a
+    verdict and a report equal the plain tuples of their fields."""
+    for t in (BIG_T, ThetaTriple((), (), (), 3)):
+        plain = (t.k, t.p, t.q, t.n)
+        assert t == plain and hash(t) == hash(plain)
+        k, p, q, n = t
+        assert (k, p, q, n) == plain
+    report = validate(ThetaTriple((1, 2), (2, 1), (2, -2), 2))
+    v = report.first_failure
+    assert v == ("A2", False, (1, 2), "q_1 = -q_2")
+    assert report == (report.verdicts,)
 
 
 def test_entries_and_rank_change():
@@ -708,7 +723,8 @@ def test_recover_finds_a_triple_exactly_for_members():
 def test_recover_inverts_construct_exhaustively():
     for n in (1, 2, 3, 4):
         for t in generate_triples(n):
-            assert recover(construct(t)) == t
+            back = recover(construct(t))
+            assert back == t and type(back) is ThetaTriple
 
 
 # ---------------------------------------------------------------------------
@@ -832,10 +848,11 @@ def test_q_candidates_skip_only_failing_values():
 
 def test_generated_triples_equal_their_checked_rebuild():
     """The generator builds its triples without the shape checks, which
-    its bounds make redundant: each equals the checked triple of its
-    fields, and the fields are tuples."""
+    its bounds make redundant: each is a ThetaTriple equal to the checked
+    triple of its fields, and the fields are tuples."""
     for n in range(1, 7):
         for t in generate_triples(n):
+            assert type(t) is ThetaTriple
             assert type(t.k) is type(t.p) is type(t.q) is tuple
             assert t == ThetaTriple(t.k, t.p, t.q, t.n)
 
