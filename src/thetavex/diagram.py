@@ -202,14 +202,15 @@ def _label_by_rank(found: list, n: int) -> Optional[int]:
     OTHER corner, or None.
 
     The stray is the first unessential (k, p, q) that is not forced:
-    forced means some i >= a with p_i = p, q_i < q and R(i) defined, and
-    some j < a with q_j = 1 - q, have q - q_i = k_i - k + k_j - k_{R(i)}.
+    forced means some i >= a with p_i = p and q_i < q, and some j < a
+    with q_j = 1 - q, have q - q_i = k_i - k + k_j - k_{R(i)}.
     With no stray, each path corner i >= a where (p_i - p_{i+1}) +
     (q_i - q_{i+1}) = (k_{i+1} - k_i) + (k_{R(i)} - k_{R(i+1)}) is
     marked OPTIONAL in `found`.  The NE path is (k_i, p_i, q_i),
     i = 1..s, between the sentinels (0, n, n) and (n, 1, -n), with
     a = 1 + #{i : q_i > 0} and R(s+1) = 0, which makes the last identity
-    the B3 boundary.
+    the B3 boundary.  R is defined on [a, s]: a corner (p, q) needs the
+    value -q at a position >= p, so no two corners have opposite q.
     """
     path = [c for c in found if c[3] is _NE_PATH]
     s = len(path)
@@ -221,7 +222,7 @@ def _label_by_rank(found: list, n: int) -> Optional[int]:
 
     for x, (k, p, q, kind) in enumerate(found):
         if kind is _UNESSENTIAL and not any(
-            P[i] == p and Q[i] < q and R[i] is not None
+            P[i] == p and Q[i] < q
             and any(Q[j] == 1 - q and q - Q[i] == K[i] - k + K[j] - K[R[i]]
                     for j in range(1, a))
             for i in range(a, s + 1)
@@ -229,8 +230,6 @@ def _label_by_rank(found: list, n: int) -> Optional[int]:
             return x
 
     for i in range(a, s + 1):
-        if R[i] is None or R[i + 1] is None:
-            continue
         lhs = (P[i] - P[i + 1]) + (Q[i] - Q[i + 1])
         rhs = (K[i + 1] - K[i]) + (K[R[i]] - K[R[i + 1]])
         if lhs == rhs:

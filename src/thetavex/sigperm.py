@@ -320,9 +320,9 @@ def walk_windows(
     size = [0] * n + [0, n + 1]
 
     def walk(depth: int, contains: bool) -> Iterator[Tuple[Tuple[int, ...], bool]]:
-        # the children of a prefix of length n - 1 are windows: yielded
-        # here, with no generator of their own
-        last = depth + 1 == n
+        if depth == n > 0:  # a window; W_0 has none, as ranks start at 1
+            yield tuple(window), contains
+            return
         test = anchored is not None and not contains
         if test:
             by_sign = _sign_index(window, depth, n + 1)
@@ -337,12 +337,9 @@ def walk_windows(
                 if hit and avoiders_only:
                     continue
             window.append(v)
-            if last:
-                yield tuple(window), hit
-            else:
-                used.add(x)
-                yield from walk(depth + 1, hit)
-                used.remove(x)
+            used.add(x)
+            yield from walk(depth + 1, hit)
+            used.remove(x)
             window.pop()
 
     return walk(0, False)

@@ -75,6 +75,9 @@ class ThetaTriple(_Triple):
             )
         return tuple.__new__(cls, (k, p, q, n))
 
+    # the named-tuple builder, which `_replace` runs too, with the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     @classmethod
     def _of(cls, k: Tuple[int, ...], p: Tuple[int, ...], q: Tuple[int, ...],
             n: int) -> "ThetaTriple":
@@ -477,21 +480,25 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     negative entry, the p_i and k_i that B2 leaves no value).  The p and
     q bounds also keep the step rank (`_step_rank`) at most n: p_i and a
     positive q_i stay at or below n + 1 - k_i.  The search carries the
-    cut index a and R of every negative entry down.  Each visited q_i
-    still costs the checks it completes (`_entry_ok`: R(i) and the
-    conditions at i); a prefix that passes them is emitted when A3 and
-    B3 hold (`_closing_checks`), and is then extended.
+    cut index a and R of every negative entry down.  A prefix that
+    passes the checks its last entry completes (`_entry_ok`) and A3 and
+    B3 (`_closing_checks`) is a triple: it is emitted, then extended.
 
-    A prefix that fails any of these is cut with its whole subtree, and
-    this loses nothing.  A condition that entry i completes reads only
-    entries 1..i and stays a condition of every extension (a positive
-    q_i keeps i below the final cut), and so does the step rank of entry
-    i.  A triple that passes the conditions is buildable at rank n
-    exactly when no step rank exceeds n (`_min_rank`).  So emitted
-    triples pass `validate` and fit at rank n; with C2 in its exact
-    form, the tied tuples that pass the paper's eight conditions but
-    cannot realize their own corners fail C2 and are never emitted, so
-    emitted triples correspond one-to-one with the permutations they
+    A prefix that fails is cut with its whole subtree, and this loses
+    nothing.  A condition that entry i completes reads only entries
+    1..i and stays a condition of every extension (a positive q_i keeps
+    i below the final cut), and so does the step rank of entry i.  A3
+    and B3 fail again on every extension that passes its entry checks:
+    a positive last entry passes A3 and has no B3; if q_i < 0 and
+    p_i = 1, every later entry has p = 1 and q < 0; if p_i + q_i + k_i
+    <= k_{R(i)} + 1, B2 at i gives p_{i+1} + q_{i+1} + k_{i+1} <
+    p_i + q_i + k_i - k_{R(i)} + k_{R(i+1)} <= k_{R(i+1)} + 1, and so on
+    to the last entry.  A triple that passes the conditions is buildable
+    at rank n exactly when no step rank exceeds n (`_min_rank`).  So
+    emitted triples pass `validate` and fit at rank n; with C2 in its
+    exact form, the tied tuples that pass the paper's eight conditions
+    but cannot realize their own corners fail C2 and are never emitted,
+    so emitted triples correspond one-to-one with the permutations they
     construct.
 
     Prefixes that reach the same search state share one search below it.
@@ -506,16 +513,15 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     entry (2), whose sign tells whether a negative entry has appeared.
     The step rank reads the new entry alone; A3 and B3 read the new
     entry and k_{R(s)}.  The first visit of a state runs every check
-    below it and records its extensions in search order as (k, p, q,
-    emits, child), keeping only those that emit or lead to a state with
-    something below it; a state with nothing below it records (), so a
-    later visit cuts it at once.  Every later visit replays the record
-    without checks: it appends the entries to the prefix and builds each
-    emitted `ThetaTriple` from the whole prefix, as the first visit
-    would, so the output and its order are those of the unshared search.
-    The emitted triples share their rows, one tuple per distinct k, p or
-    q row.  The record and the rows live for one call and are cleared
-    when the generator finishes or is closed.
+    below it and records its extensions, each a triple, in search order
+    as (k, p, q, child); a state with nothing below it records ().
+    Every later visit replays the record without checks: it appends the
+    entries to the prefix and builds each `ThetaTriple` from the whole
+    prefix, as the first visit would, so the output and its order are
+    those of the unshared search.  The emitted triples share their rows,
+    one tuple per distinct k, p or q row.  The record and the rows live
+    for one call and are cleared when the generator finishes or is
+    closed.
 
     Both visits build their triples with `ThetaTriple._of`, skipping the
     shape checks, which the loop bounds already guarantee: k_i runs up
@@ -531,10 +537,10 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     ps: List[int] = []
     qs: List[int] = []
     R: Dict[int, Optional[int]] = {}  # R(i) of the negative entries
-    # state key -> the state's extensions in search order, each as five
-    # consecutive fields k, p, q, emits, child record (one flat tuple
-    # holds them in half the memory of a tuple per extension); () marks
-    # a state with nothing below it
+    # state key -> the state's extensions in search order, each as four
+    # consecutive fields k, p, q, child record (one flat tuple holds them
+    # in half the memory of a tuple per extension); () marks a state with
+    # nothing below it
     memo: Dict[int, tuple] = {}
     # one tuple per distinct row emitted, shared by every triple that has it
     rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
@@ -548,12 +554,11 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
 
     def replay(record: tuple) -> Iterator[ThetaTriple]:
         fields = iter(record)
-        for k_new, p_new, q_new, emits, child in zip(*[fields] * 5):
+        for k_new, p_new, q_new, child in zip(*[fields] * 4):
             ks.append(k_new)
             ps.append(p_new)
             qs.append(q_new)
-            if emits:
-                yield triple()
+            yield triple()
             if child:
                 yield from replay(child)
             ks.pop()
@@ -583,10 +588,9 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                 for q_new in _q_candidates(n, ks, ps, qs, a, negatives):
                     qs.append(q_new)
                     a_new = i + 1 if q_new > 0 else a
-                    if _entry_ok(ks, ps, qs, a_new, R, i):
-                        emits = all(row[1] for row in _closing_checks(ks, ps, qs, a_new, R))
-                        if emits:
-                            yield triple()
+                    if _entry_ok(ks, ps, qs, a_new, R, i) and all(
+                            row[1] for row in _closing_checks(ks, ps, qs, a_new, R)):
+                        yield triple()
                         if q_new > 0:
                             child_pos = (pos * base + k_new) * base + q_new
                             r = 0
@@ -599,8 +603,7 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                             child = memo[key] = yield from extend(a_new, child_pos)
                         elif child:
                             yield from replay(child)
-                        if emits or child:
-                            record += k_new, p_new, q_new, emits, child
+                        record += k_new, p_new, q_new, child
                     qs.pop()
                 ps.pop()
             ks.pop()

@@ -23,7 +23,7 @@ from thetavex.classify import (
     enumerate_theta_vexillary,
     verify_equivalence,
 )
-from thetavex.diagram import CornerClass, corners
+from thetavex.diagram import CornerClass, CornerRecord, CornerSet, corners
 from thetavex.sigperm import (
     RankTooLargeError,
     SignedPermutation,
@@ -148,6 +148,27 @@ def test_corner_route_reports_stray_corner():
 def test_triple_route_rejects_pattern_container():
     assert classify_by_triple(SignedPermutation([-1, 3, 2])) == (False, None)
     assert classify_by_triple(SignedPermutation([-2, 3, 1])) == (False, None)
+
+
+def test_triple_route_refuses_a_forged_corner_set():
+    """A caller-supplied corner set that is not the window's own gives a
+    candidate that `classify_by_triple` refuses at each of its checks: a
+    triple building another window, one failing a condition (A3), and one
+    that does not fit the rank."""
+    identity = SignedPermutation([1, 2, 3])
+    other = corners(SignedPermutation([2, 1, 3]))
+    assert theta.construct(theta.recover(identity, other)) != identity
+    assert classify_by_triple(identity, other) == (False, None)
+    for window, record, error, message in (
+        ([-1, 2], CornerRecord(1, 1, -1, CornerClass.NE_PATH),
+         theta.InvalidTripleError, "A3 fails"),
+        ([1, 2], CornerRecord(2, 2, 1, CornerClass.NE_PATH),
+         theta.InfeasibleRankError, "minimum feasible rank is 3"),
+    ):
+        w, cs = SignedPermutation(window), CornerSet((record,))
+        with pytest.raises(error, match=message):
+            theta.construct(theta.recover(w, cs))
+        assert classify_by_triple(w, cs) == (False, None)
 
 
 def test_pattern_route_matches_naive_reference():

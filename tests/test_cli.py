@@ -67,6 +67,12 @@ def test_classify_non_member_text(capsys):
     assert "triple:" not in out
 
 
+def test_classify_identity_has_no_corner_block(capsys):
+    code, out, err = run(capsys, "classify", "1 2 3")
+    assert code == 0 and err == ""
+    assert out == "window: 1 2 3\ntheta-vexillary: yes\ntriple: ; ; \n"
+
+
 def test_classify_json(capsys):
     code, out, _ = run(capsys, "classify", "2 1", "--json")
     assert code == 0
@@ -325,6 +331,12 @@ def test_verify_rejects_non_positive_jobs(capsys, jobs):
     code, out, err = run(capsys, "verify", "3", "--jobs", jobs)
     assert code == 2 and out == ""
     assert "--jobs: must be at least 1" in err
+
+
+def test_verify_rejects_non_integer_jobs(capsys):
+    code, out, err = run(capsys, "verify", "3", "--jobs", "x")
+    assert code == 2 and out == ""
+    assert "--jobs: not an integer: 'x'" in err
 
 
 def test_verify_reports_mismatches(capsys, monkeypatch):

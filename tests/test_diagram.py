@@ -280,6 +280,17 @@ def test_ne_path_is_minimal_set_exhaustive():
             assert all(a.p >= b.p and a.q >= b.q for a, b in zip(path, path[1:]))
 
 
+def test_ne_path_has_no_opposite_q_pair_exhaustive():
+    """No two NE path corners have q_j = -q_i, so R(i) exists for every
+    path corner with q_i < 0 and `_label_by_rank` needs no guard: a
+    corner with q = m > 0 needs the value -m at a position from its p on,
+    one with q = -m the value m, and |m| occurs once in the window."""
+    for n in range(1, 7):
+        for w in map(SignedPermutation, iter_windows(n)):
+            qs = {c.q for c in corners(w).ne_path}
+            assert not any(-q in qs for q in qs), w
+
+
 def test_corners_match_brute_force_exhaustive():
     for n in (1, 2, 3, 4, 5):
         for w in map(SignedPermutation, iter_windows(n)):

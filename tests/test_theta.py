@@ -17,7 +17,7 @@ from conftest import (
     reference_placement_run,
 )
 from thetavex import theta
-from thetavex.diagram import CornerClass, corners
+from thetavex.diagram import CornerClass, _cut_and_r, corners
 from thetavex.sigperm import SignedPermutation, iter_windows
 from thetavex.theta import (
     InfeasibleRankError,
@@ -184,6 +184,21 @@ def test_triples_and_verdicts_are_named_tuples():
     v = report.first_failure
     assert v == ("A2", False, (1, 2), "q_1 = -q_2")
     assert report == (report.verdicts,)
+
+
+def test_make_and_replace_check_the_shape():
+    """The named-tuple builders `_make` and `_replace` run the shape
+    checks of the constructor."""
+    t = ThetaTriple((1,), (1,), (1,), 1)
+    with pytest.raises(ValueError, match="ambient rank must be positive"):
+        t._replace(n=0)
+    with pytest.raises(ValueError, match="equal lengths"):
+        ThetaTriple._make([(2, 1), (1,), (1,), 1])
+    with pytest.raises(ValueError, match="k must be strictly increasing"):
+        ThetaTriple._make([(2, 1), (2, 1), (2, 1), 2])
+    wider = t._replace(n=3)
+    assert type(wider) is ThetaTriple and wider == ((1,), (1,), (1,), 3)
+    assert type(ThetaTriple._make(t)) is ThetaTriple
 
 
 def test_entries_and_rank_change():
@@ -769,9 +784,11 @@ def test_generation_frees_its_states_without_the_cycle_collector():
 
 
 def test_generation_visits_each_state_once(monkeypatch):
-    """The search below a state runs once: at rank 5 the generator asks
-    for 2,067 q ranges and 5,396 entry checks (9,916 and 14,060 when
-    every prefix was searched on its own)."""
+    """The search below a state runs once, and only below a triple: at
+    rank 5 the generator asks for 1,642 q ranges and 4,946 entry checks
+    (2,067 and 5,396 when it also searched below the prefixes that fail
+    A3 or B3, 9,916 and 14,060 when every prefix was searched on its
+    own)."""
     calls = {"_q_candidates": 0, "_entry_ok": 0}
 
     def counting(name):
@@ -785,7 +802,27 @@ def test_generation_visits_each_state_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(theta, name, counting(name))
     assert generation_digest(generate_triples(5)) == GENERATED_DIGESTS[5]
-    assert calls == {"_q_candidates": 2067, "_entry_ok": 5396}
+    assert calls == {"_q_candidates": 1642, "_entry_ok": 4946}
+
+
+def test_closing_checks_hold_on_every_proper_prefix():
+    """A3 and B3 are inherited by extension: every nonempty proper prefix
+    of a triple that passes the eight conditions passes A3 and B3 itself.
+    So the generator cuts a prefix failing either with its subtree and
+    loses nothing.  Checked on the triples, not the generator: 1,089
+    valid triples with entries <= 4 and their 1,564 prefixes."""
+    triples = prefixes = 0
+    for t in shape_valid_triples(4):
+        if not validate(t).ok:
+            continue
+        triples += 1
+        for j in range(1, t.s):
+            k, p, q = t.k[:j], t.p[:j], t.q[:j]
+            a, R = _cut_and_r(q)
+            rows = theta._closing_checks(k, p, q, a, R)
+            assert all(row[1] for row in rows), (format_triple(t), j)
+            prefixes += 1
+    assert (triples, prefixes) == (1089, 1564)
 
 
 def test_generation_matches_brute_force_reference():
