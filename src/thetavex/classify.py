@@ -108,10 +108,6 @@ class ClassificationReport(NamedTuple):
     corner_witness: Optional[CornerRecord]
     verdicts: Tuple[bool, bool, bool]
 
-    @property
-    def routes_agree(self) -> bool:
-        return self.verdicts[0] == self.verdicts[1] == self.verdicts[2]
-
     def to_json(self) -> dict:
         return {
             "schema": "1",
@@ -185,9 +181,8 @@ class VerifySummary(NamedTuple):
 def _verify_chunk(task: Tuple[int, int]) -> Tuple[int, int, List[Tuple[int, ...]]]:
     """The windows walked, the members and the mismatching windows among
     the windows of W_n that begin with the letter v, where task = (n, v).
-    The pattern verdict
-    is the one `walk_windows` decides along the walk; the corner set is
-    computed once per window and read by the corner and triple routes."""
+    The pattern verdict is the one `walk_windows` decides along the walk;
+    the corner set is computed once per window, for both other routes."""
     n, v = task
     total = count = 0
     mismatches: List[Tuple[int, ...]] = []

@@ -72,12 +72,19 @@ def cmd_diagram(args) -> int:
     return 0
 
 
+#: Peak bytes per window entry of `construct --json` (294 at n = 4e6, CPython 3.11).
+_ENTRY_BYTES = 300
+
+
 def cmd_construct(args) -> int:
     # `construct` checks the eight conditions, once per call
     t = theta._parse_rows(args.triple, args.rank)
-    try:
+    try:  # past physical memory, a valid triple is refused before any allocation
+        if t.n > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // _ENTRY_BYTES:
+            theta.min_feasible_rank(t)  # words a failing condition as `construct` does
+            raise MemoryError
         w = theta.construct(t)
-    except (OverflowError, MemoryError):  # no window list of that length fits
+    except MemoryError:
         raise ValueError(f"rank {t.n} is too large to build a window") from None
     inverse = w.inverse()
     _emit(

@@ -13,14 +13,11 @@ skips (OPTIONAL), so every route reads the same labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .sigperm import SignedPermutation
-
-Box = Tuple[int, int]  # (row, col)
 
 
 class CornerClass(Enum):
@@ -33,7 +30,6 @@ class CornerClass(Enum):
 _NE_PATH, _UNESSENTIAL, _OPTIONAL, _OTHER = (
     CornerClass.NE_PATH, CornerClass.UNESSENTIAL, CornerClass.OPTIONAL, CornerClass.OTHER
 )
-_PATH_KINDS = (_NE_PATH, _OPTIONAL)
 
 
 class CornerRecord(NamedTuple):
@@ -49,15 +45,7 @@ class CornerRecord(NamedTuple):
     kind: CornerClass = CornerClass.OTHER
 
     @property
-    def position(self) -> Tuple[int, int]:
-        return (self.p, self.q)
-
-    @property
-    def triple(self) -> Tuple[int, int, int]:
-        return (self.k, self.p, self.q)
-
-    @property
-    def box(self) -> Box:
+    def box(self) -> Tuple[int, int]:  # (row, col)
         return (self.q - 1, -self.p)
 
     def __repr__(self) -> str:
@@ -67,33 +55,14 @@ class CornerRecord(NamedTuple):
 _record = partial(tuple.__new__, CornerRecord)  # a record from [k, p, q, kind]
 
 
-@dataclass(frozen=True)
-class CornerSet:
+class CornerSet(NamedTuple):
     """All corners of a signed permutation, sorted p desc then q desc,
     and the first corner that rules w out of the class (see `corners`),
-    or None when w is theta-vexillary."""
+    or None when w is theta-vexillary.  A named tuple: it unpacks as
+    (corners, stray), so iterate `corners` for the records."""
 
     corners: Tuple[CornerRecord, ...]
     stray: Optional[CornerRecord] = None
-
-    @property
-    def ne_path(self) -> Tuple[CornerRecord, ...]:
-        """The geometric NE path: the kept and the optional corners."""
-        return tuple(c for c in self.corners if c.kind in _PATH_KINDS)
-
-    @property
-    def unessential(self) -> Tuple[CornerRecord, ...]:
-        return tuple(c for c in self.corners if c.kind is CornerClass.UNESSENTIAL)
-
-    @property
-    def other(self) -> Tuple[CornerRecord, ...]:
-        return tuple(c for c in self.corners if c.kind is CornerClass.OTHER)
-
-    def __iter__(self):
-        return iter(self.corners)
-
-    def __len__(self):
-        return len(self.corners)
 
 
 def _r_index(q: Sequence[int], a: int, i: int) -> Optional[int]:

@@ -11,7 +11,7 @@ removed: -n < ... < -1 < 1 < ... < n.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 #: Exhaustive scans refuse ranks above this unless explicitly overridden.
 RANK_GUARD = 8
@@ -32,19 +32,22 @@ def check_rank_guard(n: int, allow_large: bool = False) -> None:
         )
 
 
-class SignedPermutation:
+class _Window(NamedTuple):
+    window: Tuple[int, ...]
+
+
+class SignedPermutation(_Window):
     """An element of W_n in one-line window notation.
 
     The window holds w(1), ..., w(n); each absolute value in {1, ..., n}
-    appears exactly once.  Instances are immutable values: hashable,
-    comparable by window, safe to share between workers.
+    appears exactly once.  A named tuple of the one field `window`: an
+    immutable value, equal to (window,) but not to its window, and of
+    len 1, so read the rank as w.n.
     """
 
-    __slots__ = ("window",)
+    __slots__ = ()
 
-    window: Tuple[int, ...]
-
-    def __init__(self, window: Iterable[int]):
+    def __new__(cls, window: Iterable[int]) -> "SignedPermutation":
         win = tuple(window)
         n = len(win)
         if not n:
@@ -63,24 +66,17 @@ class SignedPermutation:
             if abs(v) in seen:
                 raise ValueError(f"absolute value {abs(v)} repeated in window")
             seen.add(abs(v))
-        object.__setattr__(self, "window", win)
+        return tuple.__new__(cls, (win,))
+
+    # the named-tuple builder, which `_replace` runs too, with the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def _of(cls, window: Tuple[int, ...]) -> "SignedPermutation":
         """The element with this window, unchecked: for windows that are
         permutations by construction, such as an inverse or an enumerated
         window.  Everything else goes through the checking constructor."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "window", window)
-        return w
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedPermutation is immutable")
-
-    def __reduce__(self):
-        # the default reduction restores the slot by assignment, which
-        # __setattr__ refuses; pickle and copy rebuild from the window
-        return SignedPermutation, (self.window,)
+        return tuple.__new__(cls, (window,))
 
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
@@ -125,12 +121,6 @@ class SignedPermutation:
             1 for i in range(n) for j in range(i, n) if win[i] + win[j] < 0
         )
         return inv + neg
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignedPermutation) and self.window == other.window
-
-    def __hash__(self) -> int:
-        return hash(self.window)
 
     def __repr__(self) -> str:
         return f"SignedPermutation({list(self.window)})"
@@ -357,21 +347,27 @@ def iter_windows(n: int, prefix: Sequence[int] = ()) -> Iterator[Tuple[int, ...]
 # ---------------------------------------------------------------------------
 # text notation
 
+def _parse_ints(text: str, what: str) -> Tuple[int, ...]:
+    """The whitespace/comma separated integers of text; a token that is
+    none is refused as a bad `what` token."""
+    values = []
+    for tok in text.replace(",", " ").split():
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"bad {what} token {tok!r}: not an integer") from None
+    return tuple(values)
+
+
 def parse_window(text: str) -> SignedPermutation:
     """Parse whitespace/comma separated signed integers into an element.
 
     Bars are written as ASCII minus signs, e.g. "-2 3 1" for the window
     whose first entry is negative.
     """
-    tokens = text.replace(",", " ").split()
-    if not tokens:
+    values = _parse_ints(text, "window")
+    if not values:
         raise ValueError("empty window")
-    values = []
-    for tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ValueError(f"bad window token {tok!r}: not an integer") from None
     try:
         return SignedPermutation(values)
     except ValueError as exc:

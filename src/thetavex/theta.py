@@ -19,7 +19,7 @@ from bisect import bisect_right
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagram import CornerClass, CornerSet, _cut_and_r, _r_index, corners
-from .sigperm import SignedPermutation, check_rank_guard
+from .sigperm import SignedPermutation, _parse_ints, check_rank_guard
 
 
 class InvalidTripleError(ValueError):
@@ -88,9 +88,6 @@ class ThetaTriple(_Triple):
     @property
     def s(self) -> int:
         return len(self.k)
-
-    def entries(self) -> Tuple[Tuple[int, int, int], ...]:
-        return tuple(zip(self.k, self.p, self.q))
 
     def with_rank(self, n: int) -> "ThetaTriple":
         return ThetaTriple(self.k, self.p, self.q, n)
@@ -642,16 +639,7 @@ def _parse_rows(text: str, n: Optional[int]) -> ThetaTriple:
         raise ValueError(
             f"triple text needs three ';'-separated lists, got {len(parts)}"
         )
-    rows = []
-    for part in parts:
-        row = []
-        for tok in part.replace(",", " ").split():
-            try:
-                row.append(int(tok))
-            except ValueError:
-                raise ValueError(f"bad triple token {tok!r}: not an integer") from None
-        rows.append(tuple(row))
-    return _at_rank(*rows, n)
+    return _at_rank(*(_parse_ints(part, "triple") for part in parts), n)
 
 
 def _at_rank(k: Sequence[int], p: Sequence[int], q: Sequence[int],

@@ -170,6 +170,14 @@ def reflected(c):
     return (c.k + c.p + c.q - 1, 1 - c.p, 1 - c.q)
 
 
+def records_of(cs, *kinds):
+    """The records of corner set cs whose kind is one of `kinds`
+    (CornerClass members or values), in order: ("ne_path", "optional")
+    gives the geometric NE path."""
+    kinds = set(map(diagram.CornerClass, kinds))
+    return tuple(c for c in cs.corners if c.kind in kinds)
+
+
 def full_corners(w):
     """Brute-force SE corners (k, p, q) of the full form's diagram on
     [-n, n], p <= 0 included: every box (a, b) where w drops across
@@ -429,8 +437,8 @@ def reference_optional_corners(w, t, cs=None):
     a = der.a
     in_triple = set(zip(t.p, t.q))
     found = []
-    for rec in cs:
-        if rec.position in in_triple:
+    for rec in cs.corners:
+        if (rec.p, rec.q) in in_triple:
             continue
         for i in range(a, t.s + 1):
             if rec.p != t.p[i - 1]:
@@ -469,7 +477,7 @@ def assert_structural_facts(t):
     winv = w.inverse()
     s = t.s
     a = derive(t).a
-    full = {c.position for c in full_corners(w)}
+    full = {(c.p, c.q) for c in full_corners(w)}
     d = build_extended_diagram(w)
 
     # box count realizes the length
@@ -500,7 +508,7 @@ def assert_structural_facts(t):
         assert (-pi + 1, -qi + 1) in full
 
     # k_i is both the rank at (p_i, q_i) and the region's dot count
-    for ki, pi, qi in t.entries():
+    for ki, pi, qi in zip(t.k, t.p, t.q):
         assert rank(w, pi, qi) == ki
         assert sum(1 for r, c in d.dots if r >= qi and c <= -pi) == ki
 
@@ -518,13 +526,13 @@ def assert_structural_facts(t):
 
     # the triple's positions sit on the NE path with matching rank values
     cs = diagram.corners(w)
-    ne = {c.position: c.k for c in cs.ne_path}
-    for ki, pi, qi in t.entries():
+    ne = {(c.p, c.q): c.k for c in records_of(cs, "ne_path", "optional")}
+    for ki, pi, qi in zip(t.k, t.p, t.q):
         assert ne.get((pi, qi)) == ki
 
     # exclusion: under each strict drop of p, the staircase region holds
     # only triple positions -- and exactly one when q also drops strictly
-    positions = {c.position for c in cs}
+    positions = {(c.p, c.q) for c in cs.corners}
     tau = set(zip(t.p, t.q))
     for i in range(1, s):
         if t.p[i - 1] <= t.p[i]:
@@ -540,9 +548,9 @@ def assert_structural_facts(t):
 
     # corner decomposition: triple, optional, unessential -- disjoint,
     # exhaustive, with the first two making up the NE path
-    opts = {c.position for c in reference_optional_corners(w, t, cs)}
-    une = {c.position for c in cs.unessential}
-    assert cs.other == ()
+    opts = {(c.p, c.q) for c in reference_optional_corners(w, t, cs)}
+    une = {(c.p, c.q) for c in records_of(cs, "unessential")}
+    assert records_of(cs, "other") == ()
     assert tau | opts == set(ne)
     assert not (tau & opts) and not (tau & une) and not (opts & une)
     assert tau | opts | une == positions

@@ -12,6 +12,7 @@ from conftest import (
     assert_structural_facts,
     full_corners,
     mirrored_construction,
+    records_of,
     reference_optional_corners,
     reference_placement_run,
     reflected,
@@ -52,7 +53,7 @@ def test_criterion_2_golden_dual():
 
 def test_criterion_3_golden_corner_taxonomy():
     cs = corners(BIG)
-    assert [c.triple for c in cs.ne_path] == [
+    assert [(c.k, c.p, c.q) for c in records_of(cs, "ne_path", "optional")] == [
         (3, 8, 7),
         (4, 6, 4),
         (5, 5, 2),
@@ -60,19 +61,19 @@ def test_criterion_3_golden_corner_taxonomy():
         (7, 2, -3),
         (9, 2, -6),
     ]
-    assert [c.triple for c in cs.unessential] == [(6, 2, -1)]
-    assert cs.other == ()
+    assert [(c.k, c.p, c.q) for c in records_of(cs, "unessential")] == [(6, 2, -1)]
+    assert records_of(cs, "other") == ()
     assert cs.stray is None
-    assert [c.triple for c in cs if c.kind is CornerClass.OPTIONAL] == [(7, 2, -3)]
-    assert [c.triple for c in reference_optional_corners(BIG, BIG_T, cs)] == [
+    assert [(c.k, c.p, c.q) for c in cs.corners if c.kind is CornerClass.OPTIONAL] == [(7, 2, -3)]
+    assert [(c.k, c.p, c.q) for c in reference_optional_corners(BIG, BIG_T, cs)] == [
         (7, 2, -3)
     ]
 
 
 def test_criterion_4_reflection_fidelity():
     fc = full_corners(SignedPermutation([-2, 3, 1]))
-    assert {c.triple for c in fc} == {(1, 3, -1), (1, 1, 2), (3, 0, -1), (2, -2, 2)}
-    image = {c.triple: reflected(c) for c in fc}
+    assert {(c.k, c.p, c.q) for c in fc} == {(1, 3, -1), (1, 1, 2), (3, 0, -1), (2, -2, 2)}
+    image = {(c.k, c.p, c.q): reflected(c) for c in fc}
     assert image[(1, 3, -1)] == (2, -2, 2) and image[(2, -2, 2)] == (1, 3, -1)
     assert image[(1, 1, 2)] == (3, 0, -1) and image[(3, 0, -1)] == (1, 1, 2)
 

@@ -11,6 +11,7 @@ from conftest import (
     is_occurrence,
     naive_first_pattern,
     oracle_is_theta_vexillary,
+    records_of,
     signed_permutations,
 )
 from thetavex import theta
@@ -141,7 +142,7 @@ def test_report_with_corner_witness_pickles_and_copies():
 def test_corner_route_reports_stray_corner():
     ok, stray = classify_by_corners(SignedPermutation([-2, 3, 1]))
     assert not ok
-    assert stray.position == (1, 2)
+    assert (stray.p, stray.q) == (1, 2)
     assert stray.kind is CornerClass.OTHER
 
 
@@ -242,10 +243,10 @@ def test_corner_route_overclaims_are_pinned():
         w = SignedPermutation(win)
         cs = corners(w)
         # the literal criterion holds: nothing off the path but unessential
-        assert cs.other == ()
+        assert records_of(cs, "other") == ()
         ok, stray = classify_by_corners(w, cs)
         assert ok is False
-        assert stray.triple == (2, 3, -1)
+        assert (stray.k, stray.p, stray.q) == (2, 3, -1)
         assert stray.kind is CornerClass.UNESSENTIAL
         ok, witness = classify_by_patterns(w)
         assert not ok and witness[0].window == (2, 1, 4, 3)
@@ -256,10 +257,10 @@ def test_overclaimed_windows_report_without_crashing():
     report = build_report(SignedPermutation([3, 5, 1, 6, -2, 4]))
     assert report.theta_vexillary is False
     assert report.verdicts == (False, False, False)
-    assert report.routes_agree
+    assert len(set(report.verdicts)) == 1
     assert report.triple is None
     assert report.pattern_witness[1] == (1, 3, 4, 6)
-    assert report.corner_witness.triple == (2, 3, -1)
+    assert report.corner_witness[:3] == (2, 3, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +433,7 @@ def test_verify_rejects_bad_jobs(jobs):
 
 def test_reports_and_summaries_are_named_tuples():
     report = build_report(BIG)
-    assert report == tuple(report) and report.routes_agree
+    assert report == tuple(report) and len(set(report.verdicts)) == 1
     assert verify_equivalence(2) == (2, 8, 8, ())
 
 

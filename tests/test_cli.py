@@ -244,6 +244,25 @@ def test_construct_rank_past_memory():
     assert err == b"error: rank 1000000000 is too large to build a window\n"
 
 
+@pytest.mark.parametrize("triple, message", [
+    ("1; 1; 1", "rank {} is too large to build a window"),
+    ("1 2 3 4; 5 3 3 2; 3 3 1 -4", "C2 fails at i=4: 4 is not >= 5"),
+], ids=["member", "C2"])
+def test_construct_rank_past_physical_memory(capsys, monkeypatch, triple, message):
+    # the first rank whose window cannot fit in physical memory is
+    # refused before anything is placed, after a failing condition:
+    # one error line, no traceback
+    def place(*args):
+        raise AssertionError("a window was placed past physical memory")
+
+    monkeypatch.setattr(theta, "_placement_run", place)
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    rank = physical // cli._ENTRY_BYTES + 1
+    code, out, err = run(capsys, "construct", triple, "-n", str(rank))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(rank)}\n"
+
+
 # ---------------------------------------------------------------------------
 # recover
 

@@ -8,8 +8,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import build_extended_diagram, full_corners, rank, reflected, signed_permutations
-from thetavex.diagram import CornerClass, CornerRecord, corners, render_extended
+from conftest import (
+    build_extended_diagram,
+    full_corners,
+    rank,
+    records_of,
+    reflected,
+    signed_permutations,
+)
+from thetavex.diagram import CornerClass, CornerRecord, CornerSet, corners, render_extended
 from thetavex.sigperm import SignedPermutation, iter_windows
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -43,7 +50,7 @@ def reference_corners(w):
     corners, classified by the written taxonomy.  Sorted p desc, q desc.
     The taxonomy has no optional class: compare with `corner_tuples`,
     which folds OPTIONAL into NE_PATH."""
-    found = [c.triple for c in full_corners(w) if c.p >= 1]
+    found = [(c.k, c.p, c.q) for c in full_corners(w) if c.p >= 1]
     ne = naive_minimal_positions({(p, q) for _, p, q in found})
     out = []
     for k, p, q in found:
@@ -67,7 +74,7 @@ def corner_tuples(w):
     return [
         (c.k, c.p, c.q,
          CornerClass.NE_PATH if c.kind is CornerClass.OPTIONAL else c.kind)
-        for c in corners(w)
+        for c in corners(w).corners
     ]
 
 
@@ -158,7 +165,7 @@ def test_big_corner_taxonomy():
     """The worked 10-by-10 example: six NE-path corners, one unessential,
     nothing stray."""
     cs = corners(BIG)
-    assert [c.triple for c in cs.ne_path] == [
+    assert [(c.k, c.p, c.q) for c in records_of(cs, "ne_path", "optional")] == [
         (3, 8, 7),
         (4, 6, 4),
         (5, 5, 2),
@@ -166,20 +173,20 @@ def test_big_corner_taxonomy():
         (7, 2, -3),
         (9, 2, -6),
     ]
-    assert [c.triple for c in cs.unessential] == [(6, 2, -1)]
-    assert cs.other == ()
-    assert len(cs) == 7
+    assert [(c.k, c.p, c.q) for c in records_of(cs, "unessential")] == [(6, 2, -1)]
+    assert records_of(cs, "other") == ()
+    assert len(cs.corners) == 7
 
 
 def test_corner_records_are_sorted():
     cs = corners(BIG)
-    keys = [(-c.p, -c.q) for c in cs]
+    keys = [(-c.p, -c.q) for c in cs.corners]
     assert keys == sorted(keys)
 
 
 def test_corner_box_identification():
     rec = CornerRecord(9, 2, -6)
-    assert rec.position == (2, -6)
+    assert (rec.p, rec.q) == (2, -6)
     assert rec.box == (-7, -2)
     assert rec.kind is CornerClass.OTHER
     assert CornerRecord(9, 2, -6, CornerClass.NE_PATH).kind is CornerClass.NE_PATH
@@ -190,39 +197,41 @@ def test_corner_records_are_named_tuples():
     assert rec == (9, 2, -6, CornerClass.NE_PATH)
     assert rec != CornerRecord(9, 2, -6)
     assert repr(rec) == "CornerRecord(9, 2, -6, ne_path)"
-    assert all(type(c) is CornerRecord for c in corners(BIG))
+    assert all(type(c) is CornerRecord for c in corners(BIG).corners)
 
 
 def test_corner_sets_pickle_and_copy():
     for w in (BIG, FIG1, SignedPermutation([3, 5, 1, 6, -2, 4])):
         cs = corners(w)
+        # a named tuple: it unpacks as (corners, stray)
+        assert corners(w) == (cs.corners, cs.stray)
         for twin in (pickle.loads(pickle.dumps(cs)), copy.deepcopy(cs)):
-            assert twin == cs
+            assert type(twin) is CornerSet and twin == cs
             assert twin.stray == cs.stray
-            assert all(type(c) is CornerRecord for c in twin)
+            assert all(type(c) is CornerRecord for c in twin.corners)
 
 
 def test_identity_corner_set_empty():
-    assert len(corners(SignedPermutation.identity(5))) == 0
+    assert len(corners(SignedPermutation.identity(5)).corners) == 0
 
 
 def test_fig1_full_corner_set():
     fc = full_corners(FIG1)
-    assert {c.triple for c in fc} == {(1, 3, -1), (1, 1, 2), (3, 0, -1), (2, -2, 2)}
+    assert {(c.k, c.p, c.q) for c in fc} == {(1, 3, -1), (1, 1, 2), (3, 0, -1), (2, -2, 2)}
 
 
 def test_fig1_signed_corners():
     cs = corners(FIG1)
-    assert [c.triple for c in cs.corners] == [(1, 3, -1), (1, 1, 2)]
+    assert [(c.k, c.p, c.q) for c in cs.corners] == [(1, 3, -1), (1, 1, 2)]
     # (1,2) is dominated by (3,-1) and, with q >= 0, cannot be unessential
     assert [c.kind for c in cs.corners] == [CornerClass.NE_PATH, CornerClass.OTHER]
 
 
 def test_reflect_involution_and_symmetry():
     fc = full_corners(FIG1)
-    triples = {c.triple for c in fc}
+    triples = {(c.k, c.p, c.q) for c in fc}
     for c in fc:
-        assert reflected(CornerRecord(*reflected(c))) == c.triple
+        assert reflected(CornerRecord(*reflected(c))) == (c.k, c.p, c.q)
         assert reflected(c) in triples
 
 
@@ -231,7 +240,7 @@ def test_full_corner_sets_reflection_closed_exhaustive():
     for n in (1, 2, 3):
         for w in map(SignedPermutation, iter_windows(n)):
             fc = full_corners(w)
-            triples = {c.triple for c in fc}
+            triples = {(c.k, c.p, c.q) for c in fc}
             assert {reflected(c) for c in fc} == triples
 
 
@@ -242,8 +251,8 @@ def test_full_corners_are_signed_corners_and_reflections():
     for n in range(1, 6):
         for w in map(SignedPermutation, iter_windows(n)):
             cs = corners(w).corners
-            expected = {c.triple for c in cs} | {reflected(c) for c in cs}
-            assert {c.triple for c in full_corners(w)} == expected
+            expected = {(c.k, c.p, c.q) for c in cs} | {reflected(c) for c in cs}
+            assert {(c.k, c.p, c.q) for c in full_corners(w)} == expected
 
 
 def test_se_corner_against_definition():
@@ -264,19 +273,17 @@ def test_se_corner_against_definition():
             and not in_diagram(a, b + 1)
             and not in_diagram(a + 1, b)
         }
-        assert {c.position for c in full_corners(w)} == expected
+        assert {(c.p, c.q) for c in full_corners(w)} == expected
 
 
 def test_ne_path_is_minimal_set_exhaustive():
     for n in (2, 3, 4):
         for w in map(SignedPermutation, iter_windows(n)):
             cs = corners(w)
-            positions = {c.position for c in cs}
-            assert {c.position for c in cs.ne_path} == naive_minimal_positions(
-                positions
-            )
+            positions = {(c.p, c.q) for c in cs.corners}
+            path = records_of(cs, "ne_path", "optional")
+            assert {(c.p, c.q) for c in path} == naive_minimal_positions(positions)
             # the sorted NE path is monotone in p and q at once
-            path = cs.ne_path
             assert all(a.p >= b.p and a.q >= b.q for a, b in zip(path, path[1:]))
 
 
@@ -287,7 +294,7 @@ def test_ne_path_has_no_opposite_q_pair_exhaustive():
     one with q = -m the value m, and |m| occurs once in the window."""
     for n in range(1, 7):
         for w in map(SignedPermutation, iter_windows(n)):
-            qs = {c.q for c in corners(w).ne_path}
+            qs = {c.q for c in records_of(corners(w), "ne_path", "optional")}
             assert not any(-q in qs for q in qs), w
 
 
@@ -318,7 +325,7 @@ def test_rank_six_corner_labels_are_pinned():
     for win in iter_windows(6):
         cs = corners(SignedPermutation(win))
         stray = None if cs.stray is None else plain(cs.stray)
-        rows.append((win, tuple(plain(c) for c in cs), stray))
+        rows.append((win, tuple(plain(c) for c in cs.corners), stray))
     assert sum(stray is None for _, _, stray in rows) == 15964
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == W6_CORNER_LABELS_SHA256
 
@@ -334,21 +341,23 @@ def test_no_corner_in_column_one_above_row_zero():
 @given(signed_permutations(max_n=6))
 def test_taxonomy_classes_partition(w):
     cs = corners(w)
-    assert len(cs.ne_path) + len(cs.unessential) + len(cs.other) == len(cs)
+    path = records_of(cs, "ne_path", "optional")
+    unessential, other = records_of(cs, "unessential"), records_of(cs, "other")
+    assert len(path) + len(unessential) + len(other) == len(cs.corners)
     # optional corners are labelled only when nothing is stray
     if cs.stray is not None:
-        assert all(c.kind is not CornerClass.OPTIONAL for c in cs)
-        assert cs.stray in cs.other + cs.unessential
+        assert all(c.kind is not CornerClass.OPTIONAL for c in cs.corners)
+        assert cs.stray in other + unessential
     # a stray OTHER corner is the first one
-    if cs.other:
-        assert cs.stray == cs.other[0]
+    if other:
+        assert cs.stray == other[0]
 
 
 @given(signed_permutations(max_n=6))
 def test_unessential_needs_negative_q_and_dominator(w):
     cs = corners(w)
-    ne = {c.position for c in cs.ne_path}
-    for c in cs.unessential:
+    ne = {(c.p, c.q) for c in records_of(cs, "ne_path", "optional")}
+    for c in records_of(cs, "unessential"):
         assert c.q < 0
         assert any(p1 == c.p and q1 < c.q for (p1, q1) in ne)
         assert any(q2 == -c.q + 1 and p2 > 0 for (p2, q2) in ne)
@@ -359,7 +368,7 @@ def test_corner_rank_equals_region_dot_count():
     for n in (2, 3, 4):
         for w in map(SignedPermutation, iter_windows(n)):
             d = build_extended_diagram(w)
-            for c in corners(w):
+            for c in corners(w).corners:
                 dots = sum(1 for r, b in d.dots if r >= c.q and b <= -c.p)
                 assert c.k == rank(w, c.p, c.q) == dots
 
@@ -418,7 +427,7 @@ def test_render_cells_match_the_reference_diagram():
     for n in (1, 2, 3, 4):
         for w in map(SignedPermutation, iter_windows(n)):
             d = build_extended_diagram(w)
-            overlays = {c.box for c in corners(w)}
+            overlays = {c.box for c in corners(w).corners}
             cells = rendered_cells(w, show_crosses=True)
             for cell, token in cells.items():
                 if cell in overlays:

@@ -62,9 +62,17 @@ def test_windows_pickle_and_copy():
     import pickle
 
     for w in (BIG, SignedPermutation([-1])):
-        assert pickle.loads(pickle.dumps(w)) == w
-        assert copy.deepcopy(w) == w and hash(copy.copy(w)) == hash(w)
-    with pytest.raises(AttributeError, match="immutable"):
+        for twin in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w), copy.copy(w)):
+            assert type(twin) is SignedPermutation and twin == w
+            assert hash(twin) == hash(w)
+        # a named tuple of the one field `window`
+        assert w == (w.window,) and w != w.window
+    # `_replace` and `_make` check the window as the constructor does
+    with pytest.raises(ValueError, match="repeated"):
+        BIG._replace(window=(1, 1))
+    with pytest.raises(ValueError, match="nonzero"):
+        SignedPermutation._make([(0,)])
+    with pytest.raises(AttributeError):
         BIG.window = (1,)
 
 

@@ -203,7 +203,7 @@ def test_make_and_replace_check_the_shape():
 
 def test_entries_and_rank_change():
     assert BIG_T.s == 5
-    assert BIG_T.entries()[0] == (3, 8, 7)
+    assert tuple(zip(BIG_T.k, BIG_T.p, BIG_T.q))[0] == (3, 8, 7)
     assert BIG_T.with_rank(12).n == 12
     assert BIG_T.with_rank(10) == BIG_T
 
@@ -645,9 +645,9 @@ def test_validate_holds_exactly_when_construct_builds():
             builds = False
         else:
             builds = True
-            built.add(t.entries())
+            built.add(tuple(zip(t.k, t.p, t.q)))
         assert validate(t).ok == builds, format_triple(t)
-    assert {t.entries() for t in generate_triples(4)} <= built
+    assert {tuple(zip(t.k, t.p, t.q)) for t in generate_triples(4)} <= built
 
 
 def test_tied_triples_construct_and_round_trip():
@@ -663,7 +663,7 @@ def test_tied_triples_construct_and_round_trip():
 
 def test_optional_corners_big():
     opts = reference_optional_corners(BIG, BIG_T)
-    assert [c.triple for c in opts] == [(7, 2, -3)]
+    assert [(c.k, c.p, c.q) for c in opts] == [(7, 2, -3)]
 
 
 def test_optional_corners_rank_relation_is_checked():
@@ -672,8 +672,8 @@ def test_optional_corners_rank_relation_is_checked():
 
     forged = CornerSet(
         tuple(
-            CornerRecord(8, c.p, c.q, c.kind) if c.position == (2, -3) else c
-            for c in corners(BIG)
+            CornerRecord(8, c.p, c.q, c.kind) if (c.p, c.q) == (2, -3) else c
+            for c in corners(BIG).corners
         )
     )
     with pytest.raises(ValueError, match=r"\(8, 2, -3\) violates the rank"):
@@ -692,8 +692,8 @@ def test_optional_labels_match_reference_exhaustively():
         for t in generate_triples(n):
             w = construct(t)
             cs = corners(w)
-            labelled = [c.position for c in cs if c.kind is CornerClass.OPTIONAL]
-            expected = [c.position for c in reference_optional_corners(w, t, cs)]
+            labelled = [(c.p, c.q) for c in cs.corners if c.kind is CornerClass.OPTIONAL]
+            expected = [(c.p, c.q) for c in reference_optional_corners(w, t, cs)]
             assert labelled == expected, t
 
 
@@ -723,7 +723,7 @@ def test_recover_refuses_unforced_unessential_corner():
     # another window
     for win in CORNER_ROUTE_REJECTS:
         w = SignedPermutation(win)
-        assert corners(w).stray.triple == (2, 3, -1)
+        assert corners(w).stray[:3] == (2, 3, -1)
         assert recover(w) is None
 
 
@@ -954,7 +954,7 @@ def test_optional_corner_kind_label():
     from thetavex.classify import build_report
 
     report = build_report(BIG)
-    kinds = {c.position: c.kind for c in report.corner_records}
+    kinds = {(c.p, c.q): c.kind for c in report.corner_records}
     assert kinds[(2, -3)] is CornerClass.OPTIONAL
     assert kinds[(2, -1)] is CornerClass.UNESSENTIAL
 
