@@ -14,7 +14,6 @@ skips (OPTIONAL), so every route reads the same labels.
 from __future__ import annotations
 
 from enum import Enum
-from functools import partial
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .sigperm import SignedPermutation
@@ -50,9 +49,6 @@ class CornerRecord(NamedTuple):
 
     def __repr__(self) -> str:
         return f"CornerRecord({self.k}, {self.p}, {self.q}, {self.kind.value})"
-
-
-_record = partial(tuple.__new__, CornerRecord)  # a record from [k, p, q, kind]
 
 
 class CornerSet(NamedTuple):
@@ -119,12 +115,16 @@ def corners(w: SignedPermutation) -> CornerSet:
     one, and only when the path has a corner with q < 0, does
     `_label_by_rank` read the rank relation, to find an unforced
     unessential stray or mark the OPTIONAL corners: with no such corner
-    there is no unessential corner and no path index i >= a.  Records
-    come out sorted p desc, q desc.
+    there is no unessential corner and no path index i >= a.  Each
+    record is built once, when its kind is known; the rare relabels,
+    UNESSENTIAL at the end of a column and OPTIONAL in `_label_by_rank`,
+    replace the record at its index.  Records come out sorted p desc,
+    q desc.
     """
     win = w.window
     n = len(win)
-    found = []  # [k, p, q, kind] per corner, in p desc, q desc order
+    new = tuple.__new__  # new(CornerRecord, (k, p, q, kind)) builds a record
+    found = []  # the records, in p desc, q desc order
     path_qs = set()  # the q of every path corner found so far
     bound = n + 1  # the least q of a corner at a larger p
     stray = None
@@ -145,24 +145,24 @@ def corners(w: SignedPermutation) -> CornerSet:
             k = (tail & (low << 1) - 1).bit_count()
             q = n + 1 - low.bit_length()  # low is bit n + v, and q = -v
             if q <= bound:
-                found.append([k, p, q, _NE_PATH])
+                found.append(new(CornerRecord, (k, p, q, _NE_PATH)))
                 path_qs.add(q)
             else:
-                found.append([k, p, q, _OTHER])
+                found.append(new(CornerRecord, (k, p, q, _OTHER)))
                 off += 1
         # the column's path corners come after its `off` corners off the path
         column_mate = len(found) > start + off
         for x in range(start, start + off):
             c = found[x]
             if column_mate and c[2] < 0 and 1 - c[2] in path_qs:
-                c[3] = _UNESSENTIAL
+                found[x] = c._replace(kind=_UNESSENTIAL)
             elif stray is None:
                 stray = x
         if column_mate:
             bound = found[-1][2]
     if stray is None and bound < 0:  # the path has a corner with q < 0
         stray = _label_by_rank(found, n)
-    records = tuple(map(_record, found))
+    records = tuple(found)
     return CornerSet(records, None if stray is None else records[stray])
 
 
@@ -175,17 +175,17 @@ def _label_by_rank(found: list, n: int) -> Optional[int]:
     with q_j = 1 - q, have q - q_i = k_i - k + k_j - k_{R(i)}.
     With no stray, each path corner i >= a where (p_i - p_{i+1}) +
     (q_i - q_{i+1}) = (k_{i+1} - k_i) + (k_{R(i)} - k_{R(i+1)}) is
-    marked OPTIONAL in `found`.  The NE path is (k_i, p_i, q_i),
+    relabelled OPTIONAL in `found`.  The NE path is (k_i, p_i, q_i),
     i = 1..s, between the sentinels (0, n, n) and (n, 1, -n), with
     a = 1 + #{i : q_i > 0} and R(s+1) = 0, which makes the last identity
     the B3 boundary.  R is defined on [a, s]: a corner (p, q) needs the
     value -q at a position >= p, so no two corners have opposite q.
     """
-    path = [c for c in found if c[3] is _NE_PATH]
+    path = [x for x, c in enumerate(found) if c[3] is _NE_PATH]
     s = len(path)
-    K = [0, *(c[0] for c in path), n]
-    P = [n, *(c[1] for c in path), 1]
-    Q = [n, *(c[2] for c in path), -n]
+    K = [0, *(found[x][0] for x in path), n]
+    P = [n, *(found[x][1] for x in path), 1]
+    Q = [n, *(found[x][2] for x in path), -n]
     a, R = _cut_and_r(Q[1:s + 1])
     R[s + 1] = 0
 
@@ -202,7 +202,8 @@ def _label_by_rank(found: list, n: int) -> Optional[int]:
         lhs = (P[i] - P[i + 1]) + (Q[i] - Q[i + 1])
         rhs = (K[i + 1] - K[i]) + (K[R[i]] - K[R[i + 1]])
         if lhs == rhs:
-            path[i - 1][3] = _OPTIONAL
+            x = path[i - 1]
+            found[x] = found[x]._replace(kind=_OPTIONAL)
     return None
 
 

@@ -149,32 +149,47 @@ def _letter_steps(pat: Tuple[int, ...]) -> Tuple[Tuple[int, int, int, int], ...]
 class PatternTable(tuple):
     """A tuple of patterns compiled once, when the table is built.
     `compiled` holds (pattern, its `_letter_steps`, its length) per
-    pattern, in table order, for `find_pattern`.  `anchored[s]` holds the
-    same for each pattern whose last letter has sign s (0 negative,
-    1 positive), with the steps of the pattern rotated so that its last
-    letter comes first: the anchored test of `walk_windows`."""
+    pattern, in table order, for `find_pattern`.  `anchored[s]` is the
+    anchored test of `walk_windows` for a new letter of sign s
+    (0 negative, 1 positive): the `_tree` of the patterns whose last
+    letter has sign s, each pattern's steps rotated so that its last
+    letter comes first."""
 
     def __new__(cls, patterns: Iterable[SignedPermutation]) -> "PatternTable":
         table = super().__new__(cls, patterns)
         table.compiled = tuple(
             (p, _letter_steps(p.window), len(p.window)) for p in table
         )
-        anchored = ([], [])
+        rotated = ([], [])
         for p in table:
             win = p.window
-            anchored[win[-1] > 0].append(
-                (p, _letter_steps(win[-1:] + win[:-1]), len(win))
-            )
-        table.anchored = tuple(map(tuple, anchored))
+            rotated[win[-1] > 0].append(_letter_steps(win[-1:] + win[:-1]))
+        table.anchored = tuple(map(_tree, rotated))
         return table
 
 
+def _tree(paths: list) -> tuple:
+    """The prefix tree of letter-step paths that share their first step,
+    as (end, branches): whether a path ends at that step, and per
+    distinct next step (sign, lower, upper) one branch
+    (sign, lower, upper, rest, end, branches), whose `rest` is the least
+    among the paths through it."""
+    below: dict = {}
+    for steps in paths:
+        if len(steps) > 1:
+            below.setdefault(steps[1][:3], []).append(steps[1:])
+    return any(len(steps) == 1 for steps in paths), tuple(
+        (*step, min(steps[0][3] for steps in group), *_tree(group))
+        for step, group in below.items()
+    )
+
+
 def _sign_index(win: Sequence[int], n: int, bound: int):
-    """What `_search` reads of the first n letters of a window whose |w|
-    all lie below `bound`, per sign (negative, then positive): key[i] is
-    |w(i + 1)| if w(i + 1) has that sign, else 0, which fails every
-    a < x < b; top[i] and low[i] are the max and min |w| of that sign
-    from i on, and 0 and `bound` at n."""
+    """What `_search` and `_occurs` read of the first n letters of a
+    window whose |w| all lie below `bound`, per sign (negative, then
+    positive): key[i] is |w(i + 1)| if w(i + 1) has that sign, else 0,
+    which fails every a < x < b; top[i] and low[i] are the max and min
+    |w| of that sign from i on, and 0 and `bound` at n."""
     pos_key, neg_key = [0] * n, [0] * n
     pos_top, neg_top = [0] * (n + 1), [0] * (n + 1)
     pos_low, neg_low = [bound] * (n + 1), [bound] * (n + 1)
@@ -198,14 +213,12 @@ def _sign_index(win: Sequence[int], n: int, bound: int):
     return (neg_key, neg_top, neg_low), (pos_key, pos_top, pos_low)
 
 
-def _search(compiled, first: int, n: int, by_sign, chosen: list, size: list):
-    """The first pattern of `compiled` whose letters from `first` on occur
-    in the n letters indexed by `by_sign` (`_sign_index`), each fitting
-    the letters before it; None if none does.  `size[j]` holds |w| of
-    letter j once it is placed (letters before `first` are preset by the
-    caller), then the bounds at -2 and -1: 0 and the `bound` of
-    `_sign_index`.  `chosen[j]` is the index of letter j, so that a hit's
-    witness is `chosen[:length]`.
+def _search(compiled, n: int, by_sign, chosen: list, size: list):
+    """The first pattern of `compiled` that occurs in the n letters
+    indexed by `by_sign` (`_sign_index`); None if none does.  `size[j]`
+    holds |w| of letter j once it is placed, then the bounds at -2 and
+    -1: 0 and the `bound` of `_sign_index`.  `chosen[j]` is the index of
+    letter j, so that a hit's witness is `chosen[:length]`.
 
     A depth-first search over index prefixes in increasing order, so
     each hit is the lexicographically least.  The chosen letters are
@@ -217,10 +230,10 @@ def _search(compiled, first: int, n: int, by_sign, chosen: list, size: list):
     interval.
     """
     for pattern, steps, m in compiled:
-        if m - first > n:
+        if m > n:
             continue
-        j, start = first, 0
-        while first <= j < m:
+        j = start = 0
+        while 0 <= j < m:
             s, lower, upper, rest = steps[j]
             key, top, low = by_sign[s]
             a, b = size[lower], size[upper]
@@ -240,6 +253,28 @@ def _search(compiled, first: int, n: int, by_sign, chosen: list, size: list):
         if j == m:
             return pattern
     return None
+
+
+def _occurs(branches, j: int, start: int, n: int, by_sign, size: list) -> bool:
+    """Whether the letters from j on of a pattern in the `_tree` branches
+    occur at indices >= start of the n letters indexed by `by_sign`,
+    each fitting the letters before it; `size` holds |w| of letters
+    0..j-1 and the bounds, as for `_search`.  The yes/no form of
+    `_search`, with its fit test and O(1) skip: a step that several
+    patterns share is scanned once for all of them."""
+    for s, lower, upper, rest, end, below in branches:
+        key, top, low = by_sign[s]
+        a, b = size[lower], size[upper]
+        if top[start] > a and low[start] < b:
+            for i in range(start, n - rest):
+                x = key[i]
+                if a < x < b:
+                    if end:
+                        return True
+                    size[j] = x
+                    if _occurs(below, j + 1, i + 1, n, by_sign, size):
+                        return True
+    return False
 
 
 def find_pattern(
@@ -262,7 +297,7 @@ def find_pattern(
     n = len(win)
     chosen = [0] * n
     size = [0] * n + [0, n + 1]
-    hit = _search(patterns.compiled, 0, n, _sign_index(win, n, n + 1), chosen, size)
+    hit = _search(patterns.compiled, n, _sign_index(win, n, n + 1), chosen, size)
     if hit is None:
         return None
     return hit, tuple([i + 1 for i in chosen[:len(hit.window)]])
@@ -291,10 +326,12 @@ def walk_windows(
     extension, and a prefix of length m contains a pattern iff its first
     m - 1 letters do or an occurrence ends at letter m.  So a prefix's
     verdict is its parent's, or the anchored test of its last letter:
-    `_search` over the `PatternTable.anchored` steps of that letter's
+    one `_occurs` over the `PatternTable.anchored` tree of that letter's
     sign, with letter 0 preset to it, on the parent's `_sign_index`,
-    which is built once for all its children.  A prefix that no window
-    of W_n begins with raises ValueError here, before the walk.
+    which is built once for all its children.  The walk reports no
+    witness, so the order of the patterns in the tree does not matter.
+    A prefix that no window of W_n begins with raises ValueError here,
+    before the walk.
     """
     prefix = tuple(prefix)
     seen = set()
@@ -306,7 +343,6 @@ def walk_windows(
     values = [v for v in range(-n, n + 1) if v != 0]
     window: list = []
     used: set = set()
-    chosen = [0] * n
     size = [0] * n + [0, n + 1]
 
     def walk(depth: int, contains: bool) -> Iterator[Tuple[Tuple[int, ...], bool]]:
@@ -323,7 +359,8 @@ def walk_windows(
             hit = contains
             if test:
                 size[0] = x
-                hit = _search(anchored[v > 0], 1, depth, by_sign, chosen, size) is not None
+                end, branches = anchored[v > 0]
+                hit = end or _occurs(branches, 1, 0, depth, by_sign, size)
                 if hit and avoiders_only:
                     continue
             window.append(v)

@@ -82,7 +82,8 @@ class ThetaTriple(_Triple):
     def _of(cls, k: Tuple[int, ...], p: Tuple[int, ...], q: Tuple[int, ...],
             n: int) -> "ThetaTriple":
         """The triple of these tuples, unchecked: for triples whose shape
-        holds by construction, the ones `generate_triples` emits."""
+        holds by construction: the ones `generate_triples` emits and the
+        ones `recover` reads off a corner set."""
         return tuple.__new__(cls, (k, p, q, n))
 
     @property
@@ -427,7 +428,10 @@ def recover(
     The triple is read off the corner set: w has one exactly when the
     set has no stray corner, and its entries are then the NE_PATH
     corners, the path minus the optional ones (see `diagram.corners`).
-    Pass `cs` when the corner set of w is already known.
+    The NE path of `corners(w)` is always in the shape `ThetaTriple`
+    checks (README, "Recovery"), and so is any part of it, so the
+    triple is built unchecked.  Pass `cs` when the corner set of w is
+    already known; it must be `corners(w)`.
     """
     if cs is None:
         cs = corners(w)
@@ -435,10 +439,7 @@ def recover(
         return None
     kept = [c for c in cs.corners if c.kind is CornerClass.NE_PATH]
     k, p, q, _ = zip(*kept) if kept else ((),) * 4
-    try:
-        return ThetaTriple(k, p, q, w.n)
-    except ValueError:
-        return None
+    return ThetaTriple._of(k, p, q, w.n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,14 @@ from conftest import (
 )
 from thetavex.classify import enumerate_theta_vexillary
 from thetavex.sigperm import (
+    PatternTable,
     RankTooLargeError,
     SignedPermutation,
     find_pattern,
     format_window,
     iter_windows,
     parse_window,
+    walk_windows,
 )
 
 BIG = SignedPermutation([10, 1, 5, 3, -2, -4, 6, -9, -8, -7])
@@ -234,6 +236,49 @@ def test_pattern_monotone_under_window_extension(w, pat):
     extended = SignedPermutation(list(w.window) + [w.n + 1])
     if contains_pattern(w, pat):
         assert contains_pattern(extended, pat)
+
+
+@st.composite
+def extended(draw, rotated):
+    """A rotated pattern (its last letter first) with one letter appended:
+    a drawn |value| and sign, the earlier |values| at or above it moved up
+    by one.  The old letters keep their relative order, so their letter
+    steps are a prefix of the new pattern's."""
+    rank = draw(st.integers(1, len(rotated) + 1))
+    sign = draw(st.sampled_from((1, -1)))
+    bumped = (v + (1 if v > 0 else -1) if abs(v) >= rank else v for v in rotated)
+    return (*bumped, sign * rank)
+
+
+@st.composite
+def tree_tables(draw):
+    """A `PatternTable` of 1- to 4-letter patterns, in a drawn order, whose
+    anchored trees have the two node kinds the thirteen patterns do not
+    exercise: a pattern whose rotated steps extend another's, which makes
+    a node both an end and a parent, and a 3- and a 4-letter pattern
+    through one node, whose least `rest` is the shorter one's.  Up to two
+    more random patterns ride along."""
+    base = draw(signed_permutations(max_n=3)).window
+    stem = draw(signed_permutations(min_n=2, max_n=2)).window
+    longer = draw(extended(draw(extended(stem))))
+    rotated = [base, draw(extended(base)), draw(extended(stem)), longer]
+    rotated += [p.window for p in draw(st.lists(signed_permutations(max_n=4), max_size=2))]
+    patterns = [SignedPermutation(r[1:] + r[:1]) for r in rotated]
+    return PatternTable(draw(st.permutations(patterns)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(tree_tables())
+def test_walk_tree_agrees_with_find_pattern(table):
+    """On every window of W_1..W_5, the walk's one search over the prefix
+    tree gives `find_pattern`'s verdict, and `avoiders_only` keeps
+    exactly the avoiders, in window order."""
+    for n in range(1, 6):
+        walked = list(walk_windows(n, (), table))
+        for win, contains in walked:
+            assert contains == (find_pattern(SignedPermutation._of(win), table) is not None)
+        avoiders = list(walk_windows(n, (), table, avoiders_only=True))
+        assert avoiders == [(win, False) for win, contains in walked if not contains]
 
 
 # ---------------------------------------------------------------------------
