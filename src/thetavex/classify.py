@@ -6,18 +6,21 @@ NE path or is an unessential corner that the rank relation forces (see
 `diagram.corners`); it avoids the thirteen signed patterns below.
 `build_report` runs the three routes on one window.
 `verify_equivalence` checks their agreement exhaustively over a whole
-group, optionally across processes, and `enumerate_theta_vexillary`
-lists the members; both read the pattern verdicts that
-`sigperm.walk_windows` decides once per prefix along its walk.
+group, one task per last letter, optionally across processes, and
+`enumerate_theta_vexillary` lists the members; both read the pattern
+verdicts that `sigperm.walk_windows` decides once per prefix along its
+walk.  The sweep of `verify_equivalence` walks the mirrored windows, so
+that it also folds each corner column once per suffix (`_sweep`).
 """
 
 from __future__ import annotations
 
 import os
+import signal
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from . import theta
-from .diagram import CornerRecord, CornerSet, corners
+from .diagram import CornerRecord, CornerSet, _column, _label_by_rank, corners
 from .sigperm import (
     PatternTable,
     SignedPermutation,
@@ -48,6 +51,13 @@ PATTERNS: PatternTable = PatternTable(
     )
 )
 
+#: The same patterns read right to left: a pattern occurs in a window
+#: exactly when its mirror image occurs in the window's, so walking the
+#: mirrored windows over this table gives each window's verdict.
+MIRRORED: PatternTable = PatternTable(
+    SignedPermutation._of(p.window[::-1]) for p in PATTERNS
+)
+
 
 def classify_by_patterns(
     w: SignedPermutation,
@@ -72,14 +82,22 @@ def classify_by_triple(
 ) -> Tuple[bool, Optional[theta.ThetaTriple]]:
     """Recover a candidate triple and rebuild w from it; `construct`
     validates the candidate on the way."""
-    candidate = theta.recover(w, cs)
+    return _rebuilds(w.window, theta.recover(w, cs))
+
+
+def _rebuilds(
+    window: Tuple[int, ...], candidate: Optional[theta.ThetaTriple]
+) -> Tuple[bool, Optional[theta.ThetaTriple]]:
+    """(True, candidate) when the candidate triple constructs the window,
+    else (False, None): the verdict of the triple route, shared by
+    `classify_by_triple` and the sweep of `verify_equivalence`."""
     if candidate is None:
         return False, None
     try:
         rebuilt = theta.construct(candidate)
     except (theta.InfeasibleRankError, theta.InvalidTripleError):
         return False, None
-    if rebuilt != w:
+    if rebuilt.window != window:
         return False, None
     return True, candidate
 
@@ -178,21 +196,65 @@ class VerifySummary(NamedTuple):
         )
 
 
+def _sweep(n: int, v: int) -> Iterator[
+        Tuple[Tuple[int, ...], bool, Optional[CornerRecord], Optional[theta.ThetaTriple]]]:
+    """(window, contains, stray, triple) for each window of W_n that ends
+    with the letter v: the pattern verdict, the stray of `corners` and
+    the triple of `theta.recover`, None without one.
+
+    Column p's corners depend only on w(p-1) and the values from p on
+    (`diagram.corners`), so the sweep walks the mirrored windows
+    w(n), ..., w(1) that begin with v (`walk_windows` over `MIRRORED`,
+    which gives each the verdict of its mirror image) and folds
+    `diagram._column` along the walk.  Column p = n + 1 - j reads the
+    first j + 1 mirrored letters (the first n for p = 1), so the tail,
+    the stray and the row lengths are kept after each j, and each window
+    resumes at the first letter where it differs from the previous
+    one, with the rows cut back to that depth: one column step per
+    suffix and left letter, not one per window.  A window without a
+    stray then runs `diagram._label_by_rank` and takes its triple from
+    the rows as `recover` does (`theta._path_triple`).
+    """
+    K: List[int] = []
+    P: List[int] = []
+    Q: List[int] = []
+    off: List[CornerRecord] = []
+    # after the columns of the first j letters: the tail, the stray and
+    # the lengths of the rows and of `off`
+    state = [(0, None, 0, 0)] * (n + 1)
+    last = (v, *[None] * n)  # no window's letters: the first resumes at column 1
+    for mirror, contains in walk_windows(n, (v,), MIRRORED):
+        ext = (*mirror, 0)  # ext[j] = w(n - j), with w(0) = 0
+        # resume at the first letter where the walk moved, never the
+        # first, v: the columns before it stand
+        start = 1
+        while ext[start] == last[start]:
+            start += 1
+        last = ext
+        tail, stray, s, u = state[start - 1]
+        del K[s:], P[s:], Q[s:], off[u:]
+        for j in range(start, n + 1):
+            tail, stray = _column(n, n + 1 - j, ext[j - 1], ext[j], tail, stray, K, P, Q, off)
+            state[j] = tail, stray, len(Q), len(off)
+        triple = None
+        if stray is None:
+            stray, optional = _label_by_rank(K, P, Q, off, n)
+            if stray is None:
+                triple = theta._path_triple(K, P, Q, optional, n)
+        yield mirror[::-1], contains, stray, triple
+
+
 def _verify_chunk(task: Tuple[int, int]) -> Tuple[int, int, List[Tuple[int, ...]]]:
     """The windows walked, the members and the mismatching windows among
-    the windows of W_n that begin with the letter v, where task = (n, v).
-    The pattern verdict is the one `walk_windows` decides along the walk;
-    the corner set is computed once per window, for both other routes."""
-    n, v = task
+    the windows of W_n that end with the letter v, where task = (n, v),
+    in the order of `_sweep`, which decides the pattern verdict and the
+    stray and triple of each window."""
     total = count = 0
     mismatches: List[Tuple[int, ...]] = []
-    for win, contains in walk_windows(n, (v,), PATTERNS):
+    for win, contains, stray, triple in _sweep(*task):
         total += 1
-        w = SignedPermutation._of(win)
-        cs = corners(w)
-        by_cor = classify_by_corners(w, cs)[0]
-        by_tri = classify_by_triple(w, cs)[0]
-        if by_cor == by_tri == (not contains):
+        by_tri = _rebuilds(win, triple)[0]
+        if (stray is None) == by_tri == (not contains):
             count += by_tri
         else:
             mismatches.append(win)
@@ -203,14 +265,15 @@ def verify_equivalence(
     n: int, jobs: int = 1, *, allow_large: bool = False
 ) -> VerifySummary:
     """Cross-check the three routes on every element of W_n: the pattern
-    verdict of `walk_windows`, then the corner and triple routes on one
-    corner set per window (see `_verify_chunk`).
+    verdict, the stray corner and the triple route of `_sweep`.
 
-    Each first letter v = -n..-1, 1..n is one task: the windows that
-    begin with v.  The tasks run on a pool of `jobs` processes, capped
-    at the CPU count and at the 2n tasks (so at most 12 workers at
-    n = 6 and 16 at n = 8), or in this process when that cap is 1.
-    Results merge in task order, which is window order, so the summary
+    Each last letter v = -n..-1, 1..n is one task: the windows that end
+    with v.  The tasks run on a pool of `jobs` processes, capped at the
+    CPU count and at the 2n tasks (so at most 12 workers at n = 6 and 16
+    at n = 8), or in this process when that cap is 1.  The workers
+    ignore SIGINT, and the pool is terminated on the way out, so an
+    interrupt reaches this process alone and leaves no worker running.
+    The mismatches are sorted, which is window order, so the summary
     does not depend on the worker count.  `jobs` must be a positive int.
     """
     check_rank_guard(n, allow_large)
@@ -223,12 +286,13 @@ def verify_equivalence(
         parts = list(map(_verify_chunk, tasks))
     else:
         # imported only for a pool, since it pulls in multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_verify_chunk, tasks))
+        from multiprocessing import Pool
+        # leaving the block terminates the workers, also on an interrupt
+        with Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+            parts = pool.map(_verify_chunk, tasks, 1)
     total = sum(part[0] for part in parts)
     count = sum(part[1] for part in parts)
-    mismatches = tuple(win for *_, part_bad in parts for win in part_bad)
+    mismatches = tuple(sorted(win for *_, part_bad in parts for win in part_bad))
     return VerifySummary(n, total, count, mismatches)
 
 

@@ -5,8 +5,9 @@ enumerate.  Exit codes follow a pipeline-friendly contract: 0 for
 success (and for "yes, theta-vexillary"), 1 for a negative verdict or
 verification mismatches, 2 for unusable input.  When the reader of
 stdout goes away early (a pipe into `head`), the command stops quietly
-with 141, the status of a writer killed by SIGPIPE.  All output is plain
-ASCII and deterministic, including across worker counts.
+with 141, the status of a writer killed by SIGPIPE; on Ctrl-C it stops
+with 130, also without a traceback.  All output is plain ASCII and
+deterministic, including across worker counts.
 """
 
 from __future__ import annotations
@@ -210,6 +211,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:  # bad input, a refused triple, the rank guard
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # Ctrl-C: the status of a shell's interrupted job
+        return 130
 
 
 if __name__ == "__main__":

@@ -6,15 +6,20 @@ permutation lives on columns [-n, -1].
 
 A corner position (p, q), with p in [1, n], names the box (q - 1, -p).
 Corner records carry the rank value k and a taxonomy class.  `corners`
-assigns every class in one pass: it also decides which unessential
-corners the rank relation forces and which NE-path corners a triple
-skips (OPTIONAL), so every route reads the same labels.
+assigns every class in one fold of a column step (`_column`) and one
+rank-labelling step (`_label_by_rank`): it also decides which
+unessential corners the rank relation forces and which NE-path corners
+a triple skips (OPTIONAL), so every route reads the same labels.  The
+sweep of `classify.verify_equivalence` runs the same two steps along
+its walk, sharing each column among the windows with its suffix.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .sigperm import SignedPermutation
 
@@ -49,6 +54,13 @@ class CornerRecord(NamedTuple):
 
     def __repr__(self) -> str:
         return f"CornerRecord({self.k}, {self.p}, {self.q}, {self.kind.value})"
+
+
+#: _new(CornerRecord, (k, p, q, kind)) builds a record, skipping the
+#: named tuple's own constructor
+_new = tuple.__new__
+#: the sort key of a record's position (p, q)
+_POSITION = itemgetter(1, 2)
 
 
 class CornerSet(NamedTuple):
@@ -91,21 +103,18 @@ def corners(w: SignedPermutation) -> CornerSet:
     w(p-1) > w(p), so p-1 is a descent, and q in [1 - w(p-1), -w(p)],
     and then v(q-1) > -p >= v(q).  Read on the tail, the set of values
     at positions >= p, that test says -q is in the tail and 1 - q is
-    not.  The pass keeps the tail as one int bitmask, bit n + v for the
-    value v, while p steps down from n; a descent column's corners are
-    then the bits v in [w(p), w(p-1)) of `tail & ~(tail >> 1)`, each
-    with q = -v and k the number of tail values up to v.  The work is
-    a few operations on that int per descent and per corner, never a
-    scan of all boxes.
+    not.  So column p's corners depend only on w(p-1) and the values
+    from p on, and the set is a fold of one column step (`_column`)
+    from p = n down to 1 (`_fold`), followed by `_label_by_rank`.
 
-    So no position with p = 1 and q < 0 needs excluding: for p = 1 the
-    value range ends below w(0) = 0, and the exclusion of those
-    positions is vacuous.  Nor is q = 0 ever a corner: bit n, the
-    value 0, is never set.
+    No position with p = 1 and q < 0 needs excluding: for p = 1 the
+    value range ends below w(0) = 0, so the exclusion of those positions
+    is vacuous.  Nor is q = 0 ever a corner: the value 0 is never in
+    the tail.
 
     The NE path is the set of positions minimal in the order
     (p, q) < (p', q') iff p > p' and q < q'.  With p descending, that
-    is q at most the least q at a strictly larger p, so the pass labels
+    is q at most the least q at a strictly larger p, so the fold labels
     each corner as it finds it.  A corner off the path is unessential
     when q < 0 and the path has a mate in its column below it and a
     mate in row -q + 1 (a path position smaller than it always exists,
@@ -115,96 +124,131 @@ def corners(w: SignedPermutation) -> CornerSet:
     one, and only when the path has a corner with q < 0, does
     `_label_by_rank` read the rank relation, to find an unforced
     unessential stray or mark the OPTIONAL corners: with no such corner
-    there is no unessential corner and no path index i >= a.  Each
-    record is built once, when its kind is known; the rare relabels,
-    UNESSENTIAL at the end of a column and OPTIONAL in `_label_by_rank`,
-    replace the record at its index.  Records come out sorted p desc,
-    q desc.
+    there is no unessential corner and no path index i >= a.  The fold
+    keeps the path as three rows and builds records only off it; the
+    path records are built here, once their kinds are known, and merged
+    with the others into p desc, q desc order.
     """
-    win = w.window
+    K, P, Q, off, stray, optional = _fold(w.window)
+    path = list(map(_new, repeat(CornerRecord), zip(K, P, Q, repeat(_NE_PATH))))
+    for i in optional:
+        path[i] = _new(CornerRecord, (K[i], P[i], Q[i], _OPTIONAL))
+    if off:
+        path += off
+        path.sort(key=_POSITION, reverse=True)  # p desc, then q desc
+    return CornerSet(tuple(path), stray)
+
+
+def _fold(win: Sequence[int]):
+    """The fold of `_column` over the columns of a window, p = n down to
+    1, and `_label_by_rank` on its result: (K, P, Q, off, stray,
+    optional), the NE path as rows, the records off it, the stray record
+    or None, and the indices of the OPTIONAL path corners."""
     n = len(win)
-    new = tuple.__new__  # new(CornerRecord, (k, p, q, kind)) builds a record
-    found = []  # the records, in p desc, q desc order
-    path_qs = set()  # the q of every path corner found so far
-    bound = n + 1  # the least q of a corner at a larger p
-    stray = None
-    tail = 0  # bit n + v set for each value v at a position >= p
+    ext = (0, *win)  # ext[p] = w(p), with w(0) = 0
+    K: List[int] = []
+    P: List[int] = []
+    Q: List[int] = []
+    off: List[CornerRecord] = []
+    tail, stray = 0, None
     for p in range(n, 0, -1):
-        here = win[p - 1]
-        tail |= 1 << n + here
-        left = win[p - 2] if p > 1 else 0
-        if left < here:
-            continue
-        # the values v in [here, left) with v in the tail and v + 1 not,
-        # lowest first, which is q = -v descending
-        ends = tail & ~(tail >> 1) & (1 << n + left) - (1 << n + here)
-        start, off = len(found), 0
-        while ends:
-            low = ends & -ends
-            ends ^= low
-            k = (tail & (low << 1) - 1).bit_count()
-            q = n + 1 - low.bit_length()  # low is bit n + v, and q = -v
-            if q <= bound:
-                found.append(new(CornerRecord, (k, p, q, _NE_PATH)))
-                path_qs.add(q)
-            else:
-                found.append(new(CornerRecord, (k, p, q, _OTHER)))
-                off += 1
-        # the column's path corners come after its `off` corners off the path
-        column_mate = len(found) > start + off
-        for x in range(start, start + off):
-            c = found[x]
-            if column_mate and c[2] < 0 and 1 - c[2] in path_qs:
-                found[x] = c._replace(kind=_UNESSENTIAL)
-            elif stray is None:
-                stray = x
-        if column_mate:
-            bound = found[-1][2]
-    if stray is None and bound < 0:  # the path has a corner with q < 0
-        stray = _label_by_rank(found, n)
-    records = tuple(found)
-    return CornerSet(records, None if stray is None else records[stray])
+        tail, stray = _column(n, p, ext[p], ext[p - 1], tail, stray, K, P, Q, off)
+    optional: Sequence[int] = ()
+    if stray is None:
+        stray, optional = _label_by_rank(K, P, Q, off, n)
+    return K, P, Q, off, stray, optional
 
 
-def _label_by_rank(found: list, n: int) -> Optional[int]:
-    """The index in `found` of the stray corner of a corner set with no
-    OTHER corner, or None.
+def _column(n: int, p: int, here: int, left: int, tail: int,
+            stray: Optional[CornerRecord], K: List[int], P: List[int], Q: List[int],
+            off: List[CornerRecord]) -> Tuple[int, Optional[CornerRecord]]:
+    """One column step of the fold: column p of a window of rank n, with
+    here = w(p), left = w(p-1), `tail` the bitmask of the values at
+    positions > p (bit n + v for the value v), the rows K, P, Q of the
+    NE path corners and `off` the records of the other corners at
+    larger p.  Appends the column's corners to them and returns the
+    tail with w(p) and the stray: the first OTHER record so far, or None.
+
+    A descent column's corners are the bits v in [w(p), w(p-1)) of
+    `tail & ~(tail >> 1)`, each with q = -v and k the number of tail
+    values up to v: a few operations on that int per descent and per
+    corner, never a scan of all boxes.  They come lowest v first, which
+    is q descending.  A corner is on the path when q is at most the
+    least path q at a larger p, the last of Q (n + 1 before any), so
+    the column's corners off the path come before its path corners.
+    Its row mate, a path corner with q = 1 - q, is looked up in Q.
+    """
+    tail |= 1 << n + here
+    if left < here:
+        return tail, stray
+    ends = tail & ~(tail >> 1) & (1 << n + left) - (1 << n + here)
+    bound = Q[-1] if Q else n + 1
+    start, path = len(off), len(Q)
+    while ends:
+        low = ends & -ends
+        ends ^= low
+        k = (tail & (low << 1) - 1).bit_count()
+        q = n + 1 - low.bit_length()  # low is bit n + v, and q = -v
+        if q <= bound:
+            K.append(k)
+            P.append(p)
+            Q.append(q)
+        else:
+            off.append(_new(CornerRecord, (k, p, q, _OTHER)))
+    column_mate = len(Q) > path
+    for x in range(start, len(off)):
+        c = off[x]
+        if column_mate and c[2] < 0 and 1 - c[2] in Q:
+            off[x] = _new(CornerRecord, (c[0], p, c[2], _UNESSENTIAL))
+        elif stray is None:
+            stray = c
+    return tail, stray
+
+
+def _label_by_rank(K: List[int], P: List[int], Q: List[int], off: List[CornerRecord],
+                   n: int) -> Tuple[Optional[CornerRecord], Sequence[int]]:
+    """(stray, optional) for the fold of a window with no OTHER corner:
+    the first unessential record of `off` that the rank relation does not
+    force, or None, and then the indices of the path rows K, P, Q whose
+    corners are OPTIONAL.
 
     The stray is the first unessential (k, p, q) that is not forced:
     forced means some i >= a with p_i = p and q_i < q, and some j < a
     with q_j = 1 - q, have q - q_i = k_i - k + k_j - k_{R(i)}.
     With no stray, each path corner i >= a where (p_i - p_{i+1}) +
     (q_i - q_{i+1}) = (k_{i+1} - k_i) + (k_{R(i)} - k_{R(i+1)}) is
-    relabelled OPTIONAL in `found`.  The NE path is (k_i, p_i, q_i),
-    i = 1..s, between the sentinels (0, n, n) and (n, 1, -n), with
-    a = 1 + #{i : q_i > 0} and R(s+1) = 0, which makes the last identity
-    the B3 boundary.  R is defined on [a, s]: a corner (p, q) needs the
-    value -q at a position >= p, so no two corners have opposite q.
+    OPTIONAL.  The NE path is (k_i, p_i, q_i), i = 1..s, between the
+    sentinels (0, n, n) and (n, 1, -n), with a = 1 + #{i : q_i > 0} and
+    R(s+1) = 0, which makes the last identity the B3 boundary.  R is
+    defined on [a, s]: a corner (p, q) needs the value -q at a position
+    >= p, so no two corners have opposite q.  Without a path corner with
+    q < 0 there is no unessential corner and no i >= a, so nothing is
+    read.
     """
-    path = [x for x, c in enumerate(found) if c[3] is _NE_PATH]
-    s = len(path)
-    K = [0, *(found[x][0] for x in path), n]
-    P = [n, *(found[x][1] for x in path), 1]
-    Q = [n, *(found[x][2] for x in path), -n]
+    if not Q or Q[-1] > 0:
+        return None, ()
+    s = len(Q)
+    K = [0, *K, n]
+    P = [n, *P, 1]
+    Q = [n, *Q, -n]
     a, R = _cut_and_r(Q[1:s + 1])
     R[s + 1] = 0
 
-    for x, (k, p, q, kind) in enumerate(found):
-        if kind is _UNESSENTIAL and not any(
+    for c in off:
+        k, p, q = c[0], c[1], c[2]
+        if not any(
             P[i] == p and Q[i] < q
             and any(Q[j] == 1 - q and q - Q[i] == K[i] - k + K[j] - K[R[i]]
                     for j in range(1, a))
             for i in range(a, s + 1)
         ):
-            return x
+            return c, ()
 
-    for i in range(a, s + 1):
-        lhs = (P[i] - P[i + 1]) + (Q[i] - Q[i + 1])
-        rhs = (K[i + 1] - K[i]) + (K[R[i]] - K[R[i + 1]])
-        if lhs == rhs:
-            x = path[i - 1]
-            found[x] = found[x]._replace(kind=_OPTIONAL)
-    return None
+    return None, [
+        i - 1 for i in range(a, s + 1)
+        if (P[i] - P[i + 1]) + (Q[i] - Q[i + 1])
+        == (K[i + 1] - K[i]) + (K[R[i]] - K[R[i + 1]])
+    ]
 
 
 # ---------------------------------------------------------------------------

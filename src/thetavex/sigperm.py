@@ -376,8 +376,9 @@ def iter_windows(n: int, prefix: Sequence[int] = ()) -> Iterator[Tuple[int, ...]
     """The windows of `walk_windows` without verdicts: the windows of W_n
     that begin with `prefix`, in lexicographic order; the empty prefix,
     the default, gives all of W_n.  The 2n one-letter prefixes split the
-    stream into runs that follow each other in prefix order, which is how
-    `verify_equivalence` hands W_n to its workers."""
+    stream into runs that follow each other in prefix order;
+    `verify_equivalence` hands its workers such runs of the mirrored
+    windows, which are the windows of W_n that end with one letter."""
     return (win for win, _ in walk_windows(n, prefix))
 
 

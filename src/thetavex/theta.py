@@ -18,7 +18,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .diagram import CornerClass, CornerSet, _cut_and_r, _r_index, corners
+from .diagram import CornerClass, CornerSet, _cut_and_r, _fold, _r_index
+from .diagram import corners  # noqa: F401  (traced by name by bench/run.py)
 from .sigperm import SignedPermutation, _parse_ints, check_rank_guard
 
 
@@ -425,21 +426,34 @@ def recover(
 ) -> Optional[ThetaTriple]:
     """The unique triple constructing w, or None when there is none.
 
-    The triple is read off the corner set: w has one exactly when the
-    set has no stray corner, and its entries are then the NE_PATH
-    corners, the path minus the optional ones (see `diagram.corners`).
-    The NE path of `corners(w)` is always in the shape `ThetaTriple`
-    checks (README, "Recovery"), and so is any part of it, so the
-    triple is built unchecked.  Pass `cs` when the corner set of w is
-    already known; it must be `corners(w)`.
+    The triple is read off the corners of w: w has one exactly when they
+    have no stray, and its entries are then the NE path minus the
+    OPTIONAL corners (see `diagram.corners`).  The NE path is always in
+    the shape `ThetaTriple` checks (README, "Recovery"), and so is any
+    part of it, so the triple is built unchecked.  Without `cs`, the
+    path comes from the column fold as rows (`diagram._fold`) and no
+    record is built; pass `cs` when the corner set of w is already
+    known; it must be `corners(w)`.
     """
     if cs is None:
-        cs = corners(w)
+        K, P, Q, _, stray, optional = _fold(w.window)
+        return None if stray is not None else _path_triple(K, P, Q, optional, w.n)
     if cs.stray is not None:
         return None
     kept = [c for c in cs.corners if c.kind is CornerClass.NE_PATH]
     k, p, q, _ = zip(*kept) if kept else ((),) * 4
     return ThetaTriple._of(k, p, q, w.n)
+
+
+def _path_triple(K: Sequence[int], P: Sequence[int], Q: Sequence[int],
+                 optional: Sequence[int], n: int) -> ThetaTriple:
+    """The triple of the NE path rows K, P, Q of a rank-n window without
+    a stray, less the OPTIONAL indices: what `recover` returns, built
+    from the rows of the column fold."""
+    if optional:
+        keep = [i for i in range(len(Q)) if i not in optional]
+        K, P, Q = ([row[i] for i in keep] for row in (K, P, Q))
+    return ThetaTriple._of(tuple(K), tuple(P), tuple(Q), n)
 
 
 # ---------------------------------------------------------------------------

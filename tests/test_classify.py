@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import json
 import random
@@ -309,13 +308,15 @@ def test_verify_is_deterministic_across_jobs():
 def test_verify_caps_pool_size(monkeypatch):
     """--jobs asks for at most one process per CPU and per chunk; an
     in-process stand-in for the pool records what was asked for."""
+    import multiprocessing
+
     from thetavex import classify
 
     asked = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+        def __init__(self, processes, *options):
+            asked.append(processes)
 
         def __enter__(self):
             return self
@@ -323,10 +324,10 @@ def test_verify_caps_pool_size(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, tasks, chunksize):
+            return list(map(fn, tasks))
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(classify.os, "cpu_count", lambda: 4)
     assert verify_equivalence(4, jobs=10**6) == verify_equivalence(4, jobs=1)
     # W_1 has two windows, so two chunks
@@ -338,32 +339,80 @@ def test_verify_caps_pool_size(monkeypatch):
     assert asked == [4, 2]
 
 
-def test_corner_set_computed_once_per_window(monkeypatch):
-    """Every route reads one shared corner set: the sweep and a report
-    each compute it once per window, and `recover` never recomputes it.
-    The sweep runs the triple route on every window, and no pattern
-    search: the walk decides the pattern verdicts."""
+def _worker_sigint(task):
+    # a chunk that reports, as its one mismatch, whether its worker
+    # ignores SIGINT
+    import signal
+
+    return 0, 0, [(signal.getsignal(signal.SIGINT) is signal.SIG_IGN,)]
+
+
+def test_pool_workers_ignore_sigint(monkeypatch):
+    """Ctrl-C signals the whole process group: the pool's workers ignore
+    it, and only this process, which stops the pool, sees it."""
+    import signal
+
+    from thetavex import classify
+
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(classify, "_verify_chunk", _worker_sigint)
+    assert verify_equivalence(2, jobs=2).mismatches == ((True,),) * 4
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+
+
+def test_corner_columns_computed_once_per_suffix(monkeypatch):
+    """The sweep folds one corner column per (suffix, left letter) node
+    of the mirrored walk, not one corner set per window: over W_4 that
+    is 48 + 192 + 384 nodes at mirrored depths 2..4, plus column 1 once
+    per window, 1,008 steps against 4 x 384 for a fold per window.  It
+    calls neither `corners` nor the pattern search, and runs the triple
+    route on every window; a report still computes one corner set."""
     from thetavex import classify, diagram
 
-    calls = {"classify": 0, "theta": 0, "triple": 0, "find_pattern": 0}
+    calls = {"classify": 0, "theta": 0, "column": 0, "rebuilds": 0, "find_pattern": 0}
 
-    def counting(module, fn):
+    def counting(name, fn):
         def counted(*args):
-            calls[module] += 1
+            calls[name] += 1
             return fn(*args)
 
         return counted
 
     monkeypatch.setattr(classify, "corners", counting("classify", diagram.corners))
     monkeypatch.setattr(theta, "corners", counting("theta", diagram.corners))
-    monkeypatch.setattr(classify, "classify_by_triple",
-                        counting("triple", classify.classify_by_triple))
+    monkeypatch.setattr(classify, "_column", counting("column", diagram._column))
+    monkeypatch.setattr(classify, "_rebuilds", counting("rebuilds", classify._rebuilds))
     monkeypatch.setattr(classify, "find_pattern",
                         counting("find_pattern", classify.find_pattern))
     assert verify_equivalence(4).total == 384
-    assert calls == {"classify": 384, "theta": 0, "triple": 384, "find_pattern": 0}
+    assert calls == {"classify": 0, "theta": 0, "column": 1008, "rebuilds": 384,
+                     "find_pattern": 0}
+    assert calls["column"] < 4 * 384
     build_report(BIG)
-    assert calls == {"classify": 385, "theta": 0, "triple": 385, "find_pattern": 1}
+    assert calls == {"classify": 1, "theta": 0, "column": 1008, "rebuilds": 385,
+                     "find_pattern": 1}
+
+
+def test_sweep_matches_corners_and_recover():
+    """The fold along the mirrored walk gives every window of W_1..W_6,
+    each once, the stray of `corners` and the triple of `recover`, and
+    through W_5 the pattern verdict of `find_pattern`."""
+    from thetavex import classify
+
+    for n in range(1, 7):
+        seen = set()
+        for v in (*range(-n, 0), *range(1, n + 1)):
+            for win, contains, stray, triple in classify._sweep(n, v):
+                assert win[-1] == v and win not in seen
+                seen.add(win)
+                w = SignedPermutation._of(win)
+                cs = corners(w)
+                assert stray == cs.stray  # a record compares its kind too
+                assert triple == theta.recover(w) == theta.recover(w, cs)
+                assert triple is None or type(triple) is theta.ThetaTriple
+                if n <= 5:
+                    assert contains == (find_pattern(w, PATTERNS) is not None)
+        assert len(seen) == 2 ** n * factorial(n)
 
 
 @pytest.mark.parametrize("target, members", [((2, -1, 3), 43), ((-1, 3, 2), 44)],
@@ -374,14 +423,33 @@ def test_forced_route_disagreement_is_a_mismatch(monkeypatch, target, members):
     only it, is a mismatch, and the member count leaves it out."""
     from thetavex import classify
 
-    route = classify.classify_by_triple
+    route = classify._rebuilds
 
-    def flipped(w, cs=None):
-        ok, t = route(w, cs)
-        return (not ok, t) if w.window == target else (ok, t)
+    def flipped(window, candidate):
+        ok, t = route(window, candidate)
+        return (not ok, t) if window == target else (ok, t)
 
-    monkeypatch.setattr(classify, "classify_by_triple", flipped)
+    monkeypatch.setattr(classify, "_rebuilds", flipped)
     assert verify_equivalence(3) == (3, 48, members, (target,))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_mismatches_are_reported_in_window_order(monkeypatch, jobs):
+    """Mismatches from the chunks of the last letters 3 and -3 of W_3
+    reach the merge in the reverse of window order and come out sorted,
+    whatever the worker count (the pool's workers are forked with the
+    flipped route)."""
+    from thetavex import classify
+
+    route = classify._rebuilds
+    targets = ((1, 2, 3), (2, 1, -3))
+
+    def flipped(window, candidate):
+        ok, t = route(window, candidate)
+        return (not ok, t) if window in targets else (ok, t)
+
+    monkeypatch.setattr(classify, "_rebuilds", flipped)
+    assert verify_equivalence(3, jobs=jobs) == (3, 48, 42, targets)
 
 
 def test_walk_verdicts_match_find_pattern():

@@ -459,3 +459,50 @@ def test_verify_into_closed_pipe_exits_quietly():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+# ---------------------------------------------------------------------------
+# Ctrl-C
+
+
+def group_size(pgid):
+    """The number of processes in the process group pgid, read from /proc."""
+    size = 0
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:  # the process has gone
+            continue
+        # after the command name in parentheses: state, ppid, pgrp
+        size += int(stat.rsplit(")", 1)[1].split()[2]) == pgid
+    return size
+
+
+def test_interrupted_verify_exits_quietly_and_leaves_no_worker():
+    # like Ctrl-C in a terminal: SIGINT reaches the whole process group,
+    # the command and its pool's workers, about a second into the run,
+    # and not before both workers have started
+    import signal
+    import time
+
+    proc = start_cli("verify", "7", "--jobs", "2", start_new_session=True)
+    try:
+        time.sleep(1)
+        deadline = time.monotonic() + 30
+        while group_size(proc.pid) < 3 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        started = time.monotonic()
+        _, err = proc.communicate(timeout=10)
+        assert time.monotonic() - started < 10
+        assert proc.returncode == 130
+        assert b"Traceback" not in err
+        # the group is gone once the command has exited: no worker is left
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
