@@ -147,19 +147,18 @@ def _letter_steps(pat: Tuple[int, ...]) -> Tuple[Tuple[int, int, int, int], ...]
 
 
 class PatternTable(tuple):
-    """A tuple of patterns compiled once, when the table is built.
-    `compiled` holds (pattern, its `_letter_steps`, its length) per
-    pattern, in table order, for `find_pattern`.  `anchored[s]` is the
-    anchored test of `walk_windows` for a new letter of sign s
-    (0 negative, 1 positive): the `_tree` of the patterns whose last
-    letter has sign s, each pattern's steps rotated so that its last
-    letter comes first."""
+    """A tuple of patterns compiled once, when the table is built, into
+    `_tree` prefix trees for `_occurs`.  `paths` holds the branches of
+    one tree per pattern, in table order, for `find_pattern`: the
+    pattern's one path of `_letter_steps`, below a placeholder first
+    step, so that every letter is scanned.  `anchored[s]` is the anchored test of
+    `walk_windows` for a new letter of sign s (0 negative, 1 positive):
+    the tree of the patterns whose last letter has sign s, each
+    pattern's steps rotated so that its last letter comes first."""
 
     def __new__(cls, patterns: Iterable[SignedPermutation]) -> "PatternTable":
         table = super().__new__(cls, patterns)
-        table.compiled = tuple(
-            (p, _letter_steps(p.window), len(p.window)) for p in table
-        )
+        table.paths = tuple(_tree([(None, *_letter_steps(p.window))])[1] for p in table)
         rotated = ([], [])
         for p in table:
             win = p.window
@@ -185,11 +184,11 @@ def _tree(paths: list) -> tuple:
 
 
 def _sign_index(win: Sequence[int], n: int, bound: int):
-    """What `_search` and `_occurs` read of the first n letters of a
-    window whose |w| all lie below `bound`, per sign (negative, then
-    positive): key[i] is |w(i + 1)| if w(i + 1) has that sign, else 0,
-    which fails every a < x < b; top[i] and low[i] are the max and min
-    |w| of that sign from i on, and 0 and `bound` at n."""
+    """What `_occurs` reads of the first n letters of a window whose |w|
+    all lie below `bound`, per sign (negative, then positive): key[i] is
+    |w(i + 1)| if w(i + 1) has that sign, else 0, which fails every
+    a < x < b; top[i] and low[i] are the max and min |w| of that sign
+    from i on, and 0 and `bound` at n."""
     pos_key, neg_key = [0] * n, [0] * n
     pos_top, neg_top = [0] * (n + 1), [0] * (n + 1)
     pos_low, neg_low = [bound] * (n + 1), [bound] * (n + 1)
@@ -213,55 +212,23 @@ def _sign_index(win: Sequence[int], n: int, bound: int):
     return (neg_key, neg_top, neg_low), (pos_key, pos_top, pos_low)
 
 
-def _search(compiled, n: int, by_sign, chosen: list, size: list):
-    """The first pattern of `compiled` that occurs in the n letters
-    indexed by `by_sign` (`_sign_index`); None if none does.  `size[j]`
-    holds |w| of letter j once it is placed, then the bounds at -2 and
-    -1: 0 and the `bound` of `_sign_index`.  `chosen[j]` is the index of
-    letter j, so that a hit's witness is `chosen[:length]`.
-
-    A depth-first search over index prefixes in increasing order, so
-    each hit is the lexicographically least.  The chosen letters are
-    order-isomorphic to the pattern's prefix, so a candidate for letter
-    j fits them all iff its |w| lies strictly between those of the two
-    earlier letters nearest below and above |pat[j]|: two comparisons,
-    not j.  A scan is skipped in O(1) when the per-sign suffix maximum
-    and minimum of |w| leave no entry of the right sign in that
-    interval.
-    """
-    for pattern, steps, m in compiled:
-        if m > n:
-            continue
-        j = start = 0
-        while 0 <= j < m:
-            s, lower, upper, rest = steps[j]
-            key, top, low = by_sign[s]
-            a, b = size[lower], size[upper]
-            if top[start] > a and low[start] < b:
-                for i in range(start, n - rest):
-                    if a < key[i] < b:
-                        break
-                else:  # backtrack: the previous letter tries its next index
-                    j -= 1
-                    start = chosen[j] + 1
-                    continue
-                chosen[j], size[j] = i, key[i]
-                j, start = j + 1, i + 1
-            else:  # no entry of this sign fits: backtrack the same way
-                j -= 1
-                start = chosen[j] + 1
-        if j == m:
-            return pattern
-    return None
-
-
 def _occurs(branches, j: int, start: int, n: int, by_sign, size: list) -> bool:
     """Whether the letters from j on of a pattern in the `_tree` branches
-    occur at indices >= start of the n letters indexed by `by_sign`,
-    each fitting the letters before it; `size` holds |w| of letters
-    0..j-1 and the bounds, as for `_search`.  The yes/no form of
-    `_search`, with its fit test and O(1) skip: a step that several
-    patterns share is scanned once for all of them."""
+    occur at indices >= start of the n letters indexed by `by_sign`
+    (`_sign_index`), each fitting the letters before it.  `size[j]`
+    holds |w| of letter j once it is placed, then the bounds at -2 and
+    -1: 0 and the `bound` of `_sign_index`.  On a hit, `size` keeps the
+    |w| of every letter of the path found.
+
+    A depth-first search over index prefixes in increasing order, so on
+    a one-path tree the hit is the lexicographically least.  The placed
+    letters are order-isomorphic to the pattern's prefix, so a candidate
+    for letter j fits them all iff its |w| lies strictly between those
+    of the two earlier letters nearest below and above |pat[j]|: two
+    comparisons, not j.  A scan is skipped in O(1) when the per-sign
+    suffix maximum and minimum of |w| leave no entry of the right sign
+    in that interval, and a step that several patterns share is scanned
+    once for all of them."""
     for s, lower, upper, rest, end, below in branches:
         key, top, low = by_sign[s]
         a, b = size[lower], size[upper]
@@ -269,10 +236,8 @@ def _occurs(branches, j: int, start: int, n: int, by_sign, size: list) -> bool:
             for i in range(start, n - rest):
                 x = key[i]
                 if a < x < b:
-                    if end:
-                        return True
                     size[j] = x
-                    if _occurs(below, j + 1, i + 1, n, by_sign, size):
+                    if end or _occurs(below, j + 1, i + 1, n, by_sign, size):
                         return True
     return False
 
@@ -285,9 +250,10 @@ def find_pattern(
     entries have the pattern's signs and the relative order of its
     |values|); None if w avoids them all.
 
-    One `_search` over the table, so the table order and the least
-    witnesses are those of one search per pattern; the arrays it reads
-    are built once per window and shared by all patterns.  A
+    One `_occurs` per pattern, in table order, over its one-path tree
+    in `PatternTable.paths`; the arrays it reads are built once per
+    window and shared by all patterns.  |Values| are distinct, so the
+    witness is read back from the |w| that a hit leaves in `size`.  A
     `PatternTable` comes compiled; any other sequence is compiled on
     entry.
     """
@@ -295,12 +261,14 @@ def find_pattern(
         patterns = PatternTable(patterns)
     win = w.window
     n = len(win)
-    chosen = [0] * n
+    by_sign = _sign_index(win, n, n + 1)
     size = [0] * n + [0, n + 1]
-    hit = _search(patterns.compiled, n, _sign_index(win, n, n + 1), chosen, size)
-    if hit is None:
-        return None
-    return hit, tuple([i + 1 for i in chosen[:len(hit.window)]])
+    for pattern, branches in zip(patterns, patterns.paths):
+        if _occurs(branches, 0, 0, n, by_sign, size):
+            return pattern, tuple(
+                [win.index(x if v > 0 else -x) + 1 for x, v in zip(size, pattern.window)]
+            )
+    return None
 
 
 # ---------------------------------------------------------------------------

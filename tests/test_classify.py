@@ -468,10 +468,10 @@ def test_walk_verdicts_match_find_pattern():
 
 
 def test_pattern_table_compiled_once(monkeypatch):
-    """The table's letter steps are compiled when it is built, two
-    tables per pattern (the steps of `find_pattern` and the anchored
-    steps of the walk), not once per window; a plain sequence is
-    compiled on entry."""
+    """The table's letter steps are compiled when it is built, twice
+    per pattern (its one-path tree for `find_pattern` and its rotated
+    steps in the walk's anchored trees), not once per window; a plain
+    sequence is compiled on entry."""
     from thetavex import classify, sigperm
 
     calls = []

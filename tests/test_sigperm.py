@@ -203,7 +203,7 @@ def test_pattern_matcher_agrees_with_naive_exhaustive():
 
 
 @settings(max_examples=300)
-@given(signed_permutations(max_n=6), signed_permutations(min_n=2, max_n=4))
+@given(signed_permutations(max_n=7), signed_permutations(min_n=1, max_n=5))
 def test_pattern_matcher_agrees_with_naive_random(w, pat):
     assert witness(w, pat) == naive_find_pattern(w, pat)
 
