@@ -5,29 +5,25 @@ the following hold: some triple constructs it; every corner lies on the
 NE path or is an unessential corner that the rank relation forces (see
 `diagram.corners`); it avoids the thirteen signed patterns below.
 `build_report` runs the three routes on one window.
-`verify_equivalence` checks their agreement exhaustively over a whole
-group, one task per last letter, optionally across processes, and
-`enumerate_theta_vexillary` lists the members; both read the pattern
-verdicts that `sigperm.walk_windows` decides once per prefix along its
-walk.  The sweep of `verify_equivalence` walks the mirrored windows, so
-that it also folds each corner column once per suffix (`_sweep`).
+`verify_equivalence` checks their agreement over a whole group, one
+task per last letter, in one recursion over the suffixes (`_sweep`)
+that decides each pattern verdict and folds each corner column once
+per suffix, and counts the windows below a suffix settled on all
+three routes without walking them.
+`enumerate_theta_vexillary` lists the members along `sigperm.walk_windows`.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from math import factorial
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import theta
 from .diagram import CornerRecord, CornerSet, _column, _label_by_rank, corners
-from .sigperm import (
-    PatternTable,
-    SignedPermutation,
-    check_rank_guard,
-    find_pattern,
-    walk_windows,
-)
+from .sigperm import (PatternTable, SignedPermutation, _anchored, _sign_index,
+                      check_rank_guard, find_pattern, walk_windows)
 
 #: The thirteen signed patterns whose simultaneous avoidance characterizes
 #: the theta-vexillary class, compiled once for `find_pattern`.  Do not
@@ -196,69 +192,72 @@ class VerifySummary(NamedTuple):
         )
 
 
-def _sweep(n: int, v: int) -> Iterator[
-        Tuple[Tuple[int, ...], bool, Optional[CornerRecord], Optional[theta.ThetaTriple]]]:
-    """(window, contains, stray, triple) for each window of W_n that ends
-    with the letter v: the pattern verdict, the stray of `corners` and
-    the triple of `theta.recover`, None without one.
+def _sweep(n: int, v: int, visit: Callable) -> None:
+    """Call visit(letters, contains, stray, triple) on each walked window
+    of W_n that ends with v, with its pattern verdict, the stray of
+    `corners` and the triple of `theta.recover` (or None), and on each
+    settled suffix, of fewer than n letters: every window that ends with
+    it contains a pattern, has that stray and no triple, and is not
+    walked.
 
     Column p's corners depend only on w(p-1) and the values from p on
-    (`diagram.corners`), so the sweep walks the mirrored windows
-    w(n), ..., w(1) that begin with v (`walk_windows` over `MIRRORED`,
-    which gives each the verdict of its mirror image) and folds
-    `diagram._column` along the walk.  Column p = n + 1 - j reads the
-    first j + 1 mirrored letters (the first n for p = 1), so the tail,
-    the stray and the row lengths are kept after each j, and each window
-    resumes at the first letter where it differs from the previous
-    one, with the rows cut back to that depth: one column step per
-    suffix and left letter, not one per window.  A window without a
-    stray then runs `diagram._label_by_rank` and takes its triple from
-    the rows as `recover` does (`theta._path_triple`).
+    (`diagram.corners`), so one recursion grows the suffixes of v, the
+    mirrored windows over `MIRRORED`.  A node that adds w(p-1) takes its
+    parent's pattern verdict or the anchored test (`sigperm._anchored`),
+    folds column p (`diagram._column`) while the fold has no stray, and
+    cuts the rows back on return.  Containment is inherited and a stray
+    of the fold is final (the first OTHER record in p desc order), so a
+    node with both is settled.  A leaf folds column 1 and, without a
+    stray, labels by rank and builds the triple as `recover` does.
     """
-    K: List[int] = []
-    P: List[int] = []
-    Q: List[int] = []
-    off: List[CornerRecord] = []
-    # after the columns of the first j letters: the tail, the stray and
-    # the lengths of the rows and of `off`
-    state = [(0, None, 0, 0)] * (n + 1)
-    last = (v, *[None] * n)  # no window's letters: the first resumes at column 1
-    for mirror, contains in walk_windows(n, (v,), MIRRORED):
-        ext = (*mirror, 0)  # ext[j] = w(n - j), with w(0) = 0
-        # resume at the first letter where the walk moved, never the
-        # first, v: the columns before it stand
-        start = 1
-        while ext[start] == last[start]:
-            start += 1
-        last = ext
-        tail, stray, s, u = state[start - 1]
-        del K[s:], P[s:], Q[s:], off[u:]
-        for j in range(start, n + 1):
-            tail, stray = _column(n, n + 1 - j, ext[j - 1], ext[j], tail, stray, K, P, Q, off)
-            state[j] = tail, stray, len(Q), len(off)
-        triple = None
-        if stray is None:
-            stray, optional = _label_by_rank(K, P, Q, off, n)
+    anchored = MIRRORED.anchored
+    size = [0] * n + [0, n + 1]
+    K, P, Q, off = [], [], [], []  # the fold's path rows and its other records
+
+    def grow(suffix, free, contains, tail, stray):
+        here = suffix[0]  # the fold holds the columns right of it; free: the |w| left
+        if not free:
             if stray is None:
-                triple = theta._path_triple(K, P, Q, optional, n)
-        yield mirror[::-1], contains, stray, triple
+                tail, stray = _column(n, 1, here, 0, tail, None, K, P, Q, off)
+            if stray is None:
+                stray, optional = _label_by_rank(K, P, Q, off, n)
+            triple = None if stray else theta._path_triple(K, P, Q, optional, n)
+            return visit(suffix, contains, stray, triple)
+        depth, s, t = len(suffix), len(Q), len(off)  # s, t: where to cut the rows back to
+        by_sign = None if contains else _sign_index(suffix[::-1], depth, n + 1)
+        for i, x in enumerate(free):
+            for u in (-x, x):
+                hit = contains or _anchored(anchored, u, x, depth, by_sign, size)
+                after, found = (tail, stray) if stray else _column(
+                    n, n + 1 - depth, here, u, tail, None, K, P, Q, off)
+                if hit and found and depth + 1 < n:
+                    visit((u, *suffix), True, found, None)
+                else:
+                    grow((u, *suffix), free[:i] + free[i + 1:], hit, after, found)
+                del K[s:], P[s:], Q[s:], off[t:]  # also past a leaf's column 1
+
+    free = tuple(x for x in range(1, n + 1) if x != abs(v))
+    grow((v,), free, _anchored(anchored, v, abs(v), 0, _sign_index((), 0, n + 1), size), 0, None)
+    del grow  # grow refers to itself: free the lists it holds now, not at a later gc
 
 
 def _verify_chunk(task: Tuple[int, int]) -> Tuple[int, int, List[Tuple[int, ...]]]:
-    """The windows walked, the members and the mismatching windows among
-    the windows of W_n that end with the letter v, where task = (n, v),
-    in the order of `_sweep`, which decides the pattern verdict and the
-    stray and triple of each window."""
-    total = count = 0
+    """(windows, members, mismatching windows in `_sweep` order) of the
+    windows of W_n that end with v, task = (n, v)."""
+    n = task[0]
+    agree = [0, 0]  # non-members, members
     mismatches: List[Tuple[int, ...]] = []
-    for win, contains, stray, triple in _sweep(*task):
-        total += 1
-        by_tri = _rebuilds(win, triple)[0]
-        if (stray is None) == by_tri == (not contains):
-            count += by_tri
+
+    def visit(win, contains, stray, triple):
+        if len(win) < n:  # a settled suffix of n - m letters: 2^m m! agreeing non-members
+            agree[0] += 2 ** (n - len(win)) * factorial(n - len(win))
+        elif (stray is None) == _rebuilds(win, triple)[0] == (not contains):
+            agree[stray is None] += 1
         else:
             mismatches.append(win)
-    return total, count, mismatches
+
+    _sweep(*task, visit)
+    return sum(agree) + len(mismatches), agree[1], mismatches
 
 
 def verify_equivalence(

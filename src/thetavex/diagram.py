@@ -10,8 +10,8 @@ assigns every class in one fold of a column step (`_column`) and one
 rank-labelling step (`_label_by_rank`): it also decides which
 unessential corners the rank relation forces and which NE-path corners
 a triple skips (OPTIONAL), so every route reads the same labels.  The
-sweep of `classify.verify_equivalence` runs the same two steps along
-its walk, sharing each column among the windows with its suffix.
+sweep of `classify.verify_equivalence` runs the same two steps in its
+recursion over suffixes, one column per suffix and none past a stray.
 """
 
 from __future__ import annotations

@@ -151,8 +151,8 @@ class PatternTable(tuple):
     `_tree` prefix trees for `_occurs`.  `paths` holds the branches of
     one tree per pattern, in table order, for `find_pattern`: the
     pattern's one path of `_letter_steps`, below a placeholder first
-    step, so that every letter is scanned.  `anchored[s]` is the anchored test of
-    `walk_windows` for a new letter of sign s (0 negative, 1 positive):
+    step, so that every letter is scanned.  `anchored[s]`, for
+    `_anchored` on a new letter of sign s (0 negative, 1 positive), is
     the tree of the patterns whose last letter has sign s, each
     pattern's steps rotated so that its last letter comes first."""
 
@@ -242,6 +242,14 @@ def _occurs(branches, j: int, start: int, n: int, by_sign, size: list) -> bool:
     return False
 
 
+def _anchored(anchored, v: int, x: int, depth: int, by_sign, size: list) -> bool:
+    """Whether a pattern of the `PatternTable.anchored` trees ends at a new
+    letter v, |v| = x, after the `depth` letters of `by_sign`."""
+    size[0] = x
+    end, branches = anchored[v > 0]
+    return end or _occurs(branches, 1, 0, depth, by_sign, size)
+
+
 def find_pattern(
     w: SignedPermutation, patterns: Sequence[SignedPermutation]
 ) -> Optional[Tuple[SignedPermutation, Tuple[int, ...]]]:
@@ -293,13 +301,11 @@ def walk_windows(
     and decides each prefix on the way.  Containment is inherited by
     extension, and a prefix of length m contains a pattern iff its first
     m - 1 letters do or an occurrence ends at letter m.  So a prefix's
-    verdict is its parent's, or the anchored test of its last letter:
-    one `_occurs` over the `PatternTable.anchored` tree of that letter's
-    sign, with letter 0 preset to it, on the parent's `_sign_index`,
-    which is built once for all its children.  The walk reports no
-    witness, so the order of the patterns in the tree does not matter.
-    A prefix that no window of W_n begins with raises ValueError here,
-    before the walk.
+    verdict is its parent's, or the anchored test of its last letter
+    (`_anchored`) on the parent's `_sign_index`, which is built once for
+    all its children.  The walk reports no witness, so the order of the
+    patterns in the tree does not matter.  A prefix that no window of
+    W_n begins with raises ValueError here, before the walk.
     """
     prefix = tuple(prefix)
     seen = set()
@@ -324,13 +330,9 @@ def walk_windows(
             x = v if v > 0 else -v
             if x in used:
                 continue
-            hit = contains
-            if test:
-                size[0] = x
-                end, branches = anchored[v > 0]
-                hit = end or _occurs(branches, 1, 0, depth, by_sign, size)
-                if hit and avoiders_only:
-                    continue
+            hit = contains or test and _anchored(anchored, v, x, depth, by_sign, size)
+            if hit and avoiders_only:
+                continue
             window.append(v)
             used.add(x)
             yield from walk(depth + 1, hit)
@@ -344,9 +346,7 @@ def iter_windows(n: int, prefix: Sequence[int] = ()) -> Iterator[Tuple[int, ...]
     """The windows of `walk_windows` without verdicts: the windows of W_n
     that begin with `prefix`, in lexicographic order; the empty prefix,
     the default, gives all of W_n.  The 2n one-letter prefixes split the
-    stream into runs that follow each other in prefix order;
-    `verify_equivalence` hands its workers such runs of the mirrored
-    windows, which are the windows of W_n that end with one letter."""
+    stream into runs that follow each other in prefix order."""
     return (win for win, _ in walk_windows(n, prefix))
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -362,11 +363,15 @@ def test_pool_workers_ignore_sigint(monkeypatch):
 
 def test_corner_columns_computed_once_per_suffix(monkeypatch):
     """The sweep folds one corner column per (suffix, left letter) node
-    of the mirrored walk, not one corner set per window: over W_4 that
-    is 48 + 192 + 384 nodes at mirrored depths 2..4, plus column 1 once
-    per window, 1,008 steps against 4 x 384 for a fold per window.  It
-    calls neither `corners` nor the pattern search, and runs the triple
-    route on every window; a report still computes one corner set."""
+    of the mirrored walk, not one corner set per window, and none once
+    the fold has a stray.  A fold at every node would take 48 + 192 +
+    384 steps at mirrored depths 2..4 of W_4 plus column 1 per window,
+    1,008; 32 of them come after the stray, so 976 are left.  Over W_5
+    the same count is 10,160, and 8,836 are left.  A node with a stray
+    whose suffix contains a pattern settles its subtree: none at W_4,
+    320 windows at W_5, which run no triple route.  The sweep calls
+    neither `corners` nor the pattern search; a report still computes
+    one corner set."""
     from thetavex import classify, diagram
 
     calls = {"classify": 0, "theta": 0, "column": 0, "rebuilds": 0, "find_pattern": 0}
@@ -384,27 +389,42 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     monkeypatch.setattr(classify, "_rebuilds", counting("rebuilds", classify._rebuilds))
     monkeypatch.setattr(classify, "find_pattern",
                         counting("find_pattern", classify.find_pattern))
-    assert verify_equivalence(4).total == 384
-    assert calls == {"classify": 0, "theta": 0, "column": 1008, "rebuilds": 384,
-                     "find_pattern": 0}
-    assert calls["column"] < 4 * 384
+    for n, columns, walked in ((4, 976, 384), (5, 8836, 3520)):
+        calls.update(column=0, rebuilds=0)
+        assert verify_equivalence(n).total == 2 ** n * factorial(n)
+        assert calls == {"classify": 0, "theta": 0, "column": columns, "rebuilds": walked,
+                         "find_pattern": 0}
     build_report(BIG)
-    assert calls == {"classify": 1, "theta": 0, "column": 1008, "rebuilds": 385,
+    assert calls == {"classify": 1, "theta": 0, "column": 8836, "rebuilds": 3521,
                      "find_pattern": 1}
 
 
+def _windows_ending_with(n, suffix):
+    # every window of W_n that ends with the suffix, each once
+    left = [x for x in range(1, n + 1) if x not in map(abs, suffix)]
+    for values in permutations(left):
+        for signs in product((-1, 1), repeat=len(left)):
+            yield (*(s * x for s, x in zip(signs, values)), *suffix)
+
+
 def test_sweep_matches_corners_and_recover():
-    """The fold along the mirrored walk gives every window of W_1..W_6,
-    each once, the stray of `corners` and the triple of `recover`, and
-    through W_5 the pattern verdict of `find_pattern`."""
+    """The sweep walks or settles every window of W_1..W_6 once.  A
+    walked window gets the stray of `corners`, the triple of `recover`,
+    and through W_5 the pattern verdict of `find_pattern`; every window
+    that ends with a settled suffix contains a pattern, has the suffix's
+    stray and no triple."""
     from thetavex import classify
 
     for n in range(1, 7):
-        seen = set()
+        seen = []
         for v in (*range(-n, 0), *range(1, n + 1)):
-            for win, contains, stray, triple in classify._sweep(n, v):
-                assert win[-1] == v and win not in seen
-                seen.add(win)
+            results = []
+            classify._sweep(n, v, lambda *result: results.append(result))
+            walked = [r for r in results if len(r[0]) == n]
+            settled = [r for r in results if len(r[0]) < n]
+            for win, contains, stray, triple in walked:
+                assert win[-1] == v
+                seen.append(win)
                 w = SignedPermutation._of(win)
                 cs = corners(w)
                 assert stray == cs.stray  # a record compares its kind too
@@ -412,7 +432,34 @@ def test_sweep_matches_corners_and_recover():
                 assert triple is None or type(triple) is theta.ThetaTriple
                 if n <= 5:
                     assert contains == (find_pattern(w, PATTERNS) is not None)
-        assert len(seen) == 2 ** n * factorial(n)
+            for suffix, contains, stray, triple in settled:
+                assert suffix[-1] == v and contains and stray is not None and triple is None
+                for win in _windows_ending_with(n, suffix):
+                    seen.append(win)
+                    w = SignedPermutation._of(win)
+                    assert find_pattern(w, PATTERNS) is not None
+                    assert corners(w).stray == stray
+                    assert theta.recover(w) is None
+        assert sorted(seen) == list(iter_windows(n))
+
+
+def test_verify_matches_a_loop_over_the_three_routes():
+    """`verify_equivalence` equals a plain loop that runs the three
+    public classifiers on each window of W_1..W_5, sharing no code with
+    the sweep."""
+    for n in range(1, 6):
+        total = members = 0
+        mismatches = []
+        for win in iter_windows(n):
+            w = SignedPermutation._of(win)
+            total += 1
+            verdicts = {classify_by_patterns(w)[0], classify_by_corners(w)[0],
+                        classify_by_triple(w)[0]}
+            if len(verdicts) > 1:
+                mismatches.append(win)
+            else:
+                members += verdicts.pop()
+        assert verify_equivalence(n) == (n, total, members, tuple(mismatches))
 
 
 @pytest.mark.parametrize("target, members", [((2, -1, 3), 43), ((-1, 3, 2), 44)],
