@@ -10,7 +10,8 @@ task per last letter, in one recursion over the suffixes (`_sweep`)
 that decides each pattern verdict and folds each corner column once
 per suffix, and counts the windows below a suffix settled on all
 three routes without walking them.
-`enumerate_theta_vexillary` lists the members along `sigperm.walk_windows`.
+`enumerate_theta_vexillary` lists the members along the pruned walk of
+`sigperm.iter_windows`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 from . import theta
 from .diagram import CornerRecord, CornerSet, _column, _label_by_rank, corners
 from .sigperm import (PatternTable, SignedPermutation, _anchored, _sign_index,
-                      check_rank_guard, find_pattern, walk_windows)
+                      check_rank_guard, find_pattern, iter_windows)
 
 #: The thirteen signed patterns whose simultaneous avoidance characterizes
 #: the theta-vexillary class, compiled once for `find_pattern`.  Do not
@@ -299,8 +300,8 @@ def enumerate_theta_vexillary(
     n: int, *, allow_large: bool = False
 ) -> Iterator[SignedPermutation]:
     """All theta-vexillary elements of W_n in window order, decided by
-    pattern avoidance along the walk of `walk_windows`, which skips every
+    pattern avoidance along the walk of `iter_windows`, which skips every
     subtree under a prefix that contains a pattern."""
     check_rank_guard(n, allow_large)
-    for win, _ in walk_windows(n, (), PATTERNS, avoiders_only=True):
+    for win in iter_windows(n, (), PATTERNS):
         yield SignedPermutation._of(win)

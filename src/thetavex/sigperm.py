@@ -283,29 +283,25 @@ def find_pattern(
 # enumeration of W_n
 
 
-def walk_windows(
-    n: int,
-    prefix: Sequence[int] = (),
-    patterns: Optional[PatternTable] = None,
-    *,
-    avoiders_only: bool = False,
-) -> Iterator[Tuple[Tuple[int, ...], bool]]:
-    """(window, contains) for each window of W_n that begins with
-    `prefix`, in lexicographic order (entries ordered
-    -n < ... < -1 < 1 < ... < n); `contains` says whether the window
-    contains a pattern of the table, and is False throughout without
-    one.  With `avoiders_only`, every window that contains one is
-    skipped, with the whole subtree under its shortest such prefix.
+def iter_windows(
+    n: int, prefix: Sequence[int] = (), patterns: Optional[PatternTable] = None
+) -> Iterator[Tuple[int, ...]]:
+    """The windows of W_n that begin with `prefix` and avoid every pattern
+    of the table, in lexicographic order (entries ordered
+    -n < ... < -1 < 1 < ... < n); without a table, every window that
+    begins with `prefix`.  The empty prefix, the default, gives all of
+    W_n, and the 2n one-letter prefixes split the stream into runs that
+    follow each other in prefix order.
 
-    One depth-first walk extends the prefix by each free value in turn,
-    and decides each prefix on the way.  Containment is inherited by
-    extension, and a prefix of length m contains a pattern iff its first
-    m - 1 letters do or an occurrence ends at letter m.  So a prefix's
-    verdict is its parent's, or the anchored test of its last letter
-    (`_anchored`) on the parent's `_sign_index`, which is built once for
-    all its children.  The walk reports no witness, so the order of the
-    patterns in the tree does not matter.  A prefix that no window of
-    W_n begins with raises ValueError here, before the walk.
+    One depth-first walk extends the prefix by each free value in turn.
+    Containment is inherited by extension, and a prefix of length m
+    contains a pattern iff its first m - 1 letters do or an occurrence
+    ends at letter m.  So the walk extends only avoiding prefixes: a
+    value whose anchored test (`_anchored`) hits on the parent's
+    `_sign_index`, built once for all its children, is skipped with its
+    whole subtree.  The walk reports no witness, so the
+    order of the patterns in the tree does not matter.  A prefix that no
+    window of W_n begins with raises ValueError here, before the walk.
     """
     prefix = tuple(prefix)
     seen = set()
@@ -319,35 +315,24 @@ def walk_windows(
     used: set = set()
     size = [0] * n + [0, n + 1]
 
-    def walk(depth: int, contains: bool) -> Iterator[Tuple[Tuple[int, ...], bool]]:
+    def walk(depth: int) -> Iterator[Tuple[int, ...]]:
         if depth == n > 0:  # a window; W_0 has none, as ranks start at 1
-            yield tuple(window), contains
+            yield tuple(window)
             return
-        test = anchored is not None and not contains
-        if test:
+        if anchored is not None:
             by_sign = _sign_index(window, depth, n + 1)
         for v in prefix[depth:depth + 1] or values:
             x = v if v > 0 else -v
-            if x in used:
-                continue
-            hit = contains or test and _anchored(anchored, v, x, depth, by_sign, size)
-            if hit and avoiders_only:
+            if x in used or anchored is not None and _anchored(
+                    anchored, v, x, depth, by_sign, size):
                 continue
             window.append(v)
             used.add(x)
-            yield from walk(depth + 1, hit)
+            yield from walk(depth + 1)
             used.remove(x)
             window.pop()
 
-    return walk(0, False)
-
-
-def iter_windows(n: int, prefix: Sequence[int] = ()) -> Iterator[Tuple[int, ...]]:
-    """The windows of `walk_windows` without verdicts: the windows of W_n
-    that begin with `prefix`, in lexicographic order; the empty prefix,
-    the default, gives all of W_n.  The 2n one-letter prefixes split the
-    stream into runs that follow each other in prefix order."""
-    return (win for win, _ in walk_windows(n, prefix))
+    return walk(0)
 
 
 # ---------------------------------------------------------------------------

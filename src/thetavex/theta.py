@@ -524,18 +524,17 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     B1/B2 cap of `_q_candidates` and the p and k bounds read the last
     entry (2), whose sign tells whether a negative entry has appeared.
     The step rank reads the new entry alone; A3 and B3 read the new
-    entry and k_{R(s)}.  The first visit of a state runs every check
-    below it and records its extensions, each a triple, in search order
-    as (k, p, q, child); a state with nothing below it records ().
-    Every later visit replays the record without checks: it appends the
-    entries to the prefix and builds each `ThetaTriple` from the whole
-    prefix, as the first visit would, so the output and its order are
-    those of the unshared search.  The emitted triples share their rows,
-    one tuple per distinct k, p or q row.  The record and the rows live
-    for one call and are cleared when the generator finishes or is
-    closed.
+    entry and k_{R(s)}.  The search runs every check below a state once
+    and records its extensions, each a triple, in search order as
+    (k, p, q, child); a state with nothing below it records ().  The
+    triples are then emitted by replaying the root's record: each
+    extension is appended to the prefix and the whole prefix built as a
+    `ThetaTriple`, so the output and its order are those of the unshared
+    search.  The emitted triples share their rows, one tuple per
+    distinct k, p or q row.  The records and the rows live for one call
+    and are cleared when the generator finishes or is closed.
 
-    Both visits build their triples with `ThetaTriple._of`, skipping the
+    The triples are built with `ThetaTriple._of`, skipping the
     shape checks, which the loop bounds already guarantee: k_i runs up
     from k_{i-1} + 1, p_i down from at most p_{i-1} to 1, q_i down from
     at most q_{i-1} over nonzero values (a first negative q_i lies below
@@ -577,10 +576,10 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
             ps.pop()
             qs.pop()
 
-    def extend(a: int, pos: int) -> Iterator[ThetaTriple]:
-        # the first visit of a state: a is the prefix's cut index (len + 1
-        # while every q is positive) and pos packs the positive entries'
-        # (k_j, q_j); returns the state's record
+    def extend(a: int, pos: int) -> tuple:
+        # the record of the prefix's state: a is the prefix's cut index
+        # (len + 1 while every q is positive) and pos packs the positive
+        # entries' (k_j, q_j)
         record = []
         i = len(ks) + 1
         k_prev = ks[-1] if ks else 0
@@ -602,7 +601,6 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                     a_new = i + 1 if q_new > 0 else a
                     if _entry_ok(ks, ps, qs, a_new, R, i) and all(
                             row[1] for row in _closing_checks(ks, ps, qs, a_new, R)):
-                        yield triple()
                         if q_new > 0:
                             child_pos = (pos * base + k_new) * base + q_new
                             r = 0
@@ -612,9 +610,7 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                                * base + q_new + n) * base + r
                         child = memo.get(key)
                         if child is None:
-                            child = memo[key] = yield from extend(a_new, child_pos)
-                        elif child:
-                            yield from replay(child)
+                            child = memo[key] = extend(a_new, child_pos)
                         record += k_new, p_new, q_new, child
                     qs.pop()
                 ps.pop()
@@ -622,10 +618,13 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
         return tuple(record)
 
     try:
-        yield from extend(1, 0)
+        record = extend(1, 0)
+        memo.clear()  # the records nest their children
+        yield from replay(record)
     finally:
-        # extend refers to itself, so the closure and the memo and rows it
-        # holds would otherwise live on until the cycle collector runs
+        # extend and replay refer to themselves, so the closures and the
+        # memo and rows they hold would otherwise live on until the cycle
+        # collector runs
         memo.clear()
         rows.clear()
 

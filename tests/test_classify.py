@@ -30,7 +30,6 @@ from thetavex.sigperm import (
     SignedPermutation,
     find_pattern,
     iter_windows,
-    walk_windows,
 )
 
 BIG = SignedPermutation([10, 1, 5, 3, -2, -4, 6, -9, -8, -7])
@@ -500,18 +499,29 @@ def test_mismatches_are_reported_in_window_order(monkeypatch, jobs):
 
 
 def test_walk_verdicts_match_find_pattern():
-    """The walk's verdict (its parent's, or the anchored test of the last
-    letter) equals the full search on every window of W_1..W_6, and
-    `avoiders_only` keeps exactly the avoiders, in window order."""
+    """The pruned walk (a prefix's verdict is its parent's, or the
+    anchored test of its last letter) keeps exactly the windows of
+    W_1..W_6 that the full search finds avoiding, in window order."""
     for n in range(1, 7):
-        walked = list(walk_windows(n, (), PATTERNS))
-        for win, contains in walked:
-            assert contains == (find_pattern(SignedPermutation._of(win), PATTERNS) is not None)
-        avoiders = list(walk_windows(n, (), PATTERNS, avoiders_only=True))
-        assert avoiders == [(win, False) for win, contains in walked if not contains]
+        assert list(iter_windows(n, (), PATTERNS)) == [
+            win for win in iter_windows(n)
+            if find_pattern(SignedPermutation._of(win), PATTERNS) is None]
     # a prefix is decided on the way too: -1 3 2 is itself a pattern
-    assert all(contains for _, contains in walk_windows(5, (-1, 4, 2), PATTERNS))
-    assert list(walk_windows(5, (-1, 4, 2), PATTERNS, avoiders_only=True)) == []
+    assert list(iter_windows(5, (-1, 4, 2), PATTERNS)) == []
+
+
+def test_pruned_runs_glue_to_the_pruned_stream():
+    """The 2n pruned runs of the one-letter prefixes follow each other,
+    in prefix order, as the pruned stream of W_n; an avoiding two-letter
+    prefix gives exactly the avoiders that begin with it."""
+    for n in range(1, 7):
+        full = list(iter_windows(n, (), PATTERNS))
+        glued = [win for v in range(-n, n + 1) if v
+                 for win in iter_windows(n, (v,), PATTERNS)]
+        assert glued == full
+    two = list(iter_windows(6, (2, -1), PATTERNS))
+    assert two == [win for win in full if win[:2] == (2, -1)]
+    assert two
 
 
 def test_pattern_table_compiled_once(monkeypatch):
