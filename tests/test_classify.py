@@ -519,9 +519,9 @@ def test_pruned_runs_glue_to_the_pruned_stream():
         glued = [win for v in range(-n, n + 1) if v
                  for win in iter_windows(n, (v,), PATTERNS)]
         assert glued == full
+    # full is now the pruned stream of W_6
     two = list(iter_windows(6, (2, -1), PATTERNS))
-    assert two == [win for win in full if win[:2] == (2, -1)]
-    assert two
+    assert two and two == [win for win in full if win[:2] == (2, -1)]
 
 
 def test_pattern_table_compiled_once(monkeypatch):
