@@ -7,9 +7,10 @@ NE path or is an unessential corner that the rank relation forces (see
 `build_report` runs the three routes on one window.
 `verify_equivalence` checks their agreement over a whole group, one
 task per last letter, in one recursion over the suffixes (`_sweep`)
-that decides each pattern verdict and folds each corner column once
-per suffix, and counts the windows below a suffix settled on all
-three routes without walking them.
+that decides each pattern verdict, folds each corner column and runs
+each path row's checks and placement step once per suffix, and counts
+the windows below a suffix settled on all three routes without walking
+them.
 `enumerate_theta_vexillary` lists the members along the pruned walk of
 `sigperm.iter_windows`.
 """
@@ -86,8 +87,9 @@ def _rebuilds(
     window: Tuple[int, ...], candidate: Optional[theta.ThetaTriple]
 ) -> Tuple[bool, Optional[theta.ThetaTriple]]:
     """(True, candidate) when the candidate triple constructs the window,
-    else (False, None): the verdict of the triple route, shared by
-    `classify_by_triple` and the sweep of `verify_equivalence`."""
+    else (False, None): the verdict of the triple route, for
+    `classify_by_triple`, and in the sweep of `verify_equivalence` for a
+    window with OPTIONAL path corners."""
     if candidate is None:
         return False, None
     try:
@@ -194,12 +196,12 @@ class VerifySummary(NamedTuple):
 
 
 def _sweep(n: int, v: int, visit: Callable) -> None:
-    """Call visit(letters, contains, stray, triple) on each walked window
+    """Call visit(letters, contains, stray, member) on each walked window
     of W_n that ends with v, with its pattern verdict, the stray of
-    `corners` and the triple of `theta.recover` (or None), and on each
-    settled suffix, of fewer than n letters: every window that ends with
-    it contains a pattern, has that stray and no triple, and is not
-    walked.
+    `corners` and the triple route's verdict, that of `_rebuilds` on
+    the triple of `theta.recover`; and on each settled suffix, of fewer
+    than n letters: every window that ends with it contains a pattern,
+    has that stray and no triple, and is not walked.
 
     Column p's corners depend only on w(p-1) and the values from p on
     (`diagram.corners`), so one recursion grows the suffixes of v, the
@@ -209,36 +211,91 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
     cuts the rows back on return.  Containment is inherited and a stray
     of the fold is final (the first OTHER record in p desc order), so a
     node with both is settled.  A leaf folds column 1 and, without a
-    stray, labels by rank and builds the triple as `recover` does.
+    stray, labels by rank.
+
+    The triple route rides the same recursion: the fold appends the
+    path rows in entry order, row i's checks (`theta._entry_ok`, its
+    step rank) read rows 1..i alone, and its placement step
+    (`theta._placement_run`) fills positions from p_i on.  So the node
+    that appends a row runs them once for all windows below it, with a
+    and R carried down, compares the placed values with the suffix and
+    takes them back on return; a failure sets the carried cut to 0.  A
+    leaf with OPTIONAL path corners takes `_rebuilds`; any other leaf
+    without a stray is a member when no row failed, A3 and B3 hold and
+    the fill step places its free positions' letters.
     """
     anchored = MIRRORED.anchored
     size = [0] * n + [0, n + 1]
     K, P, Q, off = [], [], [], []  # the fold's path rows and its other records
+    R: dict = {}  # R(i) of the negative path rows
+    window, used = [0] * (n + 1), [False] * (n + 1)  # what the rows' steps placed
 
-    def grow(suffix, free, contains, tail, stray):
+    entry_ok, step_rank, closing, place = (  # looked up per task, not per row
+        theta._entry_ok, theta._step_rank, theta._closing_checks, theta._placement_run)
+
+    def steps(cut, lo, suffix, leaf):
+        # (cut, filled): the checks of path rows lo + 1..s, at a leaf A3
+        # and B3, then their placement steps and at a leaf the fill step
+        # s + 1 (True counts 1), compared with the suffix; cut is a, or 0
+        # once one fails
+        s = len(Q)
+        for i in range(lo + 1, s + 1):
+            if Q[i - 1] > 0:
+                cut = i + 1
+            if not entry_ok(K, P, Q, cut, R, i) or step_rank(K[i - 1], P[i - 1], Q[i - 1]) > n:
+                return 0, ()
+        if leaf:
+            for row in closing(K, P, Q, cut, R):
+                if not row[1]:
+                    return 0, ()
+        filled = place(K, P, Q, lo, s + leaf, window, used)
+        p = n + 1 - len(suffix)  # suffix[0] is w(p)
+        for z in filled:
+            if window[z] != suffix[z - p]:
+                return 0, filled
+        return cut, filled
+
+    def unplace(filled):
+        for z in filled:
+            used[abs(window[z])] = False
+            window[z] = 0
+
+    def grow(suffix, free, contains, tail, stray, cut):
         here = suffix[0]  # the fold holds the columns right of it; free: the |w| left
+        depth, s, t = len(suffix), len(Q), len(off)  # s, t: where to cut the rows back to
         if not free:
+            member = False
             if stray is None:
                 tail, stray = _column(n, 1, here, 0, tail, None, K, P, Q, off)
             if stray is None:
                 stray, optional = _label_by_rank(K, P, Q, off, n)
-            triple = None if stray else theta._path_triple(K, P, Q, optional, n)
-            return visit(suffix, contains, stray, triple)
-        depth, s, t = len(suffix), len(Q), len(off)  # s, t: where to cut the rows back to
+                if optional:
+                    member = _rebuilds(suffix, theta._path_triple(K, P, Q, optional, n))[0]
+                elif stray is None and cut:
+                    cut, filled = steps(cut, s, suffix, True)
+                    member = cut > 0
+                    unplace(filled)
+            return visit(suffix, contains, stray, member)
         by_sign = None if contains else _sign_index(suffix[::-1], depth, n + 1)
         for i, x in enumerate(free):
             for u in (-x, x):
                 hit = contains or _anchored(anchored, u, x, depth, by_sign, size)
                 after, found = (tail, stray) if stray else _column(
                     n, n + 1 - depth, here, u, tail, None, K, P, Q, off)
+                below, filled = cut, ()
+                if cut and not found and len(Q) > s:
+                    below, filled = steps(cut, s, suffix, False)
                 if hit and found and depth + 1 < n:
-                    visit((u, *suffix), True, found, None)
+                    visit((u, *suffix), True, found, False)
                 else:
-                    grow((u, *suffix), free[:i] + free[i + 1:], hit, after, found)
+                    grow((u, *suffix), free[:i] + free[i + 1:], hit, after, found, below)
+                if filled:
+                    unplace(filled)
                 del K[s:], P[s:], Q[s:], off[t:]  # also past a leaf's column 1
 
     free = tuple(x for x in range(1, n + 1) if x != abs(v))
-    grow((v,), free, _anchored(anchored, v, abs(v), 0, _sign_index((), 0, n + 1), size), 0, None)
+    grow((v,), free, _anchored(anchored, v, abs(v), 0, _sign_index((), 0, n + 1), size),
+         0, None, 1)
     del grow  # grow refers to itself: free the lists it holds now, not at a later gc
 
 
@@ -249,11 +306,11 @@ def _verify_chunk(task: Tuple[int, int]) -> Tuple[int, int, List[Tuple[int, ...]
     agree = [0, 0]  # non-members, members
     mismatches: List[Tuple[int, ...]] = []
 
-    def visit(win, contains, stray, triple):
+    def visit(win, contains, stray, member):
         if len(win) < n:  # a settled suffix of n - m letters: 2^m m! agreeing non-members
             agree[0] += 2 ** (n - len(win)) * factorial(n - len(win))
-        elif (stray is None) == _rebuilds(win, triple)[0] == (not contains):
-            agree[stray is None] += 1
+        elif (stray is None) == member == (not contains):
+            agree[member] += 1
         else:
             mismatches.append(win)
 

@@ -300,40 +300,42 @@ def _step_rank(k_i: int, p_i: int, q_i: int) -> int:
 
 
 def _placement_run(k: Sequence[int], p: Sequence[int], q: Sequence[int],
-                   n: int) -> List[int]:
-    """The window that the s + 1 placement steps of (k, p, q) build at
-    rank n, for a triple that passes the conditions at a rank of at
-    least its `_min_rank`.  Step i places the k_i - k_{i-1} largest
-    unused values at or below -q_i, increasing, into the first free
-    positions from p_i on; step s + 1 fills the unused positive values,
-    increasing, into the free positions.  `window[z]` is the value at
-    position z in 1..n, 0 while z is free."""
-    window = [0] * (n + 1)
-    used = [False] * (n + 1)
-    prev_k = 0
-    for k_i, p_i, q_i in zip(k, p, q):
+                   lo: int, hi: int, window: List[int], used: List[bool]) -> List[int]:
+    """Runs placement steps lo + 1..hi of the rows (k, p, q) on `window`
+    (the value at each position 1..n, 0 while free) and `used` (marking
+    the absolute values placed), which hold what steps 1..lo placed, and
+    returns the positions filled.  Step i <= s places the k_i - k_{i-1}
+    largest unused values at or below -q_i, increasing, into the first
+    free positions from p_i on; step s + 1 fills the unused positive
+    values, increasing, into the free positions.  Rows that pass their
+    entry checks with step ranks at most n place in range."""
+    filled: List[int] = []
+    s = len(k)
+    prev_k = k[lo - 1] if lo else 0
+    for i in range(lo, hi if hi <= s else s):
         values: List[int] = []
-        positions: List[int] = []
-        v, z = -q_i, p_i
-        for _ in range(k_i - prev_k):
+        v = -q[i]
+        for _ in range(k[i] - prev_k):
             while used[abs(v)]:
                 v -= 1
+            used[abs(v)] = True
+            values.append(v)
+            v -= 1
+        z = p[i]
+        while values:  # the least value first, into the first free position
             while window[z]:
                 z += 1
-            values.append(v)
-            positions.append(z)
-            used[abs(v)] = True
-            v -= 1
-            z += 1
-        values.reverse()
-        for v, z in zip(values, positions):
-            window[z] = v
-        prev_k = k_i
-    values = [v for v in range(1, n + 1) if not used[v]]
-    positions = [z for z in range(1, n + 1) if not window[z]]
-    for v, z in zip(values, positions):
-        window[z] = v
-    return window
+            window[z] = values.pop()
+            filled.append(z)
+        prev_k = k[i]
+    if hi > s:
+        z = 0
+        for v in range(1, len(used)):
+            if not used[v]:
+                z = window.index(0, z + 1)
+                window[z] = v
+                filled.append(z)
+    return filled
 
 
 def _entry_ok(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
@@ -388,7 +390,9 @@ def construct(t: ThetaTriple) -> SignedPermutation:
                 f"rank is {minimum})",
                 minimum=minimum,
             )
-    return SignedPermutation._of(tuple(_placement_run(k, p, q, t.n)[1:]))
+    window = [0] * (t.n + 1)
+    _placement_run(k, p, q, 0, len(k) + 1, window, [False] * (t.n + 1))
+    return SignedPermutation._of(tuple(window[1:]))
 
 
 def min_feasible_rank(t: ThetaTriple) -> int:

@@ -368,12 +368,17 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     1,008; 32 of them come after the stray, so 976 are left.  Over W_5
     the same count is 10,160, and 8,836 are left.  A node with a stray
     whose suffix contains a pattern settles its subtree: none at W_4,
-    320 windows at W_5, which run no triple route.  The sweep calls
-    neither `corners` nor the pattern search; a report still computes
-    one corner set."""
+    320 windows at W_5, which run no triple route.  The triple route
+    runs each path row's entry check and placement step once, at the
+    node that appends the row, and each leaf's fill step once:
+    `_rebuilds` runs only on a member with OPTIONAL path corners, 3 of
+    W_4 and 67 of W_5, whose `construct` adds its own checks and one
+    placement run.  The sweep calls neither `corners` nor the pattern
+    search; a report still computes one corner set."""
     from thetavex import classify, diagram
 
-    calls = {"classify": 0, "theta": 0, "column": 0, "rebuilds": 0, "find_pattern": 0}
+    calls = {"classify": 0, "theta": 0, "column": 0, "rebuilds": 0, "entry": 0,
+             "place": 0, "find_pattern": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -386,16 +391,19 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     monkeypatch.setattr(theta, "corners", counting("theta", diagram.corners))
     monkeypatch.setattr(classify, "_column", counting("column", diagram._column))
     monkeypatch.setattr(classify, "_rebuilds", counting("rebuilds", classify._rebuilds))
+    monkeypatch.setattr(theta, "_entry_ok", counting("entry", theta._entry_ok))
+    monkeypatch.setattr(theta, "_placement_run", counting("place", theta._placement_run))
     monkeypatch.setattr(classify, "find_pattern",
                         counting("find_pattern", classify.find_pattern))
-    for n, columns, walked in ((4, 976, 384), (5, 8836, 3520)):
-        calls.update(column=0, rebuilds=0)
+    for n, columns, optional, entry, place in ((4, 976, 3, 474, 563),
+                                               (5, 8836, 67, 3905, 4211)):
+        calls.update(column=0, rebuilds=0, entry=0, place=0)
         assert verify_equivalence(n).total == 2 ** n * factorial(n)
-        assert calls == {"classify": 0, "theta": 0, "column": columns, "rebuilds": walked,
-                         "find_pattern": 0}
+        assert calls == {"classify": 0, "theta": 0, "column": columns, "rebuilds": optional,
+                         "entry": entry, "place": place, "find_pattern": 0}
     build_report(BIG)
-    assert calls == {"classify": 1, "theta": 0, "column": 8836, "rebuilds": 3521,
-                     "find_pattern": 1}
+    assert calls == {"classify": 1, "theta": 0, "column": 8836, "rebuilds": 68,
+                     "entry": 3905 + 5, "place": 4212, "find_pattern": 1}
 
 
 def _windows_ending_with(n, suffix):
@@ -408,10 +416,10 @@ def _windows_ending_with(n, suffix):
 
 def test_sweep_matches_corners_and_recover():
     """The sweep walks or settles every window of W_1..W_6 once.  A
-    walked window gets the stray of `corners`, the triple of `recover`,
-    and through W_5 the pattern verdict of `find_pattern`; every window
-    that ends with a settled suffix contains a pattern, has the suffix's
-    stray and no triple."""
+    walked window gets the stray of `corners`, the verdict of
+    `_rebuilds` on the triple of `recover`, and through W_5 the pattern
+    verdict of `find_pattern`; every window that ends with a settled
+    suffix contains a pattern, has the suffix's stray and no triple."""
     from thetavex import classify
 
     for n in range(1, 7):
@@ -421,18 +429,19 @@ def test_sweep_matches_corners_and_recover():
             classify._sweep(n, v, lambda *result: results.append(result))
             walked = [r for r in results if len(r[0]) == n]
             settled = [r for r in results if len(r[0]) < n]
-            for win, contains, stray, triple in walked:
+            for win, contains, stray, member in walked:
                 assert win[-1] == v
                 seen.append(win)
                 w = SignedPermutation._of(win)
                 cs = corners(w)
                 assert stray == cs.stray  # a record compares its kind too
-                assert triple == theta.recover(w) == theta.recover(w, cs)
-                assert triple is None or type(triple) is theta.ThetaTriple
+                triple = theta.recover(w)
+                assert triple == theta.recover(w, cs)
+                assert member is classify._rebuilds(win, triple)[0]
                 if n <= 5:
                     assert contains == (find_pattern(w, PATTERNS) is not None)
-            for suffix, contains, stray, triple in settled:
-                assert suffix[-1] == v and contains and stray is not None and triple is None
+            for suffix, contains, stray, member in settled:
+                assert suffix[-1] == v and contains and stray is not None and member is False
                 for win in _windows_ending_with(n, suffix):
                     seen.append(win)
                     w = SignedPermutation._of(win)
@@ -444,9 +453,9 @@ def test_sweep_matches_corners_and_recover():
 
 def test_verify_matches_a_loop_over_the_three_routes():
     """`verify_equivalence` equals a plain loop that runs the three
-    public classifiers on each window of W_1..W_5, sharing no code with
+    public classifiers on each window of W_1..W_6, sharing no code with
     the sweep."""
-    for n in range(1, 6):
+    for n in range(1, 7):
         total = members = 0
         mismatches = []
         for win in iter_windows(n):
@@ -461,22 +470,66 @@ def test_verify_matches_a_loop_over_the_three_routes():
         assert verify_equivalence(n) == (n, total, members, tuple(mismatches))
 
 
+def _path_rows(window):
+    # the rows (k, p, q) of the triple of a member window
+    t = theta.recover(SignedPermutation(window))
+    return t.k, t.p, t.q
+
+
+def _misplacing(monkeypatch, targets, fill):
+    # a placement run that negates the last value it places when its rows
+    # are a target's triple and it runs the fill step (fill) or stops
+    # before it (not fill); the sweep's comparison with the letters must
+    # then reject the target
+    triples = {_path_rows(target) for target in targets}
+    place = theta._placement_run
+
+    def misplacing(k, p, q, lo, hi, window, used):
+        filled = place(k, p, q, lo, hi, window, used)
+        if (hi > len(k)) == fill and (tuple(k), tuple(p), tuple(q)) in triples:
+            window[filled[-1]] = -window[filled[-1]]
+        return filled
+
+    monkeypatch.setattr(theta, "_placement_run", misplacing)
+
+
 @pytest.mark.parametrize("target, members", [((2, -1, 3), 43), ((-1, 3, 2), 44)],
                          ids=["member", "non-member"])
 def test_forced_route_disagreement_is_a_mismatch(monkeypatch, target, members):
-    """A triple verdict flipped on one window of W_3 disagrees with the
-    walk's pattern verdict and the corner route there: that window, and
-    only it, is a mismatch, and the member count leaves it out."""
+    """A verdict forced on one window of W_3 disagrees with the other two
+    routes there: that window, and only it, is a mismatch, and the member
+    count leaves it out.  The member's triple route fails the entry check
+    of its one path row, 1; 2; 1, which the sweep runs at the node of
+    column 2.  The non-member has a stray, as all of W_3's do, so its
+    triple verdict is the stray's and no check of the triple runs; its
+    pattern test misses instead, with the window itself, the pattern
+    -1 3 2, left out of the table the sweep reads."""
     from thetavex import classify
+    from thetavex.sigperm import PatternTable
 
-    route = classify._rebuilds
+    if target == (2, -1, 3):  # the member
+        rows = _path_rows(target)
+        entry_ok = theta._entry_ok
 
-    def flipped(window, candidate):
-        ok, t = route(window, candidate)
-        return (not ok, t) if window == target else (ok, t)
+        def rejecting(k, p, q, a, R, i):
+            if (tuple(k), tuple(p), tuple(q)) == rows:
+                return False
+            return entry_ok(k, p, q, a, R, i)
 
-    monkeypatch.setattr(classify, "_rebuilds", flipped)
+        monkeypatch.setattr(theta, "_entry_ok", rejecting)
+    else:
+        monkeypatch.setattr(classify, "MIRRORED", PatternTable(
+            p for p in classify.MIRRORED if p.window != target[::-1]))
     assert verify_equivalence(3) == (3, 48, members, (target,))
+
+
+def test_forced_misplacement_is_a_mismatch(monkeypatch):
+    """A placement step of the member 2 -1 3's one path row, which the
+    sweep runs at the node of column 2 and compares there with the
+    letters from position 2 on, places a wrong value: that window, and
+    only it, is a mismatch."""
+    _misplacing(monkeypatch, [(2, -1, 3)], fill=False)
+    assert verify_equivalence(3) == (3, 48, 43, ((2, -1, 3),))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -484,17 +537,10 @@ def test_mismatches_are_reported_in_window_order(monkeypatch, jobs):
     """Mismatches from the chunks of the last letters 3 and -3 of W_3
     reach the merge in the reverse of window order and come out sorted,
     whatever the worker count (the pool's workers are forked with the
-    flipped route)."""
-    from thetavex import classify
-
-    route = classify._rebuilds
+    placement run that misplaces the two members' fill steps, which each
+    leaf compares with its free positions' letters)."""
     targets = ((1, 2, 3), (2, 1, -3))
-
-    def flipped(window, candidate):
-        ok, t = route(window, candidate)
-        return (not ok, t) if window in targets else (ok, t)
-
-    monkeypatch.setattr(classify, "_rebuilds", flipped)
+    _misplacing(monkeypatch, targets, fill=True)
     assert verify_equivalence(3, jobs=jobs) == (3, 48, 42, targets)
 
 
