@@ -8,9 +8,9 @@ NE path or is an unessential corner that the rank relation forces (see
 `verify_equivalence` checks their agreement over a whole group, one
 task per last letter, in one recursion over the suffixes (`_sweep`)
 that decides each pattern verdict, folds each corner column and runs
-each path row's checks and placement step once per suffix, and counts
-the windows below a suffix settled on all three routes without walking
-them.
+each path row's checks (`theta._rows_pass`) and placement step once
+per suffix, and counts the windows below a suffix settled on all three
+routes without walking them.
 `enumerate_theta_vexillary` lists the members along the pruned walk of
 `sigperm.iter_windows`.
 """
@@ -214,15 +214,19 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
     stray, labels by rank.
 
     The triple route rides the same recursion: the fold appends the
-    path rows in entry order, row i's checks (`theta._entry_ok`, its
+    path rows in entry order, row i's checks (`theta._rows_pass`, its
     step rank) read rows 1..i alone, and its placement step
     (`theta._placement_run`) fills positions from p_i on.  So the node
-    that appends a row runs them once for all windows below it, with a
+    that appends rows runs them once for all windows below it, with a
     and R carried down, compares the placed values with the suffix and
-    takes them back on return; a failure sets the carried cut to 0.  A
-    leaf with OPTIONAL path corners takes `_rebuilds`; any other leaf
-    without a stray is a member when no row failed, A3 and B3 hold and
-    the fill step places its free positions' letters.
+    takes them back on return; a failure sets the carried cut to 0.
+    The same call checks A3 and B3 at that node, not only at the leaf:
+    a prefix failing either fails on every extension that passes its
+    entry checks (`theta.generate_triples`), and over W_6 and W_7 none
+    fails (README, "Construction check").  A leaf with OPTIONAL path
+    corners takes `_rebuilds`; any other leaf without a stray is a
+    member when no check failed and the fill step places its free
+    positions' letters.
     """
     anchored = MIRRORED.anchored
     size = [0] * n + [0, n + 1]
@@ -230,24 +234,19 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
     R: dict = {}  # R(i) of the negative path rows
     window, used = [0] * (n + 1), [False] * (n + 1)  # what the rows' steps placed
 
-    entry_ok, step_rank, closing, place = (  # looked up per task, not per row
-        theta._entry_ok, theta._step_rank, theta._closing_checks, theta._placement_run)
+    rows_pass, step_rank, place = (  # looked up per task, not per row
+        theta._rows_pass, theta._step_rank, theta._placement_run)
 
     def steps(cut, lo, suffix, leaf):
-        # (cut, filled): the checks of path rows lo + 1..s, at a leaf A3
-        # and B3, then their placement steps and at a leaf the fill step
-        # s + 1 (True counts 1), compared with the suffix; cut is a, or 0
-        # once one fails
+        # (cut, filled): the checks of new path rows lo + 1..s with A3 and
+        # B3 (`_rows_pass`) and their step ranks, then their placement
+        # steps and at a leaf the fill step s + 1 (True counts 1), compared
+        # with the suffix; cut is a, or 0 once a check fails
         s = len(Q)
-        for i in range(lo + 1, s + 1):
-            if Q[i - 1] > 0:
-                cut = i + 1
-            if not entry_ok(K, P, Q, cut, R, i) or step_rank(K[i - 1], P[i - 1], Q[i - 1]) > n:
+        if s > lo:
+            cut = rows_pass(K, P, Q, cut, R, lo)
+            if not cut or max(map(step_rank, K[lo:], P[lo:], Q[lo:])) > n:
                 return 0, ()
-        if leaf:
-            for row in closing(K, P, Q, cut, R):
-                if not row[1]:
-                    return 0, ()
         filled = place(K, P, Q, lo, s + leaf, window, used)
         p = n + 1 - len(suffix)  # suffix[0] is w(p)
         for z in filled:

@@ -4,7 +4,7 @@ A triple consists of three s-tuples: k strictly increasing, p weakly
 decreasing and positive, q weakly decreasing.  The tuple shapes are
 enforced on construction; the eight semantic conditions (A1-A3, B1-B3,
 C1-C2) are checked by `validate`, which reports every verdict rather
-than raising.
+than raising, and by `_rows_pass`, which stops at the first failure.
 
 From a valid triple the construction algorithm produces a signed
 permutation in s+1 placement steps over the window positions 1..n;
@@ -203,9 +203,10 @@ def validate(t: ThetaTriple) -> ConditionReport:
 
 def _require_valid(t: ThetaTriple) -> None:
     """Raises InvalidTripleError naming the first failing condition
-    unless all eight hold.  The check (`_conditions_hold`) builds no
-    verdict rows; only a failure builds the report, to word it."""
-    if not _conditions_hold(t.k, t.p, t.q):
+    unless all eight hold.  The check is `_rows_pass` on every row, which
+    stops at the first failing row; only a failure builds the report of
+    `_condition_rows`, to word it."""
+    if not _rows_pass(t.k, t.p, t.q, 1, {}, 0):
         raise InvalidTripleError(validate(t).failure_message())
 
 
@@ -230,7 +231,7 @@ def _entry_checks(k: Sequence[int], p: Sequence[int], q: Sequence[int],
     """The conditions that entry i completes, as verdict rows: B1 at i-1
     below the sign cut a, B2 at i-1 above it (the pair straddling the cut
     is unconstrained), and C1 and C2 at i from the cut on.  Each depends
-    on entries 1..i only, so the generator checks a prefix as it grows,
+    on entries 1..i only, so `_rows_pass` checks a prefix as it grows,
     stopping at the first failing row, and `_condition_rows` checks every
     i of a finished triple.  R must map every index from a up to i.
 
@@ -281,6 +282,35 @@ def _closing_checks(k: Sequence[int], p: Sequence[int], q: Sequence[int],
         rows.append(_row("B3", None, p[s - 1] + q[s - 1] + k[s - 1],
                          _k_at(k, R[s]) + 1))
     return rows
+
+
+def _rows_pass(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
+               R: Dict[int, Optional[int]], lo: int) -> int:
+    """The cut index of rows 1..s of a weakly decreasing q when they pass
+    the eight conditions, else 0, given the cut index a and the map R
+    that rows 1..lo left (a = 1 and R empty for lo = 0).  Checks rows
+    lo + 1..s: q_i is not 0 (A1), R(i) exists for a negative q_i (A2),
+    stored in R, and the conditions of `_entry_checks` hold; then A3 and
+    B3 of rows 1..s (`_closing_checks`).  Every check reads the rows
+    alone, never a placed value, and the first failing row stops it.
+    `_require_valid` checks a whole triple from lo = 0, and the generator
+    and the `verify` sweep check the rows that a search step appends."""
+    for i in range(lo + 1, len(q) + 1):
+        if q[i - 1] > 0:
+            a = i + 1
+        elif not q[i - 1]:
+            return 0
+        else:
+            r = R[i] = _r_index(q, a, i)
+            if r is None:
+                return 0
+        for row in _entry_checks(k, p, q, a, R, i):
+            if not row[1]:
+                return 0
+    for row in _closing_checks(k, p, q, a, R):
+        if not row[1]:
+            return 0
+    return a
 
 
 def _k_at(k: Sequence[int], j: int) -> int:
@@ -336,39 +366,6 @@ def _placement_run(k: Sequence[int], p: Sequence[int], q: Sequence[int],
                 window[z] = v
                 filled.append(z)
     return filled
-
-
-def _entry_ok(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
-              R: Dict[int, Optional[int]], i: int) -> bool:
-    """Whether entry i passes the checks it completes: for a negative
-    q_i, R(i) must exist (A2), and it is stored in R; and the conditions
-    of `_entry_checks` must hold.  a is the cut index of entries 1..i,
-    and R must hold the entries up to i-1.  Every check reads the triple
-    alone, never a placed value.  `generate_triples` runs it on each new
-    entry of a prefix, and `_conditions_hold` on each entry of a whole
-    triple."""
-    if q[i - 1] < 0:
-        r = R[i] = _r_index(q, a, i)
-        if r is None:
-            return False
-    for row in _entry_checks(k, p, q, a, R, i):
-        if not row[1]:
-            return False
-    return True
-
-
-def _conditions_hold(k: Sequence[int], p: Sequence[int], q: Sequence[int]) -> bool:
-    """Whether the eight conditions hold, read without verdict rows: no
-    q is 0, every entry passes `_entry_ok` (so every R(i) exists, and A1
-    and A2 hold), and A3 and B3 hold."""
-    if 0 in q:
-        return False
-    a = 1 + len([v for v in q if v > 0])
-    R: Dict[int, Optional[int]] = {}
-    for i in range(1, len(k) + 1):
-        if not _entry_ok(k, p, q, a, R, i):
-            return False
-    return all(row[1] for row in _closing_checks(k, p, q, a, R))
 
 
 def construct(t: ThetaTriple) -> SignedPermutation:
@@ -496,9 +493,9 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
     negative entry, the p_i and k_i that B2 leaves no value).  The p and
     q bounds also keep the step rank (`_step_rank`) at most n: p_i and a
     positive q_i stay at or below n + 1 - k_i.  The search carries the
-    cut index a and R of every negative entry down.  A prefix that
-    passes the checks its last entry completes (`_entry_ok`) and A3 and
-    B3 (`_closing_checks`) is a triple: it is emitted, then extended.
+    cut index a and R of every negative entry down.  A prefix whose new
+    entry passes `_rows_pass` (the checks it completes, then A3 and B3)
+    is a triple: it is emitted, then extended.
 
     A prefix that fails is cut with its whole subtree, and this loses
     nothing.  A condition that entry i completes reads only entries
@@ -602,9 +599,8 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
                 ps.append(p_new)
                 for q_new in _q_candidates(n, ks, ps, qs, a, negatives):
                     qs.append(q_new)
-                    a_new = i + 1 if q_new > 0 else a
-                    if _entry_ok(ks, ps, qs, a_new, R, i) and all(
-                            row[1] for row in _closing_checks(ks, ps, qs, a_new, R)):
+                    a_new = _rows_pass(ks, ps, qs, a, R, i - 1)
+                    if a_new:
                         if q_new > 0:
                             child_pos = (pos * base + k_new) * base + q_new
                             r = 0

@@ -369,8 +369,9 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     the same count is 10,160, and 8,836 are left.  A node with a stray
     whose suffix contains a pattern settles its subtree: none at W_4,
     320 windows at W_5, which run no triple route.  The triple route
-    runs each path row's entry check and placement step once, at the
-    node that appends the row, and each leaf's fill step once:
+    runs each path row's entry checks (`theta._entry_checks`, called by
+    `theta._rows_pass`) and placement step once, at the node that
+    appends the row, and each leaf's fill step once:
     `_rebuilds` runs only on a member with OPTIONAL path corners, 3 of
     W_4 and 67 of W_5, whose `construct` adds its own checks and one
     placement run.  The sweep calls neither `corners` nor the pattern
@@ -391,7 +392,7 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     monkeypatch.setattr(theta, "corners", counting("theta", diagram.corners))
     monkeypatch.setattr(classify, "_column", counting("column", diagram._column))
     monkeypatch.setattr(classify, "_rebuilds", counting("rebuilds", classify._rebuilds))
-    monkeypatch.setattr(theta, "_entry_ok", counting("entry", theta._entry_ok))
+    monkeypatch.setattr(theta, "_entry_checks", counting("entry", theta._entry_checks))
     monkeypatch.setattr(theta, "_placement_run", counting("place", theta._placement_run))
     monkeypatch.setattr(classify, "find_pattern",
                         counting("find_pattern", classify.find_pattern))
@@ -498,25 +499,25 @@ def _misplacing(monkeypatch, targets, fill):
 def test_forced_route_disagreement_is_a_mismatch(monkeypatch, target, members):
     """A verdict forced on one window of W_3 disagrees with the other two
     routes there: that window, and only it, is a mismatch, and the member
-    count leaves it out.  The member's triple route fails the entry check
-    of its one path row, 1; 2; 1, which the sweep runs at the node of
-    column 2.  The non-member has a stray, as all of W_3's do, so its
-    triple verdict is the stray's and no check of the triple runs; its
-    pattern test misses instead, with the window itself, the pattern
-    -1 3 2, left out of the table the sweep reads."""
+    count leaves it out.  The member's triple route fails the row check
+    (`theta._rows_pass`) of its one path row, 1; 2; 1, which the sweep
+    runs at the node of column 2.  The non-member has a stray, as all of
+    W_3's do, so its triple verdict is the stray's and no check of the
+    triple runs; its pattern test misses instead, with the window itself,
+    the pattern -1 3 2, left out of the table the sweep reads."""
     from thetavex import classify
     from thetavex.sigperm import PatternTable
 
     if target == (2, -1, 3):  # the member
         rows = _path_rows(target)
-        entry_ok = theta._entry_ok
+        rows_pass = theta._rows_pass
 
-        def rejecting(k, p, q, a, R, i):
+        def rejecting(k, p, q, a, R, lo):
             if (tuple(k), tuple(p), tuple(q)) == rows:
-                return False
-            return entry_ok(k, p, q, a, R, i)
+                return 0
+            return rows_pass(k, p, q, a, R, lo)
 
-        monkeypatch.setattr(theta, "_entry_ok", rejecting)
+        monkeypatch.setattr(theta, "_rows_pass", rejecting)
     else:
         monkeypatch.setattr(classify, "MIRRORED", PatternTable(
             p for p in classify.MIRRORED if p.window != target[::-1]))

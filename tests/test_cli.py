@@ -184,26 +184,34 @@ def test_construct_help_example_builds(capsys):
 ], ids=["member", "rank-too-small", "A3", "degenerate"])
 def test_construct_checks_the_conditions_once(capsys, monkeypatch, argv, code, err):
     """One `construct` call checks the conditions once: the parse checks
-    the shape, and `construct` the conditions.  A triple that passes
-    them, a member or one refused for its rank, runs the shared
-    per-entry check once per entry and builds no verdict rows; a
-    refusal on a condition builds the rows exactly once, to word its
-    message."""
-    rows, entries = [], []
-    rows_of, entry_ok = theta._condition_rows, theta._entry_ok
+    the shape, and `construct` the conditions, in one `_rows_pass` call
+    over every row (from lo = 0).  A triple that passes them, a member
+    or one refused for its rank, runs the per-entry checks
+    (`_entry_checks`) once per entry and never builds the report of
+    `_condition_rows`; a refusal on a condition builds that report
+    exactly once, to word its message."""
+    rows, passes, entries = [], [], []
+    rows_of, rows_pass, entry_checks = (
+        theta._condition_rows, theta._rows_pass, theta._entry_checks)
 
     def counting_rows(t):
         rows.append(t)
         return rows_of(t)
 
+    def counting_passes(*args):
+        passes.append(args[-1])
+        return rows_pass(*args)
+
     def counting_entries(*args):
         entries.append(args[-1])
-        return entry_ok(*args)
+        return entry_checks(*args)
 
     monkeypatch.setattr(theta, "_condition_rows", counting_rows)
-    monkeypatch.setattr(theta, "_entry_ok", counting_entries)
+    monkeypatch.setattr(theta, "_rows_pass", counting_passes)
+    monkeypatch.setattr(theta, "_entry_checks", counting_entries)
     got_code, _, got_err = run(capsys, "construct", *argv)
     assert got_code == code and err in got_err and bool(err) == bool(got_err)
+    assert passes == [0]
     if code == 0 or "minimum feasible rank" in err:
         s = len(argv[0].split(";")[0].split())
         assert entries == list(range(1, s + 1))

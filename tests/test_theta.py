@@ -588,9 +588,9 @@ def test_degenerate_tuples_not_generated():
 
 
 def test_lean_construction_check_agrees_with_the_wording_path():
-    """`construct` checks each entry with `_entry_ok`, building no
-    verdict rows, before it places.  It builds exactly when
-    `validate(t).ok` holds and every simulated step places
+    """`construct` checks its rows with one `_rows_pass` call, building
+    no report of `_condition_rows`, before it places.  It builds exactly
+    when `validate(t).ok` holds and every simulated step places
     (`reference_placement_run`); otherwise it refuses as the full report
     or the short step (with the `minimum` of the rank loop) words it.
     What it builds has no step placing at or below a later q_i, read
@@ -620,6 +620,30 @@ def test_lean_construction_check_agrees_with_the_wording_path():
             refused += 1
         assert got == expected, format_triple(t)
     assert built and refused
+
+
+def test_rows_pass_splits_at_any_row():
+    """`_rows_pass` checks rows lo + 1..s from the cut index and R that
+    rows 1..lo left, as the generator and the `verify` sweep call it on
+    the rows a search step appends.  For every lo whose rows 1..lo pass,
+    checking them and then rows lo + 1..s with the carried (a, R) gives
+    the cut of one call from lo = 0, and that call passes exactly when
+    `validate` does, with the cut index of the whole q: 1,089 triples
+    pass, and 56,550 splits are checked."""
+    splits = passed = 0
+    for t in [*shape_valid_triples(4), *DEGENERATE, *DEGENERATE_WIDE_STEP, *A1_A2_TRIPLES]:
+        k, p, q = t.k, t.p, t.q
+        whole = theta._rows_pass(k, p, q, 1, {}, 0)
+        assert bool(whole) == validate(t).ok, format_triple(t)
+        assert whole in (0, _cut_and_r(q)[0]), format_triple(t)
+        passed += bool(whole)
+        for lo in range(t.s + 1):
+            R = {}
+            a = theta._rows_pass(k[:lo], p[:lo], q[:lo], 1, R, 0)
+            if a:
+                assert theta._rows_pass(k, p, q, a, R, lo) == whole, (format_triple(t), lo)
+                splits += 1
+    assert (passed, splits) == (1089, 56550)
 
 
 def test_written_coherence_condition_agrees_with_the_placed_steps():
@@ -801,11 +825,12 @@ def test_generation_frees_its_states_without_the_cycle_collector():
 
 def test_generation_visits_each_state_once(monkeypatch):
     """The search below a state runs once, and only below a triple: at
-    rank 5 the generator asks for 1,642 q ranges and 4,946 entry checks
-    (2,067 and 5,396 when it also searched below the prefixes that fail
-    A3 or B3, 9,916 and 14,060 when every prefix was searched on its
-    own)."""
-    calls = {"_q_candidates": 0, "_entry_ok": 0}
+    rank 5 the generator asks for 1,642 q ranges and 4,946 entry checks,
+    one `_entry_checks` call per new entry through `_rows_pass`.  It
+    asked 2,067 and 5,396 when it also searched below the prefixes that
+    fail A3 or B3, and 9,916 and 14,060 when every prefix was searched
+    on its own."""
+    calls = {"_q_candidates": 0, "_entry_checks": 0}
 
     def counting(name):
         inner = getattr(theta, name)
@@ -818,7 +843,7 @@ def test_generation_visits_each_state_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(theta, name, counting(name))
     assert generation_digest(generate_triples(5)) == GENERATED_DIGESTS[5]
-    assert calls == {"_q_candidates": 1642, "_entry_ok": 4946}
+    assert calls == {"_q_candidates": 1642, "_entry_checks": 4946}
 
 
 def test_closing_checks_hold_on_every_proper_prefix():
