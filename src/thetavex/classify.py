@@ -214,19 +214,17 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
     stray, labels by rank.
 
     The triple route rides the same recursion: the fold appends the
-    path rows in entry order, row i's checks (`theta._rows_pass`, its
-    step rank) read rows 1..i alone, and its placement step
-    (`theta._placement_run`) fills positions from p_i on.  So the node
-    that appends rows runs them once for all windows below it, with a
-    and R carried down, compares the placed values with the suffix and
-    takes them back on return; a failure sets the carried cut to 0.
-    The same call checks A3 and B3 at that node, not only at the leaf:
-    a prefix failing either fails on every extension that passes its
-    entry checks (`theta.generate_triples`), and over W_6 and W_7 none
-    fails (README, "Construction check").  A leaf with OPTIONAL path
-    corners takes `_rebuilds`; any other leaf without a stray is a
-    member when no check failed and the fill step places its free
-    positions' letters.
+    path rows in entry order, row i's checks (`theta._rows_pass`) read
+    rows 1..i alone, and its placement step (`theta._placement_run`)
+    fills positions from p_i on.  So the node that appends rows runs
+    them once for all windows below it, with a and R carried down,
+    compares the placed values with the suffix and takes them back on
+    return; a failure sets the carried cut to 0.  The rows are corners,
+    so their step ranks are at most n and they pass A3 and B3, which
+    the same call checks at that node (README, "Recovery", lemmas 1-3).
+    A leaf with OPTIONAL path corners takes `_rebuilds`; any other leaf
+    without a stray is a member when no check failed and the fill step
+    places its free positions' letters.
     """
     anchored = MIRRORED.anchored
     size = [0] * n + [0, n + 1]
@@ -234,18 +232,18 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
     R: dict = {}  # R(i) of the negative path rows
     window, used = [0] * (n + 1), [False] * (n + 1)  # what the rows' steps placed
 
-    rows_pass, step_rank, place = (  # looked up per task, not per row
-        theta._rows_pass, theta._step_rank, theta._placement_run)
+    rows_pass, place = theta._rows_pass, theta._placement_run  # per task, not per row
 
     def steps(cut, lo, suffix, leaf):
         # (cut, filled): the checks of new path rows lo + 1..s with A3 and
-        # B3 (`_rows_pass`) and their step ranks, then their placement
-        # steps and at a leaf the fill step s + 1 (True counts 1), compared
-        # with the suffix; cut is a, or 0 once a check fails
+        # B3 (`_rows_pass`), then their placement steps and at a leaf the
+        # fill step s + 1 (True counts 1), compared with the suffix; cut is
+        # a, or 0 once a check fails.  No step rank is compared with n: a
+        # corner's is at most n (README, "Recovery", lemma 1)
         s = len(Q)
         if s > lo:
             cut = rows_pass(K, P, Q, cut, R, lo)
-            if not cut or max(map(step_rank, K[lo:], P[lo:], Q[lo:])) > n:
+            if not cut:
                 return 0, ()
         filled = place(K, P, Q, lo, s + leaf, window, used)
         p = n + 1 - len(suffix)  # suffix[0] is w(p)

@@ -489,13 +489,13 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
 
     Searches entries (k_i, p_i, q_i) bounded by n: k increasing, then p
     decreasing, then q decreasing over the values of `_q_candidates`,
-    which skips the values that A2, B1, B2 or C1 rule out (and, after a
-    negative entry, the p_i and k_i that B2 leaves no value).  The p and
-    q bounds also keep the step rank (`_step_rank`) at most n: p_i and a
-    positive q_i stay at or below n + 1 - k_i.  The search carries the
-    cut index a and R of every negative entry down.  A prefix whose new
-    entry passes `_rows_pass` (the checks it completes, then A3 and B3)
-    is a triple: it is emitted, then extended.
+    which skips the values that A2, B1, B2 or C1 rule out.  The p bound
+    is the step-rank cap (`_step_rank`) alone, p_i <= n + 1 - k_i, and
+    the q bounds keep a positive q_i at or below n + 1 - k_i too, so no
+    step rank exceeds n.  The search carries the cut index a and R of
+    every negative entry down.  A prefix whose new entry passes
+    `_rows_pass` (the checks it completes, then A3 and B3) is a triple:
+    it is emitted, then extended.
 
     A prefix that fails is cut with its whole subtree, and this loses
     nothing.  A condition that entry i completes reads only entries
@@ -585,17 +585,11 @@ def generate_triples(n: int, *, allow_large: bool = False) -> Iterator[ThetaTrip
         i = len(ks) + 1
         k_prev = ks[-1] if ks else 0
         p_hi = ps[-1] if ps else n
-        q_hi = qs[-1] if qs else n
         negatives = [v for v in range(-n, 0) if -v not in qs]
         for k_new in range(k_prev + 1, n + 1):
-            # after a negative, B2's cap (`_q_candidates`) must reach -n: it
-            # bounds p_i, and once it leaves no p_i no larger k_i leaves one
-            p_top = min(p_hi, p_hi + q_hi + n - (k_new - k_prev) - 1) if a < i else p_hi
-            if p_top < 1:
-                break
             ks.append(k_new)
             # the step rank caps p_i at n + 1 - k_i, which is at least 1
-            for p_new in range(min(p_top, n + 1 - k_new), 0, -1):
+            for p_new in range(min(p_hi, n + 1 - k_new), 0, -1):
                 ps.append(p_new)
                 for q_new in _q_candidates(n, ks, ps, qs, a, negatives):
                     qs.append(q_new)

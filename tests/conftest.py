@@ -8,7 +8,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 import hypothesis.strategies as st
 
 from thetavex import diagram, theta
-from thetavex.sigperm import SignedPermutation, find_pattern
+from thetavex.sigperm import SignedPermutation, find_pattern, iter_windows
 
 _ACCEPTANCE_OUTCOMES = {}
 
@@ -353,6 +353,32 @@ def compare_coherence_checks(n):
                     if not agree:
                         disagreements.append((k, q, i))
     return checks, failures, disagreements
+
+
+def path_prefix_violations(n):
+    """(prefixes, violations) over the windows of W_n: every prefix of
+    the NE path, rows 1..i in the order the column fold
+    (`diagram._column`) appends them, and the (window, i) whose last row
+    has a step rank above n or whose A3 or B3 row fails, with a and R
+    from `diagram._cut_and_r`.  README "Recovery" proves there are none
+    (lemmas 1-3)."""
+    prefixes, violations = 0, []
+    for win in iter_windows(n):
+        ext = (0, *win)
+        K, P, Q, off = [], [], [], []
+        tail, stray = 0, None
+        for column in range(n, 0, -1):
+            s = len(Q)
+            tail, stray = diagram._column(n, column, ext[column], ext[column - 1],
+                                          tail, stray, K, P, Q, off)
+            for i in range(s + 1, len(Q) + 1):
+                k, p, q = K[:i], P[:i], Q[:i]
+                a, R = diagram._cut_and_r(q)
+                if theta._step_rank(k[-1], p[-1], q[-1]) > n or not all(
+                        row[1] for row in theta._closing_checks(k, p, q, a, R)):
+                    violations.append((win, i))
+                prefixes += 1
+    return prefixes, violations
 
 
 def reference_inverse(w):

@@ -374,12 +374,16 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     appends the row, and each leaf's fill step once:
     `_rebuilds` runs only on a member with OPTIONAL path corners, 3 of
     W_4 and 67 of W_5, whose `construct` adds its own checks and one
-    placement run.  The sweep calls neither `corners` nor the pattern
-    search; a report still computes one corner set."""
+    placement run.  The sweep compares no step rank with n (README,
+    "Recovery", lemma 1), so every `theta._step_rank` call is that
+    `construct`'s: 6 at W_4 and 180 at W_5, against 467 and 3,744 while
+    the sweep also ranked each row it appended.  The sweep calls neither
+    `corners` nor the pattern search; a report still computes one corner
+    set."""
     from thetavex import classify, diagram
 
     calls = {"classify": 0, "theta": 0, "column": 0, "rebuilds": 0, "entry": 0,
-             "place": 0, "find_pattern": 0}
+             "place": 0, "step": 0, "find_pattern": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -394,17 +398,18 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     monkeypatch.setattr(classify, "_rebuilds", counting("rebuilds", classify._rebuilds))
     monkeypatch.setattr(theta, "_entry_checks", counting("entry", theta._entry_checks))
     monkeypatch.setattr(theta, "_placement_run", counting("place", theta._placement_run))
+    monkeypatch.setattr(theta, "_step_rank", counting("step", theta._step_rank))
     monkeypatch.setattr(classify, "find_pattern",
                         counting("find_pattern", classify.find_pattern))
-    for n, columns, optional, entry, place in ((4, 976, 3, 474, 563),
-                                               (5, 8836, 67, 3905, 4211)):
-        calls.update(column=0, rebuilds=0, entry=0, place=0)
+    for n, columns, optional, entry, place, step in ((4, 976, 3, 474, 563, 6),
+                                                     (5, 8836, 67, 3905, 4211, 180)):
+        calls.update(column=0, rebuilds=0, entry=0, place=0, step=0)
         assert verify_equivalence(n).total == 2 ** n * factorial(n)
         assert calls == {"classify": 0, "theta": 0, "column": columns, "rebuilds": optional,
-                         "entry": entry, "place": place, "find_pattern": 0}
+                         "entry": entry, "place": place, "step": step, "find_pattern": 0}
     build_report(BIG)
     assert calls == {"classify": 1, "theta": 0, "column": 8836, "rebuilds": 68,
-                     "entry": 3905 + 5, "place": 4212, "find_pattern": 1}
+                     "entry": 3905 + 5, "place": 4212, "step": 180 + 5, "find_pattern": 1}
 
 
 def _windows_ending_with(n, suffix):

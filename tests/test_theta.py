@@ -11,6 +11,7 @@ from conftest import (
     compare_coherence_checks,
     derive,
     mirrored_construction,
+    path_prefix_violations,
     placed_coherence_failure,
     reference_min_rank,
     reference_optional_corners,
@@ -864,6 +865,22 @@ def test_closing_checks_hold_on_every_proper_prefix():
             assert all(row[1] for row in rows), (format_triple(t), j)
             prefixes += 1
     assert (triples, prefixes) == (1089, 1564)
+
+
+def test_corner_rows_fit_the_rank_and_pass_a3_and_b3():
+    """Every prefix of the NE path of a window, rows 1..i in the order
+    the column fold appends them, has a last row of step rank at most n
+    and passes A3 and B3 (README, "Recovery", lemmas 1-3).  So the
+    `verify` sweep compares no step rank with n, and its closing checks
+    never cut.  Checked on the corners, not on a verdict: 150,615
+    prefixes of the windows of W_1..W_6, 139,886 of them at W_6."""
+    counts = []
+    for n in range(1, 7):
+        prefixes, violations = path_prefix_violations(n)
+        assert violations == [], violations[:3]
+        counts.append(prefixes)
+    assert counts == [1, 8, 74, 794, 9852, 139886]
+    assert sum(counts) == 150615
 
 
 def test_generation_matches_brute_force_reference():
