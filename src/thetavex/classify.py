@@ -23,7 +23,7 @@ from math import factorial
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import theta
-from .diagram import CornerRecord, CornerSet, _column, _label_by_rank, corners
+from .diagram import CornerRecord, _column, _fold, _label_by_rank, _records, corners
 from .sigperm import (PatternTable, SignedPermutation, _anchored, _sign_index,
                       check_rank_guard, find_pattern, iter_windows)
 
@@ -65,31 +65,27 @@ def classify_by_patterns(
     return hit is None, hit
 
 
-def classify_by_corners(
-    w: SignedPermutation, cs: Optional[CornerSet] = None
-) -> Tuple[bool, Optional[CornerRecord]]:
+def classify_by_corners(w: SignedPermutation) -> Tuple[bool, Optional[CornerRecord]]:
     """True iff every corner lies on the NE path or is a forced
-    unessential corner; else the stray.  Reads no triple."""
-    if cs is None:
-        cs = corners(w)
-    return cs.stray is None, cs.stray
+    unessential corner; else the stray of `corners`.  Reads no triple."""
+    stray = corners(w).stray
+    return stray is None, stray
 
 
-def classify_by_triple(
-    w: SignedPermutation, cs: Optional[CornerSet] = None
-) -> Tuple[bool, Optional[theta.ThetaTriple]]:
-    """Recover a candidate triple and rebuild w from it; `construct`
-    validates the candidate on the way."""
-    return _rebuilds(w.window, theta.recover(w, cs))
+def classify_by_triple(w: SignedPermutation) -> Tuple[bool, Optional[theta.ThetaTriple]]:
+    """Recover the candidate triple (`theta.recover`) and rebuild w from
+    it (`_rebuilds`)."""
+    return _rebuilds(w.window, theta.recover(w))
 
 
 def _rebuilds(
     window: Tuple[int, ...], candidate: Optional[theta.ThetaTriple]
 ) -> Tuple[bool, Optional[theta.ThetaTriple]]:
-    """(True, candidate) when the candidate triple constructs the window,
-    else (False, None): the verdict of the triple route, for
-    `classify_by_triple`, and in the sweep of `verify_equivalence` for a
-    window with OPTIONAL path corners."""
+    """(True, candidate) when the candidate triple constructs the window
+    (`construct` validates it on the way), else (False, None): the triple
+    route's verdict, for `classify_by_triple` and `build_report`, and in
+    the sweep of `verify_equivalence` for a window with OPTIONAL path
+    corners."""
     if candidate is None:
         return False, None
     try:
@@ -152,26 +148,29 @@ class ClassificationReport(NamedTuple):
 
 
 def build_report(w: SignedPermutation) -> ClassificationReport:
-    """Run all three classifiers and assemble the combined report with
-    the corner taxonomy as `corners` labels it.
+    """Run the three routes and assemble the combined report with the
+    corner taxonomy as `corners` labels it.
 
-    Disagreement between the routes is recorded, not raised: the
-    overall verdict is the construction route's, and `verify_equivalence`
-    is the place where divergences are collected as failures.
+    The corner and triple routes share one column fold (`diagram._fold`):
+    the records of `corners`, the stray, and the rows of the candidate
+    triple of `theta.recover`, which `_rebuilds` checks.  Disagreement
+    between the routes is recorded, not raised: the overall verdict is
+    the construction route's, and `verify_equivalence` collects
+    divergences as failures.
     """
-    cs = corners(w)
     by_pat, pat_witness = classify_by_patterns(w)
-    by_cor, cor_witness = classify_by_corners(w, cs)
-    by_tri, triple = classify_by_triple(w, cs)
+    K, P, Q, off, stray, optional = _fold(w.window)
+    candidate = None if stray is not None else theta._path_triple(K, P, Q, optional, w.n)
+    by_tri, triple = _rebuilds(w.window, candidate)
     return ClassificationReport(
         window=w.window,
         n=w.n,
         theta_vexillary=by_tri,
         triple=triple,
-        corner_records=cs.corners,
+        corner_records=_records(K, P, Q, off, optional),
         pattern_witness=pat_witness,
-        corner_witness=cor_witness,
-        verdicts=(by_pat, by_cor, by_tri),
+        corner_witness=stray,
+        verdicts=(by_pat, stray is None, by_tri),
     )
 
 

@@ -125,18 +125,25 @@ def corners(w: SignedPermutation) -> CornerSet:
     `_label_by_rank` read the rank relation, to find an unforced
     unessential stray or mark the OPTIONAL corners: with no such corner
     there is no unessential corner and no path index i >= a.  The fold
-    keeps the path as three rows and builds records only off it; the
-    path records are built here, once their kinds are known, and merged
-    with the others into p desc, q desc order.
+    keeps the path as three rows and builds records only off it;
+    `_records` builds the path records once their kinds are known.
     """
     K, P, Q, off, stray, optional = _fold(w.window)
+    return CornerSet(_records(K, P, Q, off, optional), stray)
+
+
+def _records(K: Sequence[int], P: Sequence[int], Q: Sequence[int], off: Sequence[CornerRecord],
+             optional: Sequence[int]) -> Tuple[CornerRecord, ...]:
+    """The records of a `_fold` result: the path rows as NE_PATH records,
+    OPTIONAL at the `optional` indices, merged with `off` into p desc,
+    q desc order."""
     path = list(map(_new, repeat(CornerRecord), zip(K, P, Q, repeat(_NE_PATH))))
     for i in optional:
         path[i] = _new(CornerRecord, (K[i], P[i], Q[i], _OPTIONAL))
     if off:
         path += off
         path.sort(key=_POSITION, reverse=True)  # p desc, then q desc
-    return CornerSet(tuple(path), stray)
+    return tuple(path)
 
 
 def _fold(win: Sequence[int]):

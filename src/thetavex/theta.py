@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .diagram import CornerClass, CornerSet, _cut_and_r, _fold, _r_index
+from .diagram import _cut_and_r, _fold, _r_index
 from .diagram import corners  # noqa: F401  (traced by name by bench/run.py)
 from .sigperm import SignedPermutation, _parse_ints, check_rank_guard
 
@@ -84,7 +84,7 @@ class ThetaTriple(_Triple):
             n: int) -> "ThetaTriple":
         """The triple of these tuples, unchecked: for triples whose shape
         holds by construction: the ones `generate_triples` emits and the
-        ones `recover` reads off a corner set."""
+        ones `recover` reads off the corners."""
         return tuple.__new__(cls, (k, p, q, n))
 
     @property
@@ -422,35 +422,27 @@ def construct_inverse(t: ThetaTriple) -> SignedPermutation:
 # recovery
 
 
-def recover(
-    w: SignedPermutation, cs: Optional[CornerSet] = None
-) -> Optional[ThetaTriple]:
+def recover(w: SignedPermutation) -> Optional[ThetaTriple]:
     """The unique triple constructing w, or None when there is none.
 
     The triple is read off the corners of w: w has one exactly when they
     have no stray, and its entries are then the NE path minus the
-    OPTIONAL corners (see `diagram.corners`).  The NE path is always in
-    the shape `ThetaTriple` checks (README, "Recovery"), and so is any
-    part of it, so the triple is built unchecked.  Without `cs`, the
-    path comes from the column fold as rows (`diagram._fold`) and no
-    record is built; pass `cs` when the corner set of w is already
-    known; it must be `corners(w)`.
+    OPTIONAL corners (see `diagram.corners`).  The path comes from the
+    column fold as rows (`diagram._fold`), and no record is built.  The
+    NE path is always in the shape `ThetaTriple` checks (README,
+    "Recovery"), and so is any part of it, so the triple is built
+    unchecked (`_path_triple`).
     """
-    if cs is None:
-        K, P, Q, _, stray, optional = _fold(w.window)
-        return None if stray is not None else _path_triple(K, P, Q, optional, w.n)
-    if cs.stray is not None:
-        return None
-    kept = [c for c in cs.corners if c.kind is CornerClass.NE_PATH]
-    k, p, q, _ = zip(*kept) if kept else ((),) * 4
-    return ThetaTriple._of(k, p, q, w.n)
+    K, P, Q, _, stray, optional = _fold(w.window)
+    return None if stray is not None else _path_triple(K, P, Q, optional, w.n)
 
 
 def _path_triple(K: Sequence[int], P: Sequence[int], Q: Sequence[int],
                  optional: Sequence[int], n: int) -> ThetaTriple:
     """The triple of the NE path rows K, P, Q of a rank-n window without
     a stray, less the OPTIONAL indices: what `recover` returns, built
-    from the rows of the column fold."""
+    from the rows of the column fold, and the candidate that
+    `classify.build_report` and the `verify` sweep rebuild."""
     if optional:
         keep = [i for i in range(len(Q)) if i not in optional]
         K, P, Q = ([row[i] for i in keep] for row in (K, P, Q))

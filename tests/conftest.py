@@ -178,6 +178,17 @@ def records_of(cs, *kinds):
     return tuple(c for c in cs.corners if c.kind in kinds)
 
 
+def triple_of_records(cs, n):
+    """The triple of the NE_PATH records of corner set cs at rank n, or
+    None when cs has a stray: the triple that the displayed records
+    show, read independently of the fold's rows that `recover` reads."""
+    if cs.stray is not None:
+        return None
+    kept = records_of(cs, "ne_path")
+    k, p, q, _ = zip(*kept) if kept else ((),) * 4
+    return theta.ThetaTriple(k, p, q, n)
+
+
 def full_corners(w):
     """Brute-force SE corners (k, p, q) of the full form's diagram on
     [-n, n], p <= 0 included: every box (a, b) where w drops across

@@ -13,6 +13,7 @@ from conftest import (
     oracle_is_theta_vexillary,
     records_of,
     signed_permutations,
+    triple_of_records,
 )
 from thetavex import theta
 from thetavex.classify import (
@@ -24,7 +25,7 @@ from thetavex.classify import (
     enumerate_theta_vexillary,
     verify_equivalence,
 )
-from thetavex.diagram import CornerClass, CornerRecord, CornerSet, corners
+from thetavex.diagram import CornerClass, corners
 from thetavex.sigperm import (
     RankTooLargeError,
     SignedPermutation,
@@ -151,24 +152,25 @@ def test_triple_route_rejects_pattern_container():
 
 
 def test_triple_route_refuses_a_forged_corner_set():
-    """A caller-supplied corner set that is not the window's own gives a
-    candidate that `classify_by_triple` refuses at each of its checks: a
+    """A candidate triple that is not the window's own, as a forged corner
+    set would give, is refused by `_rebuilds` at each of its checks: a
     triple building another window, one failing a condition (A3), and one
     that does not fit the rank."""
-    identity = SignedPermutation([1, 2, 3])
-    other = corners(SignedPermutation([2, 1, 3]))
-    assert theta.construct(theta.recover(identity, other)) != identity
-    assert classify_by_triple(identity, other) == (False, None)
-    for window, record, error, message in (
-        ([-1, 2], CornerRecord(1, 1, -1, CornerClass.NE_PATH),
+    from thetavex import classify
+
+    identity = (1, 2, 3)
+    other = theta.recover(SignedPermutation([2, 1, 3]))
+    assert theta.construct(other).window != identity
+    assert classify._rebuilds(identity, other) == (False, None)
+    for window, candidate, error, message in (
+        ((-1, 2), theta.ThetaTriple((1,), (1,), (-1,), 2),
          theta.InvalidTripleError, "A3 fails"),
-        ([1, 2], CornerRecord(2, 2, 1, CornerClass.NE_PATH),
+        ((1, 2), theta.ThetaTriple((2,), (2,), (1,), 2),
          theta.InfeasibleRankError, "minimum feasible rank is 3"),
     ):
-        w, cs = SignedPermutation(window), CornerSet((record,))
         with pytest.raises(error, match=message):
-            theta.construct(theta.recover(w, cs))
-        assert classify_by_triple(w, cs) == (False, None)
+            theta.construct(candidate)
+        assert classify._rebuilds(window, candidate) == (False, None)
 
 
 def test_pattern_route_matches_naive_reference():
@@ -243,7 +245,7 @@ def test_corner_route_overclaims_are_pinned():
         cs = corners(w)
         # the literal criterion holds: nothing off the path but unessential
         assert records_of(cs, "other") == ()
-        ok, stray = classify_by_corners(w, cs)
+        ok, stray = classify_by_corners(w)
         assert ok is False
         assert (stray.k, stray.p, stray.q) == (2, 3, -1)
         assert stray.kind is CornerClass.UNESSENTIAL
@@ -260,6 +262,24 @@ def test_overclaimed_windows_report_without_crashing():
     assert report.triple is None
     assert report.pattern_witness[1] == (1, 3, 4, 6)
     assert report.corner_witness[:3] == (2, 3, -1)
+
+
+def test_report_agrees_with_the_public_routes():
+    """`build_report` folds once for its corner and triple routes; each
+    of its fields equals what the public route gives, on every window of
+    W_1..W_5, on the W_6 members with OPTIONAL path corners and on the
+    four windows of the erratum."""
+    optional = [w for w in map(theta.construct, theta.generate_triples(6))
+                if records_of(corners(w), "optional")]
+    assert len(optional) == 1024
+    windows = [SignedPermutation._of(win) for n in range(1, 6) for win in iter_windows(n)]
+    windows += optional + list(map(SignedPermutation, CORNER_ROUTE_OVERCLAIMS))
+    for w in windows:
+        report = build_report(w)
+        assert report.corner_records == corners(w).corners
+        assert (report.verdicts[0], report.pattern_witness) == classify_by_patterns(w)
+        assert (report.verdicts[1], report.corner_witness) == classify_by_corners(w)
+        assert (report.verdicts[2], report.triple) == classify_by_triple(w)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +398,12 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     "Recovery", lemma 1), so every `theta._step_rank` call is that
     `construct`'s: 6 at W_4 and 180 at W_5, against 467 and 3,744 while
     the sweep also ranked each row it appended.  The sweep calls neither
-    `corners` nor the pattern search; a report still computes one corner
-    set."""
+    `corners`, the whole-window fold (`diagram._fold`) nor the pattern
+    search; a report folds once for its corner and triple routes and
+    calls no `corners`."""
     from thetavex import classify, diagram
 
-    calls = {"classify": 0, "theta": 0, "column": 0, "rebuilds": 0, "entry": 0,
+    calls = {"classify": 0, "theta": 0, "fold": 0, "column": 0, "rebuilds": 0, "entry": 0,
              "place": 0, "step": 0, "find_pattern": 0}
 
     def counting(name, fn):
@@ -394,6 +415,7 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
 
     monkeypatch.setattr(classify, "corners", counting("classify", diagram.corners))
     monkeypatch.setattr(theta, "corners", counting("theta", diagram.corners))
+    monkeypatch.setattr(classify, "_fold", counting("fold", diagram._fold))
     monkeypatch.setattr(classify, "_column", counting("column", diagram._column))
     monkeypatch.setattr(classify, "_rebuilds", counting("rebuilds", classify._rebuilds))
     monkeypatch.setattr(theta, "_entry_checks", counting("entry", theta._entry_checks))
@@ -405,10 +427,11 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
                                                      (5, 8836, 67, 3905, 4211, 180)):
         calls.update(column=0, rebuilds=0, entry=0, place=0, step=0)
         assert verify_equivalence(n).total == 2 ** n * factorial(n)
-        assert calls == {"classify": 0, "theta": 0, "column": columns, "rebuilds": optional,
-                         "entry": entry, "place": place, "step": step, "find_pattern": 0}
+        assert calls == {"classify": 0, "theta": 0, "fold": 0, "column": columns,
+                         "rebuilds": optional, "entry": entry, "place": place, "step": step,
+                         "find_pattern": 0}
     build_report(BIG)
-    assert calls == {"classify": 1, "theta": 0, "column": 8836, "rebuilds": 68,
+    assert calls == {"classify": 0, "theta": 0, "fold": 1, "column": 8836, "rebuilds": 68,
                      "entry": 3905 + 5, "place": 4212, "step": 180 + 5, "find_pattern": 1}
 
 
@@ -442,7 +465,7 @@ def test_sweep_matches_corners_and_recover():
                 cs = corners(w)
                 assert stray == cs.stray  # a record compares its kind too
                 triple = theta.recover(w)
-                assert triple == theta.recover(w, cs)
+                assert triple == triple_of_records(cs, n)
                 assert member is classify._rebuilds(win, triple)[0]
                 if n <= 5:
                     assert contains == (find_pattern(w, PATTERNS) is not None)

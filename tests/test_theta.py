@@ -16,6 +16,7 @@ from conftest import (
     reference_min_rank,
     reference_optional_corners,
     reference_placement_run,
+    triple_of_records,
 )
 from thetavex import theta
 from thetavex.diagram import CornerClass, _cut_and_r, corners
@@ -771,16 +772,18 @@ def test_recover_builds_triples_in_shape():
     """`recover` builds its triple unchecked, as the NE path of a corner
     set is always in shape (README, "Recovery").  On every window of
     W_1..W_6 the whole path, optional corners included, passes the shape
-    checks, stray or not, and a recovered triple equals its checked
-    rebuild."""
+    checks, stray or not, and the triple that `recover` reads off the
+    fold's rows equals the checked triple of the NE_PATH records of
+    `corners`."""
     on_path = (CornerClass.NE_PATH, CornerClass.OPTIONAL)
     for n in range(1, 7):
         for w in map(SignedPermutation._of, iter_windows(n)):
             cs = corners(w)
             path = [c[:3] for c in cs.corners if c.kind in on_path]
             ThetaTriple(*(zip(*path) if path else ((),) * 3), n)
-            t = recover(w, cs)
-            assert t is None or (type(t) is ThetaTriple and t == ThetaTriple(*t)), w
+            t = recover(w)
+            assert t == triple_of_records(cs, n), w
+            assert t is None or type(t) is ThetaTriple, w
 
 
 # ---------------------------------------------------------------------------
