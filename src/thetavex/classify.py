@@ -83,9 +83,7 @@ def _rebuilds(
 ) -> Tuple[bool, Optional[theta.ThetaTriple]]:
     """(True, candidate) when the candidate triple constructs the window
     (`construct` validates it on the way), else (False, None): the triple
-    route's verdict, for `classify_by_triple` and `build_report`, and in
-    the sweep of `verify_equivalence` for a window with OPTIONAL path
-    corners."""
+    route's verdict, for `classify_by_triple` and `build_report`."""
     if candidate is None:
         return False, None
     try:
@@ -197,10 +195,11 @@ class VerifySummary(NamedTuple):
 def _sweep(n: int, v: int, visit: Callable) -> None:
     """Call visit(letters, contains, stray, member) on each walked window
     of W_n that ends with v, with its pattern verdict, the stray of
-    `corners` and the triple route's verdict, that of `_rebuilds` on
-    the triple of `theta.recover`; and on each settled suffix, of fewer
-    than n letters: every window that ends with it contains a pattern,
-    has that stray and no triple, and is not walked.
+    `corners` and the triple route's verdict, which is that of
+    `_rebuilds` on the triple of `theta.recover` (README, "Recovery",
+    lemma 4); and on each settled suffix, of fewer than n letters: every
+    window that ends with it contains a pattern, has that stray and no
+    triple, and is not walked.
 
     Column p's corners depend only on w(p-1) and the values from p on
     (`diagram.corners`), so one recursion grows the suffixes of v, the
@@ -221,9 +220,10 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
     return; a failure sets the carried cut to 0.  The rows are corners,
     so their step ranks are at most n and they pass A3 and B3, which
     the same call checks at that node (README, "Recovery", lemmas 1-3).
-    A leaf with OPTIONAL path corners takes `_rebuilds`; any other leaf
-    without a stray is a member when no check failed and the fill step
-    places its free positions' letters.
+    A B2 row that ties passes, as the OPTIONAL rows of a path without a
+    stray do, and a tied row's steps place what the triple's next step
+    places (lemma 4).  So a leaf without a stray is a member when no
+    check failed and the fill step places its free positions' letters.
     """
     anchored = MIRRORED.anchored
     size = [0] * n + [0, n + 1]
@@ -234,14 +234,14 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
     rows_pass, place = theta._rows_pass, theta._placement_run  # per task, not per row
 
     def steps(cut, lo, suffix, leaf):
-        # (cut, filled): the checks of new path rows lo + 1..s with A3 and
-        # B3 (`_rows_pass`), then their placement steps and at a leaf the
-        # fill step s + 1 (True counts 1), compared with the suffix; cut is
-        # a, or 0 once a check fails.  No step rank is compared with n: a
-        # corner's is at most n (README, "Recovery", lemma 1)
+        # (cut, filled): the checks of new path rows lo + 1..s, B2 ties
+        # passing (`_rows_pass`), then their placement steps and at a leaf
+        # the fill step s + 1 (True counts 1), compared with the suffix;
+        # cut is a, or 0 once a check fails.  No step rank is compared with
+        # n: a corner's is at most n (README, "Recovery", lemma 1)
         s = len(Q)
         if s > lo:
-            cut = rows_pass(K, P, Q, cut, R, lo)
+            cut = rows_pass(K, P, Q, cut, R, lo, ties=True)
             if not cut:
                 return 0, ()
         filled = place(K, P, Q, lo, s + leaf, window, used)
@@ -264,10 +264,8 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
             if stray is None:
                 tail, stray = _column(n, 1, here, 0, tail, None, K, P, Q, off)
             if stray is None:
-                stray, optional = _label_by_rank(K, P, Q, off, n)
-                if optional:
-                    member = _rebuilds(suffix, theta._path_triple(K, P, Q, optional, n))[0]
-                elif stray is None and cut:
+                stray = _label_by_rank(K, P, Q, off, n)[0]
+                if stray is None and cut:
                     cut, filled = steps(cut, s, suffix, True)
                     member = cut > 0
                     unplace(filled)

@@ -222,24 +222,22 @@ def _label_by_rank(K: List[int], P: List[int], Q: List[int], off: List[CornerRec
     The stray is the first unessential (k, p, q) that is not forced:
     forced means some i >= a with p_i = p and q_i < q, and some j < a
     with q_j = 1 - q, have q - q_i = k_i - k + k_j - k_{R(i)}.
-    With no stray, each path corner i >= a where (p_i - p_{i+1}) +
+    With no stray, each path corner i in [a, s) where (p_i - p_{i+1}) +
     (q_i - q_{i+1}) = (k_{i+1} - k_i) + (k_{R(i)} - k_{R(i+1)}) is
-    OPTIONAL.  The NE path is (k_i, p_i, q_i), i = 1..s, between the
-    sentinels (0, n, n) and (n, 1, -n), with a = 1 + #{i : q_i > 0} and
-    R(s+1) = 0, which makes the last identity the B3 boundary.  R is
-    defined on [a, s]: a corner (p, q) needs the value -q at a position
-    >= p, so no two corners have opposite q.  Without a path corner with
-    q < 0 there is no unessential corner and no i >= a, so nothing is
-    read.
+    OPTIONAL: B2 at i holds with equality.  The NE path is (k_i, p_i,
+    q_i), i = 1..s, with k_0 = 0 and a = 1 + #{i : q_i > 0}.  The last
+    corner is never OPTIONAL: against the bottom row (n, 1, -n) and
+    R(s+1) = 0 the identity would be B3 with equality, which no path
+    meets (README, "Recovery", lemma 3).  R is defined on [a, s]: a
+    corner (p, q) needs the value -q at a position >= p, so no two
+    corners have opposite q.  Without a path corner with q < 0 there is
+    no unessential corner and no i >= a, so nothing is read.
     """
     if not Q or Q[-1] > 0:
         return None, ()
     s = len(Q)
-    K = [0, *K, n]
-    P = [n, *P, 1]
-    Q = [n, *Q, -n]
-    a, R = _cut_and_r(Q[1:s + 1])
-    R[s + 1] = 0
+    a, R = _cut_and_r(Q)
+    K, P, Q = [0, *K], [0, *P], [0, *Q]  # 1-based; of row 0 only k_0 = 0 is read
 
     for c in off:
         k, p, q = c[0], c[1], c[2]
@@ -252,7 +250,7 @@ def _label_by_rank(K: List[int], P: List[int], Q: List[int], off: List[CornerRec
             return c, ()
 
     return None, [
-        i - 1 for i in range(a, s + 1)
+        i - 1 for i in range(a, s)
         if (P[i] - P[i + 1]) + (Q[i] - Q[i + 1])
         == (K[i + 1] - K[i]) + (K[R[i]] - K[R[i + 1]])
     ]

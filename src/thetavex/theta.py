@@ -285,7 +285,7 @@ def _closing_checks(k: Sequence[int], p: Sequence[int], q: Sequence[int],
 
 
 def _rows_pass(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
-               R: Dict[int, Optional[int]], lo: int) -> int:
+               R: Dict[int, Optional[int]], lo: int, *, ties: bool = False) -> int:
     """The cut index of rows 1..s of a weakly decreasing q when they pass
     the eight conditions, else 0, given the cut index a and the map R
     that rows 1..lo left (a = 1 and R empty for lo = 0).  Checks rows
@@ -294,7 +294,8 @@ def _rows_pass(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
     B3 of rows 1..s (`_closing_checks`).  Every check reads the rows
     alone, never a placed value, and the first failing row stops it.
     `_require_valid` checks a whole triple from lo = 0, and the generator
-    and the `verify` sweep check the rows that a search step appends."""
+    and the `verify` sweep the rows that a search step appends; the sweep
+    sets `ties`, so a B2 tie passes (README, "Recovery", lemma 4)."""
     for i in range(lo + 1, len(q) + 1):
         if q[i - 1] > 0:
             a = i + 1
@@ -305,7 +306,7 @@ def _rows_pass(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
             if r is None:
                 return 0
         for row in _entry_checks(k, p, q, a, R, i):
-            if not row[1]:
+            if not row[1] and not (ties and row[0] == "B2" and row[3][0] == row[3][1]):
                 return 0
     for row in _closing_checks(k, p, q, a, R):
         if not row[1]:
@@ -442,7 +443,7 @@ def _path_triple(K: Sequence[int], P: Sequence[int], Q: Sequence[int],
     """The triple of the NE path rows K, P, Q of a rank-n window without
     a stray, less the OPTIONAL indices: what `recover` returns, built
     from the rows of the column fold, and the candidate that
-    `classify.build_report` and the `verify` sweep rebuild."""
+    `classify.build_report` rebuilds."""
     if optional:
         keep = [i for i in range(len(Q)) if i not in optional]
         K, P, Q = ([row[i] for i in keep] for row in (K, P, Q))

@@ -366,14 +366,11 @@ def compare_coherence_checks(n):
     return checks, failures, disagreements
 
 
-def path_prefix_violations(n):
-    """(prefixes, violations) over the windows of W_n: every prefix of
-    the NE path, rows 1..i in the order the column fold
-    (`diagram._column`) appends them, and the (window, i) whose last row
-    has a step rank above n or whose A3 or B3 row fails, with a and R
-    from `diagram._cut_and_r`.  README "Recovery" proves there are none
-    (lemmas 1-3)."""
-    prefixes, violations = 0, []
+def _path_folds(n):
+    """Each window of W_n with its column fold (`diagram._column`), p = n
+    down to 1: yields (window, p, K, P, Q, off, stray, s) after the step
+    of column p, where the path rows K, P, Q held s rows before it.  The
+    lists are the fold's own, valid until the next step."""
     for win in iter_windows(n):
         ext = (0, *win)
         K, P, Q, off = [], [], [], []
@@ -382,14 +379,67 @@ def path_prefix_violations(n):
             s = len(Q)
             tail, stray = diagram._column(n, column, ext[column], ext[column - 1],
                                           tail, stray, K, P, Q, off)
-            for i in range(s + 1, len(Q) + 1):
-                k, p, q = K[:i], P[:i], Q[:i]
-                a, R = diagram._cut_and_r(q)
-                if theta._step_rank(k[-1], p[-1], q[-1]) > n or not all(
-                        row[1] for row in theta._closing_checks(k, p, q, a, R)):
-                    violations.append((win, i))
-                prefixes += 1
+            yield win, column, K, P, Q, off, stray, s
+
+
+def path_prefix_violations(n):
+    """(prefixes, violations) over the windows of W_n: every prefix of
+    the NE path, rows 1..i in the order the column fold
+    (`diagram._column`) appends them, and the (window, i) whose last row
+    has a step rank above n or whose A3 or B3 row fails, with a and R
+    from `diagram._cut_and_r`.  README "Recovery" proves there are none
+    (lemmas 1-3)."""
+    prefixes, violations = 0, []
+    for win, _, K, P, Q, _, _, s in _path_folds(n):
+        for i in range(s + 1, len(Q) + 1):
+            k, p, q = K[:i], P[:i], Q[:i]
+            a, R = diagram._cut_and_r(q)
+            if theta._step_rank(k[-1], p[-1], q[-1]) > n or not all(
+                    row[1] for row in theta._closing_checks(k, p, q, a, R)):
+                violations.append((win, i))
+            prefixes += 1
     return prefixes, violations
+
+
+def path_tie_violations(n):
+    """(tied rows, windows with one, violations) over the windows of W_n
+    without a stray, on the whole NE path that the column fold leaves
+    (`_path_folds`).  A tied row is a B2 row of `theta._entry_checks`
+    that fails with equality.  A violation is a (window, failed, tied,
+    optional) where the path fails any other check (A1, A2, a row of
+    `_entry_checks`, A3 or B3), where the tied indices are not the
+    OPTIONAL ones of `diagram._label_by_rank`, or where the placement
+    steps of the whole path (`theta._placement_run`) do not build the
+    window.  README "Recovery" proves there are none (lemma 4)."""
+    ties = members = 0
+    violations = []
+    for win, column, K, P, Q, off, stray, _ in _path_folds(n):
+        if column > 1 or stray is not None:
+            continue
+        stray, optional = diagram._label_by_rank(K, P, Q, off, n)
+        if stray is not None:
+            continue
+        a, R = diagram._cut_and_r(Q)
+        if 0 in Q or None in R.values():
+            violations.append((win, ["A1 or A2"], [], optional))
+            continue
+        failed, tied = [], []
+        for i in range(1, len(Q) + 1):
+            for row in theta._entry_checks(K, P, Q, a, R, i):
+                if row[1]:
+                    continue
+                if row[0] == "B2" and row[3][0] == row[3][1]:
+                    tied.append(row[2][0] - 1)  # B2 at i - 1, a 0-based path index
+                else:
+                    failed.append((row[0], i))
+        failed += [row[0] for row in theta._closing_checks(K, P, Q, a, R) if not row[1]]
+        window = [0] * (n + 1)
+        theta._placement_run(K, P, Q, 0, len(Q) + 1, window, [False] * (n + 1))
+        if failed or tied != list(optional) or tuple(window[1:]) != win:
+            violations.append((win, failed, tied, optional))
+        ties += len(tied)
+        members += bool(tied)
+    return ties, members, violations
 
 
 def reference_inverse(w):

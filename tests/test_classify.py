@@ -15,7 +15,7 @@ from conftest import (
     signed_permutations,
     triple_of_records,
 )
-from thetavex import theta
+from thetavex import diagram, theta
 from thetavex.classify import (
     PATTERNS,
     build_report,
@@ -391,17 +391,17 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     320 windows at W_5, which run no triple route.  The triple route
     runs each path row's entry checks (`theta._entry_checks`, called by
     `theta._rows_pass`) and placement step once, at the node that
-    appends the row, and each leaf's fill step once:
-    `_rebuilds` runs only on a member with OPTIONAL path corners, 3 of
-    W_4 and 67 of W_5, whose `construct` adds its own checks and one
-    placement run.  The sweep compares no step rank with n (README,
-    "Recovery", lemma 1), so every `theta._step_rank` call is that
-    `construct`'s: 6 at W_4 and 180 at W_5, against 467 and 3,744 while
-    the sweep also ranked each row it appended.  The sweep calls neither
+    appends the row, and each leaf's fill step once, over the whole NE
+    path: a B2 row that ties passes, so the 3 members of W_4 and the 67
+    of W_5 with OPTIONAL path corners take the same route as the rest
+    (README, "Recovery", lemma 4), and the sweep calls no `_rebuilds`
+    and so no `construct`.  It compares no step rank with n (lemma 1),
+    so it calls no `theta._step_rank` either.  The sweep calls neither
     `corners`, the whole-window fold (`diagram._fold`) nor the pattern
-    search; a report folds once for its corner and triple routes and
-    calls no `corners`."""
-    from thetavex import classify, diagram
+    search; a report folds once for its corner and triple routes, calls
+    no `corners`, and rebuilds its triple with one `construct`, whose
+    five rows add five entry checks and five step ranks."""
+    from thetavex import classify
 
     calls = {"classify": 0, "theta": 0, "fold": 0, "column": 0, "rebuilds": 0, "entry": 0,
              "place": 0, "step": 0, "find_pattern": 0}
@@ -423,16 +423,15 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     monkeypatch.setattr(theta, "_step_rank", counting("step", theta._step_rank))
     monkeypatch.setattr(classify, "find_pattern",
                         counting("find_pattern", classify.find_pattern))
-    for n, columns, optional, entry, place, step in ((4, 976, 3, 474, 563, 6),
-                                                     (5, 8836, 67, 3905, 4211, 180)):
-        calls.update(column=0, rebuilds=0, entry=0, place=0, step=0)
+    for n, columns, entry, place in ((4, 976, 468, 566), (5, 8836, 3728, 4281)):
+        calls.update(column=0, entry=0, place=0)
         assert verify_equivalence(n).total == 2 ** n * factorial(n)
         assert calls == {"classify": 0, "theta": 0, "fold": 0, "column": columns,
-                         "rebuilds": optional, "entry": entry, "place": place, "step": step,
+                         "rebuilds": 0, "entry": entry, "place": place, "step": 0,
                          "find_pattern": 0}
     build_report(BIG)
-    assert calls == {"classify": 0, "theta": 0, "fold": 1, "column": 8836, "rebuilds": 68,
-                     "entry": 3905 + 5, "place": 4212, "step": 180 + 5, "find_pattern": 1}
+    assert calls == {"classify": 0, "theta": 0, "fold": 1, "column": 8836, "rebuilds": 1,
+                     "entry": 3728 + 5, "place": 4282, "step": 5, "find_pattern": 1}
 
 
 def _windows_ending_with(n, suffix):
@@ -500,22 +499,22 @@ def test_verify_matches_a_loop_over_the_three_routes():
 
 
 def _path_rows(window):
-    # the rows (k, p, q) of the triple of a member window
-    t = theta.recover(SignedPermutation(window))
-    return t.k, t.p, t.q
+    # the rows (k, p, q) of the whole NE path of a window, OPTIONAL
+    # corners included
+    return tuple(map(tuple, diagram._fold(window)[:3]))
 
 
 def _misplacing(monkeypatch, targets, fill):
     # a placement run that negates the last value it places when its rows
-    # are a target's triple and it runs the fill step (fill) or stops
-    # before it (not fill); the sweep's comparison with the letters must
-    # then reject the target
-    triples = {_path_rows(target) for target in targets}
+    # are a target's whole NE path and it runs the fill step (fill) or
+    # stops before it (not fill); the sweep's comparison with the letters
+    # must then reject the target
+    paths = {_path_rows(target) for target in targets}
     place = theta._placement_run
 
     def misplacing(k, p, q, lo, hi, window, used):
         filled = place(k, p, q, lo, hi, window, used)
-        if (hi > len(k)) == fill and (tuple(k), tuple(p), tuple(q)) in triples:
+        if (hi > len(k)) == fill and (tuple(k), tuple(p), tuple(q)) in paths:
             window[filled[-1]] = -window[filled[-1]]
         return filled
 
@@ -540,10 +539,10 @@ def test_forced_route_disagreement_is_a_mismatch(monkeypatch, target, members):
         rows = _path_rows(target)
         rows_pass = theta._rows_pass
 
-        def rejecting(k, p, q, a, R, lo):
+        def rejecting(k, p, q, a, R, lo, *, ties=False):
             if (tuple(k), tuple(p), tuple(q)) == rows:
                 return 0
-            return rows_pass(k, p, q, a, R, lo)
+            return rows_pass(k, p, q, a, R, lo, ties=ties)
 
         monkeypatch.setattr(theta, "_rows_pass", rejecting)
     else:
@@ -559,6 +558,21 @@ def test_forced_misplacement_is_a_mismatch(monkeypatch):
     only it, is a mismatch."""
     _misplacing(monkeypatch, [(2, -1, 3)], fill=False)
     assert verify_equivalence(3) == (3, 48, 43, ((2, -1, 3),))
+
+
+def test_forced_misplacement_of_an_optional_member_is_a_mismatch(monkeypatch):
+    """The member 4 -2 1 3 of W_4 has the NE path 1 2 3; 2 2 2; 2 -1 -3,
+    whose row 2 ties B2 and is OPTIONAL, so its triple is 1 3; 2 2; 2 -3.
+    The sweep checks and places the whole path and compares the fill
+    step with the letters at the leaf: when that fill step places a wrong
+    value, the window, and only it, is a mismatch.  So a member with
+    OPTIONAL corners takes the one triple route of the sweep, not a
+    separate rebuild of its triple."""
+    target = (4, -2, 1, 3)
+    assert _path_rows(target) == ((1, 2, 3), (2, 2, 2), (2, -1, -3))
+    assert theta.recover(SignedPermutation(target)) == ((1, 3), (2, 2), (2, -3), 4)
+    _misplacing(monkeypatch, [target], fill=True)
+    assert verify_equivalence(4) == (4, 384, 285, (target,))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -12,6 +12,7 @@ from conftest import (
     derive,
     mirrored_construction,
     path_prefix_violations,
+    path_tie_violations,
     placed_coherence_failure,
     reference_min_rank,
     reference_optional_corners,
@@ -884,6 +885,22 @@ def test_corner_rows_fit_the_rank_and_pass_a3_and_b3():
         counts.append(prefixes)
     assert counts == [1, 8, 74, 794, 9852, 139886]
     assert sum(counts) == 150615
+
+
+def test_path_ties_are_the_optional_rows():
+    """On the whole NE path of a window without a stray, the only check
+    that fails is B2 with equality; the tied rows are the OPTIONAL ones
+    of `diagram._label_by_rank`; and the placement steps of the whole
+    path, tied rows included, build the window (README, "Recovery",
+    lemma 4).  So the `verify` sweep, which lets a B2 tie pass, needs no
+    second route for a member with OPTIONAL corners.  Checked on every
+    stray-free window of W_1..W_6: 1,108 tied rows on 1,094 of them."""
+    counts = []
+    for n in range(1, 7):
+        ties, members, violations = path_tie_violations(n)
+        assert violations == [], violations[:3]
+        counts.append((ties, members))
+    assert counts == [(0, 0), (0, 0), (0, 0), (3, 3), (67, 67), (1038, 1024)]
 
 
 def test_generation_matches_brute_force_reference():
