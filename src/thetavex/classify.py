@@ -264,7 +264,7 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
             if stray is None:
                 tail, stray = _column(n, 1, here, 0, tail, None, K, P, Q, off)
             if stray is None:
-                stray = _label_by_rank(K, P, Q, off, n)[0]
+                stray = _label_by_rank(K, P, Q, off)[0]
                 if stray is None and cut:
                     cut, filled = steps(cut, s, suffix, True)
                     member = cut > 0

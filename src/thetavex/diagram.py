@@ -73,16 +73,16 @@ class CornerSet(NamedTuple):
     stray: Optional[CornerRecord] = None
 
 
-def _r_index(q: Sequence[int], a: int, i: int) -> Optional[int]:
-    """R(i) for an index i >= a: the r in [0, a) with q_r > -q_i > q_{r+1},
-    taking q_0 = +infinity.  Every q_j with j < a is positive and -q_i is
-    positive, so r counts the positive entries above -q_i.  None when one
-    of them equals -q_i, which is A2 failing."""
-    target = -q[i - 1]
+def _r_index(q: Sequence[int], a: int, m: int) -> Optional[int]:
+    """R of an entry or corner with q = -m < 0, for rows q whose cut index
+    is a: the r in [0, a) with q_r > m > q_{r+1}, taking q_0 = +infinity.
+    Every q_j with j < a is positive and so is m, so r counts the
+    positive entries above m.  None when one of them equals m, which is
+    A2 failing."""
     r = 0
-    while r < a - 1 and q[r] > target:
+    while r < a - 1 and q[r] > m:
         r += 1
-    if r < a - 1 and q[r] == target:
+    if r < a - 1 and q[r] == m:
         return None
     return r
 
@@ -91,7 +91,26 @@ def _cut_and_r(q: Sequence[int]) -> Tuple[int, Dict[int, Optional[int]]]:
     """The cut index a = 1 + #{i : q_i > 0} of a weakly decreasing q, and
     R on [a, s] by `_r_index` (None where A2 fails)."""
     a = sum(1 for v in q if v > 0) + 1
-    return a, {i: _r_index(q, a, i) for i in range(a, len(q) + 1)}
+    return a, {i: _r_index(q, a, -q[i - 1]) for i in range(a, len(q) + 1)}
+
+
+def _k_at(k: Sequence[int], j: int) -> int:
+    """k_j of the rows k, with k_0 = 0."""
+    return k[j - 1] if j else 0
+
+
+def _level(k: int, p: int, q: int, K: Sequence[int], r: int) -> int:
+    """p + q + k - k_r for an entry or corner (k, p, q) with R = r, k_r
+    read off the rows K.  The B2 slack of rows u above v,
+
+        (p_u - p_v) + (q_u - q_v) - (k_v - k_u) - (k_{R(u)} - k_{R(v)}),
+
+    is the level of u less the level of v, so slacks telescope.  B2 asks
+    consecutive rows with q < 0 a positive slack (`theta._entry_checks`);
+    `_label_by_rank` marks a row OPTIONAL when its slack against the next
+    row is 0, and forces an unessential corner when its slack against a
+    column mate is 0 (README, "Recovery", lemmas 4 and 5)."""
+    return p + q + k - _k_at(K, r)
 
 
 def corners(w: SignedPermutation) -> CornerSet:
@@ -162,7 +181,7 @@ def _fold(win: Sequence[int]):
         tail, stray = _column(n, p, ext[p], ext[p - 1], tail, stray, K, P, Q, off)
     optional: Sequence[int] = ()
     if stray is None:
-        stray, optional = _label_by_rank(K, P, Q, off, n)
+        stray, optional = _label_by_rank(K, P, Q, off)
     return K, P, Q, off, stray, optional
 
 
@@ -212,48 +231,42 @@ def _column(n: int, p: int, here: int, left: int, tail: int,
     return tail, stray
 
 
-def _label_by_rank(K: List[int], P: List[int], Q: List[int], off: List[CornerRecord],
-                   n: int) -> Tuple[Optional[CornerRecord], Sequence[int]]:
+def _label_by_rank(K: List[int], P: List[int], Q: List[int],
+                   off: List[CornerRecord]) -> Tuple[Optional[CornerRecord], Sequence[int]]:
     """(stray, optional) for the fold of a window with no OTHER corner:
     the first unessential record of `off` that the rank relation does not
     force, or None, and then the indices of the path rows K, P, Q whose
-    corners are OPTIONAL.
+    corners are OPTIONAL.  Both tests read the B2 slack, as a difference
+    of `_level`s.  The NE path is (k_i, p_i, q_i), i = 1..s, with
+    a = 1 + #{i : q_i > 0} and R on [a, s]: a corner (p, q) needs the
+    value -q at a position >= p, so no two corners have opposite q.
 
-    The stray is the first unessential (k, p, q) that is not forced:
-    forced means some i >= a with p_i = p and q_i < q, and some j < a
-    with q_j = 1 - q, have q - q_i = k_i - k + k_j - k_{R(i)}.
-    With no stray, each path corner i in [a, s) where (p_i - p_{i+1}) +
-    (q_i - q_{i+1}) = (k_{i+1} - k_i) + (k_{R(i)} - k_{R(i+1)}) is
-    OPTIONAL: B2 at i holds with equality.  The NE path is (k_i, p_i,
-    q_i), i = 1..s, with k_0 = 0 and a = 1 + #{i : q_i > 0}.  The last
-    corner is never OPTIONAL: against the bottom row (n, 1, -n) and
-    R(s+1) = 0 the identity would be B3 with equality, which no path
-    meets (README, "Recovery", lemma 3).  R is defined on [a, s]: a
-    corner (p, q) needs the value -q at a position >= p, so no two
-    corners have opposite q.  Without a path corner with q < 0 there is
-    no unessential corner and no i >= a, so nothing is read.
+    The stray is the first unessential u = (k, p, q) that is not forced:
+    forced means that the slack of u above some path row i with p_i = p
+    and q_i < q, a column mate, is 0, with R(u) by `_r_index` on -q.
+    R(u) is the last row mate, the last j < a with q_j = 1 - q.  The
+    paper asks q - q_i = k_i - k + k_j - k_{R(i)} of some row mate j,
+    and on a window with no OTHER corner only j = R(u) can meet it
+    (README, "Recovery", lemma 5).  With no stray, each path corner i in
+    [a, s) whose slack above row i + 1 is 0 is OPTIONAL: B2 at i holds
+    with equality.  The last corner is never OPTIONAL: its slack above
+    the bottom row (n, 1, -n), of level 1 with R = 0, is positive by B3,
+    which every path passes (lemma 3).  Without a path corner with q < 0
+    there is no unessential corner and no i >= a, so nothing is read.
     """
     if not Q or Q[-1] > 0:
         return None, ()
-    s = len(Q)
     a, R = _cut_and_r(Q)
-    K, P, Q = [0, *K], [0, *P], [0, *Q]  # 1-based; of row 0 only k_0 = 0 is read
+    b = a - 1  # rows i >= a sit at b..s-1 from 0, their levels at 0..s-a
+    levels = [_level(K[x], P[x], Q[x], K, R[x + 1]) for x in range(b, len(Q))]
 
     for c in off:
         k, p, q = c[0], c[1], c[2]
-        if not any(
-            P[i] == p and Q[i] < q
-            and any(Q[j] == 1 - q and q - Q[i] == K[i] - k + K[j] - K[R[i]]
-                    for j in range(1, a))
-            for i in range(a, s + 1)
-        ):
+        level = _level(k, p, q, K, _r_index(Q, a, -q))
+        if level not in [v for p_i, q_i, v in zip(P[b:], Q[b:], levels) if p_i == p and q_i < q]:
             return c, ()
 
-    return None, [
-        i - 1 for i in range(a, s)
-        if (P[i] - P[i + 1]) + (Q[i] - Q[i + 1])
-        == (K[i + 1] - K[i]) + (K[R[i]] - K[R[i + 1]])
-    ]
+    return None, [b + x for x in range(len(levels) - 1) if levels[x] == levels[x + 1]]
 
 
 # ---------------------------------------------------------------------------

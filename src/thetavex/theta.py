@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .diagram import _cut_and_r, _fold, _r_index
+from .diagram import _cut_and_r, _fold, _k_at, _level, _r_index
 from .diagram import corners  # noqa: F401  (traced by name by bench/run.py)
 from .sigperm import SignedPermutation, _parse_ints, check_rank_guard
 
@@ -230,10 +230,13 @@ def _entry_checks(k: Sequence[int], p: Sequence[int], q: Sequence[int],
                   a: int, R, i: int) -> Iterator[tuple]:
     """The conditions that entry i completes, as verdict rows: B1 at i-1
     below the sign cut a, B2 at i-1 above it (the pair straddling the cut
-    is unconstrained), and C1 and C2 at i from the cut on.  Each depends
-    on entries 1..i only, so `_rows_pass` checks a prefix as it grows,
-    stopping at the first failing row, and `_condition_rows` checks every
-    i of a finished triple.  R must map every index from a up to i.
+    is unconstrained), and C1 and C2 at i from the cut on.  B2 asks the
+    slack of rows i-1 above i, the difference of their `_level`s, to be
+    positive; its row compares (p_{i-1} - p_i) + (q_{i-1} - q_i) with
+    that less the slack.  Each depends on entries 1..i only, so
+    `_rows_pass` checks a prefix as it grows, stopping at the first
+    failing row, and `_condition_rows` checks every i of a finished
+    triple.  R must map every index from a up to i.
 
     C2 is checked in its exact form, q_j + k_j - k_{R(i)} <= -q_i for
     every j in (R(i), a); the paper states it at j = L(i) only.  Step
@@ -249,12 +252,12 @@ def _entry_checks(k: Sequence[int], p: Sequence[int], q: Sequence[int],
     (README, "Erratum")."""
     if 2 <= i < a or i > a:
         lhs = (p[i - 2] - p[i - 1]) + (q[i - 2] - q[i - 1])
-        rhs = k[i - 1] - k[i - 2]
         if i < a:
-            yield _row("B1", (i - 1,), lhs, rhs)
+            yield _row("B1", (i - 1,), lhs, k[i - 1] - k[i - 2])
         else:
-            yield _row("B2", (i - 1,), lhs,
-                       rhs + _k_at(k, R[i - 1]) - _k_at(k, R[i]))
+            slack = (_level(k[i - 2], p[i - 2], q[i - 2], k, R[i - 1])
+                     - _level(k[i - 1], p[i - 1], q[i - 1], k, R[i]))
+            yield _row("B2", (i - 1,), lhs, lhs - slack)
     if i >= a:
         r = R[i]
         k_r = _k_at(k, r)
@@ -295,14 +298,15 @@ def _rows_pass(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
     alone, never a placed value, and the first failing row stops it.
     `_require_valid` checks a whole triple from lo = 0, and the generator
     and the `verify` sweep the rows that a search step appends; the sweep
-    sets `ties`, so a B2 tie passes (README, "Recovery", lemma 4)."""
+    sets `ties`, so a B2 tie passes (README, "Recovery", lemma 4): a
+    failing B2 row whose two sides are equal, that is whose slack is 0."""
     for i in range(lo + 1, len(q) + 1):
         if q[i - 1] > 0:
             a = i + 1
         elif not q[i - 1]:
             return 0
         else:
-            r = R[i] = _r_index(q, a, i)
+            r = R[i] = _r_index(q, a, -q[i - 1])
             if r is None:
                 return 0
         for row in _entry_checks(k, p, q, a, R, i):
@@ -312,10 +316,6 @@ def _rows_pass(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
         if not row[1]:
             return 0
     return a
-
-
-def _k_at(k: Sequence[int], j: int) -> int:
-    return 0 if j == 0 else k[j - 1]
 
 
 # ---------------------------------------------------------------------------

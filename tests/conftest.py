@@ -416,7 +416,7 @@ def path_tie_violations(n):
     for win, column, K, P, Q, off, stray, _ in _path_folds(n):
         if column > 1 or stray is not None:
             continue
-        stray, optional = diagram._label_by_rank(K, P, Q, off, n)
+        stray, optional = diagram._label_by_rank(K, P, Q, off)
         if stray is not None:
             continue
         a, R = diagram._cut_and_r(Q)
@@ -440,6 +440,39 @@ def path_tie_violations(n):
         ties += len(tied)
         members += bool(tied)
     return ties, members, violations
+
+
+def forced_corner_disagreements(n):
+    """(corners, corners with several row mates, disagreements) over the
+    unessential corners of the windows of W_n with no OTHER corner, on
+    the fold of `_path_folds`.  Each corner u = (k, p, q) is tested in
+    the paper's form: forced when some path row i >= a with p_i = p and
+    q_i < q and some row mate j < a, with q_j = 1 - q, have
+    q - q_i = k_i - k + k_j - k_{R(i)}, with a and R(i) counted here.  A
+    disagreement is a (window, u) where that verdict is not the
+    library's, read as `diagram._label_by_rank` on u alone (u is its
+    stray exactly when it is not forced).  README "Recovery" proves there
+    are none (lemma 5)."""
+    corners = several = 0
+    disagreements = []
+    for win, column, K, P, Q, off, stray, _ in _path_folds(n):
+        if column > 1 or stray is not None:
+            continue
+        a = 1 + sum(1 for v in Q if v > 0)
+        for u in off:
+            k, p, q = u.k, u.p, u.q
+            mates = [j for j in range(1, a) if Q[j - 1] == 1 - q]
+            forced = False
+            for i in range(a, len(Q) + 1):
+                r = sum(1 for v in Q if v > -Q[i - 1])  # R(i)
+                k_r = K[r - 1] if r else 0
+                forced |= P[i - 1] == p and Q[i - 1] < q and any(
+                    q - Q[i - 1] == K[i - 1] - k + K[j - 1] - k_r for j in mates)
+            if forced != (diagram._label_by_rank(K, P, Q, [u])[0] is None):
+                disagreements.append((win, u))
+            corners += 1
+            several += len(mates) > 1
+    return corners, several, disagreements
 
 
 def reference_inverse(w):
@@ -514,7 +547,8 @@ def reference_optional_corners(w, t, cs=None):
     relation q - q_i = k_i - k + k_j - k_{R(i)}; this is checked, not
     used as a filter, and a corner that breaks it raises ValueError.
     Kept as an independent reference for the OPTIONAL labels that
-    `diagram.corners` assigns by the step-count identity.
+    `diagram.corners` assigns where the B2 slack of a path row above the
+    next one, the difference of their `diagram._level`s, is 0.
     """
     if cs is None:
         cs = diagram.corners(w)

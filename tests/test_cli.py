@@ -189,8 +189,9 @@ def test_construct_checks_the_conditions_once(capsys, monkeypatch, argv, code, e
     or one refused for its rank, runs the per-entry checks
     (`_entry_checks`) once per entry and never builds the report of
     `_condition_rows`; a refusal on a condition builds that report
-    exactly once, to word its message."""
-    rows, passes, entries = [], [], []
+    exactly once, to word its message.  B2 stays strict there: no call
+    passes `ties=True`, which only the `verify` sweep sets."""
+    rows, passes, entries, keywords = [], [], [], []
     rows_of, rows_pass, entry_checks = (
         theta._condition_rows, theta._rows_pass, theta._entry_checks)
 
@@ -198,9 +199,10 @@ def test_construct_checks_the_conditions_once(capsys, monkeypatch, argv, code, e
         rows.append(t)
         return rows_of(t)
 
-    def counting_passes(*args):
+    def counting_passes(*args, **kwargs):
         passes.append(args[-1])
-        return rows_pass(*args)
+        keywords.append(kwargs)
+        return rows_pass(*args, **kwargs)
 
     def counting_entries(*args):
         entries.append(args[-1])
@@ -212,6 +214,7 @@ def test_construct_checks_the_conditions_once(capsys, monkeypatch, argv, code, e
     got_code, _, got_err = run(capsys, "construct", *argv)
     assert got_code == code and err in got_err and bool(err) == bool(got_err)
     assert passes == [0]
+    assert not any(kw.get("ties") for kw in keywords)
     if code == 0 or "minimum feasible rank" in err:
         s = len(argv[0].split(";")[0].split())
         assert entries == list(range(1, s + 1))

@@ -10,6 +10,7 @@ from conftest import (
     assert_structural_facts,
     compare_coherence_checks,
     derive,
+    forced_corner_disagreements,
     mirrored_construction,
     path_prefix_violations,
     path_tie_violations,
@@ -901,6 +902,23 @@ def test_path_ties_are_the_optional_rows():
         assert violations == [], violations[:3]
         counts.append((ties, members))
     assert counts == [(0, 0), (0, 0), (0, 0), (3, 3), (67, 67), (1038, 1024)]
+
+
+def test_forced_corners_read_the_last_row_mate():
+    """An unessential corner is forced in the paper's form, by some row
+    mate, exactly when `diagram._label_by_rank` forces it by its slack
+    against a column mate, which reads the last row mate R(u) alone
+    (README, "Recovery", lemma 5).  Checked on every unessential corner
+    of the windows of W_1..W_6 with no OTHER corner, the reference
+    counting its own a and R(i) (`forced_corner_disagreements`).  Both
+    W_6 corners with two row mates are forced by the last one only, so
+    a library reading the first row mate fails here."""
+    counts = []
+    for n in range(1, 7):
+        found, several, disagreements = forced_corner_disagreements(n)
+        assert disagreements == [], disagreements[:3]
+        counts.append((found, several))
+    assert counts == [(0, 0), (0, 0), (0, 0), (0, 0), (4, 0), (125, 2)]
 
 
 def test_generation_matches_brute_force_reference():
