@@ -4,13 +4,15 @@ A signed permutation is theta-vexillary exactly when any (hence all) of
 the following hold: some triple constructs it; every corner lies on the
 NE path or is an unessential corner that the rank relation forces (see
 `diagram.corners`); it avoids the thirteen signed patterns below.
-`build_report` runs the three routes on one window.
-`verify_equivalence` checks their agreement over a whole group, one
-task per last letter, in one recursion over the suffixes (`_sweep`)
-that decides each pattern verdict, folds each corner column and runs
-each path row's checks (`theta._rows_pass`) and placement step once
-per suffix, and counts the windows below a suffix settled on all three
-routes without walking them.
+The triple route reads no triple first: it checks the NE path rows of
+the column fold, B2 ties passing, and runs their placement steps
+(`_path_steps`).  `build_report` runs the three routes on one window,
+the triple route on the whole path.  `verify_equivalence` checks their
+agreement over a whole group, one task per last letter, in one
+recursion over the suffixes (`_sweep`) that decides each pattern
+verdict, folds each corner column and runs each path row's checks and
+placement step once per suffix, and counts the windows below a suffix
+settled on all three routes without walking them.
 `enumerate_theta_vexillary` lists the members along the pruned walk of
 `sigperm.iter_windows`.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 import os
 import signal
 from math import factorial
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import theta
 from .diagram import CornerRecord, _column, _fold, _label_by_rank, _records, corners
@@ -73,26 +75,52 @@ def classify_by_corners(w: SignedPermutation) -> Tuple[bool, Optional[CornerReco
 
 
 def classify_by_triple(w: SignedPermutation) -> Tuple[bool, Optional[theta.ThetaTriple]]:
-    """Recover the candidate triple (`theta.recover`) and rebuild w from
-    it (`_rebuilds`)."""
-    return _rebuilds(w.window, theta.recover(w))
+    """(True, triple) when some triple constructs w, else (False, None):
+    the column fold's NE path, checked and placed as a whole
+    (`_path_verdict`).  The triple is that of `theta.recover`."""
+    K, P, Q, _, stray, optional = _fold(w.window)
+    return _path_verdict(w.window, K, P, Q, stray, optional)
 
 
-def _rebuilds(
-    window: Tuple[int, ...], candidate: Optional[theta.ThetaTriple]
-) -> Tuple[bool, Optional[theta.ThetaTriple]]:
-    """(True, candidate) when the candidate triple constructs the window
-    (`construct` validates it on the way), else (False, None): the triple
-    route's verdict, for `classify_by_triple` and `build_report`."""
-    if candidate is None:
-        return False, None
-    try:
-        rebuilt = theta.construct(candidate)
-    except (theta.InfeasibleRankError, theta.InvalidTripleError):
-        return False, None
-    if rebuilt.window != window:
-        return False, None
-    return True, candidate
+def _path_verdict(window: Tuple[int, ...], K: List[int], P: List[int], Q: List[int],
+                  stray: Optional[CornerRecord], optional: Sequence[int]
+                  ) -> Tuple[bool, Optional[theta.ThetaTriple]]:
+    """The triple route's verdict on a window from its column fold: with
+    no stray, the whole NE path's checks and placement steps
+    (`_path_steps` from row 0, the whole window its suffix) build the
+    window exactly when some triple constructs it, and the triple is the
+    path less its OPTIONAL rows (README, "Recovery", lemma 4)."""
+    n = len(window)
+    if stray is None and _path_steps(K, P, Q, 1, {}, 0, window, True,
+                                     [0] * (n + 1), [False] * (n + 1))[0]:
+        return True, theta._path_triple(K, P, Q, optional, n)
+    return False, None
+
+
+def _path_steps(K: List[int], P: List[int], Q: List[int], a: int, R: dict, lo: int,
+                suffix: Tuple[int, ...], leaf: bool, window: List[int],
+                used: List[bool]) -> Tuple[int, Sequence[int]]:
+    """(a, filled): the checks of NE path rows lo + 1..s, a B2 tie
+    passing (`theta._rows_pass` with `ties`), then their placement steps
+    (`theta._placement_run`) and, at a leaf, the fill step s + 1, the
+    positions filled compared with the suffix, whose first letter is at
+    position len(window) - len(suffix).  a and R are what rows 1..lo
+    left, and `window` and `used` hold what their steps placed; the
+    returned a is the cut index of rows 1..s, or 0 when a check fails
+    (nothing placed) or a placed letter differs (`filled` placed).  No
+    step rank is compared with n: a corner's is at most n (README,
+    "Recovery", lemma 1)."""
+    s = len(Q)
+    if s > lo:
+        a = theta._rows_pass(K, P, Q, a, R, lo, ties=True)
+        if not a:
+            return 0, ()
+    filled = theta._placement_run(K, P, Q, lo, s + leaf, window, used)
+    p = len(window) - len(suffix)
+    for z in filled:
+        if window[z] != suffix[z - p]:
+            return 0, filled
+    return a, filled
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +130,7 @@ def _rebuilds(
 class ClassificationReport(NamedTuple):
     """Combined verdict of the three routes for a single permutation.
 
-    `theta_vexillary` is the construction route's verdict.  The
+    `theta_vexillary` is the triple route's verdict.  The
     per-route verdicts are kept in `verdicts` (patterns, corners,
     triple, in the order they are computed) so that a divergence between
     the routes would stay visible instead of being masked by the summary
@@ -150,16 +178,15 @@ def build_report(w: SignedPermutation) -> ClassificationReport:
     corner taxonomy as `corners` labels it.
 
     The corner and triple routes share one column fold (`diagram._fold`):
-    the records of `corners`, the stray, and the rows of the candidate
-    triple of `theta.recover`, which `_rebuilds` checks.  Disagreement
-    between the routes is recorded, not raised: the overall verdict is
-    the construction route's, and `verify_equivalence` collects
+    the records of `corners`, the stray, and the NE path rows, which
+    `_path_verdict` checks and places as `classify_by_triple` does.
+    Disagreement between the routes is recorded, not raised: the overall
+    verdict is the triple route's, and `verify_equivalence` collects
     divergences as failures.
     """
     by_pat, pat_witness = classify_by_patterns(w)
     K, P, Q, off, stray, optional = _fold(w.window)
-    candidate = None if stray is not None else theta._path_triple(K, P, Q, optional, w.n)
-    by_tri, triple = _rebuilds(w.window, candidate)
+    by_tri, triple = _path_verdict(w.window, K, P, Q, stray, optional)
     return ClassificationReport(
         window=w.window,
         n=w.n,
@@ -195,9 +222,8 @@ class VerifySummary(NamedTuple):
 def _sweep(n: int, v: int, visit: Callable) -> None:
     """Call visit(letters, contains, stray, member) on each walked window
     of W_n that ends with v, with its pattern verdict, the stray of
-    `corners` and the triple route's verdict, which is that of
-    `_rebuilds` on the triple of `theta.recover` (README, "Recovery",
-    lemma 4); and on each settled suffix, of fewer than n letters: every
+    `corners` and the verdict of `classify_by_triple`; and on each
+    settled suffix, of fewer than n letters: every
     window that ends with it contains a pattern, has that stray and no
     triple, and is not walked.
 
@@ -211,45 +237,24 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
     node with both is settled.  A leaf folds column 1 and, without a
     stray, labels by rank.
 
-    The triple route rides the same recursion: the fold appends the
-    path rows in entry order, row i's checks (`theta._rows_pass`) read
-    rows 1..i alone, and its placement step (`theta._placement_run`)
-    fills positions from p_i on.  So the node that appends rows runs
-    them once for all windows below it, with a and R carried down,
-    compares the placed values with the suffix and takes them back on
-    return; a failure sets the carried cut to 0.  The rows are corners,
-    so their step ranks are at most n and they pass A3 and B3, which
-    the same call checks at that node (README, "Recovery", lemmas 1-3).
-    A B2 row that ties passes, as the OPTIONAL rows of a path without a
-    stray do, and a tied row's steps place what the triple's next step
-    places (lemma 4).  So a leaf without a stray is a member when no
-    check failed and the fill step places its free positions' letters.
+    The triple route rides the same recursion, split along the path by
+    `_path_steps`, which `classify_by_triple` runs on the whole path at
+    once: the fold appends the path rows in entry order, row i's checks
+    (`theta._rows_pass`) read rows 1..i alone, and its placement step
+    (`theta._placement_run`) fills positions from p_i on.  So the node
+    that appends rows runs `_path_steps` on them once for all windows
+    below it, with a and R carried down, and takes the placed values
+    back on return; a failure sets the carried cut to 0.  The rows are
+    corners, so their step ranks are at most n and they pass A3 and B3,
+    which the same call checks at that node (README, "Recovery", lemmas
+    1-3).  So a leaf without a stray is a member when no check failed
+    and the fill step places its free positions' letters.
     """
     anchored = MIRRORED.anchored
     size = [0] * n + [0, n + 1]
     K, P, Q, off = [], [], [], []  # the fold's path rows and its other records
     R: dict = {}  # R(i) of the negative path rows
     window, used = [0] * (n + 1), [False] * (n + 1)  # what the rows' steps placed
-
-    rows_pass, place = theta._rows_pass, theta._placement_run  # per task, not per row
-
-    def steps(cut, lo, suffix, leaf):
-        # (cut, filled): the checks of new path rows lo + 1..s, B2 ties
-        # passing (`_rows_pass`), then their placement steps and at a leaf
-        # the fill step s + 1 (True counts 1), compared with the suffix;
-        # cut is a, or 0 once a check fails.  No step rank is compared with
-        # n: a corner's is at most n (README, "Recovery", lemma 1)
-        s = len(Q)
-        if s > lo:
-            cut = rows_pass(K, P, Q, cut, R, lo, ties=True)
-            if not cut:
-                return 0, ()
-        filled = place(K, P, Q, lo, s + leaf, window, used)
-        p = n + 1 - len(suffix)  # suffix[0] is w(p)
-        for z in filled:
-            if window[z] != suffix[z - p]:
-                return 0, filled
-        return cut, filled
 
     def unplace(filled):
         for z in filled:
@@ -266,7 +271,7 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
             if stray is None:
                 stray = _label_by_rank(K, P, Q, off)[0]
                 if stray is None and cut:
-                    cut, filled = steps(cut, s, suffix, True)
+                    cut, filled = _path_steps(K, P, Q, cut, R, s, suffix, True, window, used)
                     member = cut > 0
                     unplace(filled)
             return visit(suffix, contains, stray, member)
@@ -278,7 +283,8 @@ def _sweep(n: int, v: int, visit: Callable) -> None:
                     n, n + 1 - depth, here, u, tail, None, K, P, Q, off)
                 below, filled = cut, ()
                 if cut and not found and len(Q) > s:
-                    below, filled = steps(cut, s, suffix, False)
+                    below, filled = _path_steps(K, P, Q, cut, R, s, suffix, False,
+                                                 window, used)
                 if hit and found and depth + 1 < n:
                     visit((u, *suffix), True, found, False)
                 else:

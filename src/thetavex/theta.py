@@ -297,9 +297,11 @@ def _rows_pass(k: Sequence[int], p: Sequence[int], q: Sequence[int], a: int,
     B3 of rows 1..s (`_closing_checks`).  Every check reads the rows
     alone, never a placed value, and the first failing row stops it.
     `_require_valid` checks a whole triple from lo = 0, and the generator
-    and the `verify` sweep the rows that a search step appends; the sweep
-    sets `ties`, so a B2 tie passes (README, "Recovery", lemma 4): a
-    failing B2 row whose two sides are equal, that is whose slack is 0."""
+    the rows that a search step appends.  The triple route of `classify`
+    (`classify._path_steps`) checks NE path rows, a whole window's from
+    lo = 0 or those a step of the `verify` sweep appends, and sets
+    `ties`, so a B2 tie passes (README, "Recovery", lemma 4): a failing
+    B2 row whose two sides are equal, that is whose slack is 0."""
     for i in range(lo + 1, len(q) + 1):
         if q[i - 1] > 0:
             a = i + 1
@@ -442,8 +444,9 @@ def _path_triple(K: Sequence[int], P: Sequence[int], Q: Sequence[int],
                  optional: Sequence[int], n: int) -> ThetaTriple:
     """The triple of the NE path rows K, P, Q of a rank-n window without
     a stray, less the OPTIONAL indices: what `recover` returns, built
-    from the rows of the column fold, and the candidate that
-    `classify.build_report` rebuilds."""
+    from the rows of the column fold, and the triple that
+    `classify.classify_by_triple` returns once the path builds the
+    window."""
     if optional:
         keep = [i for i in range(len(Q)) if i not in optional]
         K, P, Q = ([row[i] for i in keep] for row in (K, P, Q))

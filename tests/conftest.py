@@ -382,97 +382,105 @@ def _path_folds(n):
             yield win, column, K, P, Q, off, stray, s
 
 
-def path_prefix_violations(n):
-    """(prefixes, violations) over the windows of W_n: every prefix of
-    the NE path, rows 1..i in the order the column fold
-    (`diagram._column`) appends them, and the (window, i) whose last row
-    has a step rank above n or whose A3 or B3 row fails, with a and R
-    from `diagram._cut_and_r`.  README "Recovery" proves there are none
-    (lemmas 1-3)."""
-    prefixes, violations = 0, []
-    for win, _, K, P, Q, _, _, s in _path_folds(n):
-        for i in range(s + 1, len(Q) + 1):
-            k, p, q = K[:i], P[:i], Q[:i]
-            a, R = diagram._cut_and_r(q)
-            if theta._step_rank(k[-1], p[-1], q[-1]) > n or not all(
-                    row[1] for row in theta._closing_checks(k, p, q, a, R)):
-                violations.append((win, i))
-            prefixes += 1
-    return prefixes, violations
-
-
-def path_tie_violations(n):
-    """(tied rows, windows with one, violations) over the windows of W_n
-    without a stray, on the whole NE path that the column fold leaves
-    (`_path_folds`).  A tied row is a B2 row of `theta._entry_checks`
-    that fails with equality.  A violation is a (window, failed, tied,
-    optional) where the path fails any other check (A1, A2, a row of
-    `_entry_checks`, A3 or B3), where the tied indices are not the
-    OPTIONAL ones of `diagram._label_by_rank`, or where the placement
-    steps of the whole path (`theta._placement_run`) do not build the
-    window.  README "Recovery" proves there are none (lemma 4)."""
-    ties = members = 0
-    violations = []
-    for win, column, K, P, Q, off, stray, _ in _path_folds(n):
+@functools.lru_cache(maxsize=None)
+def path_lemma_checks(n):
+    """The checks of README "Recovery" lemmas 1-5 on the windows of W_n,
+    fed from one pass of `_path_folds`: ((prefixes, violations), (tied
+    rows, windows with one, violations), (corners, corners with several
+    row mates, disagreements)), as `_prefix_violations`,
+    `_tie_violation` and `_forced_disagreements` count them.  Cached per
+    rank, as the three tests of the lemmas read one pass."""
+    prefixes, ties, forced = [0, []], [0, 0, []], [0, 0, []]
+    for win, column, K, P, Q, off, stray, s in _path_folds(n):
+        prefixes[0] += len(Q) - s
+        prefixes[1] += _prefix_violations(win, n, K, P, Q, s)
         if column > 1 or stray is not None:
             continue
+        found, several, disagreements = _forced_disagreements(win, K, P, Q, off)
+        forced[0] += found
+        forced[1] += several
+        forced[2] += disagreements
         stray, optional = diagram._label_by_rank(K, P, Q, off)
-        if stray is not None:
-            continue
-        a, R = diagram._cut_and_r(Q)
-        if 0 in Q or None in R.values():
-            violations.append((win, ["A1 or A2"], [], optional))
-            continue
-        failed, tied = [], []
-        for i in range(1, len(Q) + 1):
-            for row in theta._entry_checks(K, P, Q, a, R, i):
-                if row[1]:
-                    continue
-                if row[0] == "B2" and row[3][0] == row[3][1]:
-                    tied.append(row[2][0] - 1)  # B2 at i - 1, a 0-based path index
-                else:
-                    failed.append((row[0], i))
-        failed += [row[0] for row in theta._closing_checks(K, P, Q, a, R) if not row[1]]
-        window = [0] * (n + 1)
-        theta._placement_run(K, P, Q, 0, len(Q) + 1, window, [False] * (n + 1))
-        if failed or tied != list(optional) or tuple(window[1:]) != win:
-            violations.append((win, failed, tied, optional))
-        ties += len(tied)
-        members += bool(tied)
-    return ties, members, violations
+        if stray is None:
+            tied, violations = _tie_violation(win, n, K, P, Q, optional)
+            ties[0] += tied
+            ties[1] += bool(tied)
+            ties[2] += violations
+    return tuple(prefixes), tuple(ties), tuple(forced)
 
 
-def forced_corner_disagreements(n):
+def _prefix_violations(win, n, K, P, Q, s):
+    """The (window, i) among the NE path prefixes rows 1..i, i > s, in
+    the order the column fold (`diagram._column`) appends them, whose
+    last row has a step rank above n or whose A3 or B3 row fails, with a
+    and R from `diagram._cut_and_r`.  README "Recovery" proves there are
+    none (lemmas 1-3)."""
+    violations = []
+    for i in range(s + 1, len(Q) + 1):
+        k, p, q = K[:i], P[:i], Q[:i]
+        a, R = diagram._cut_and_r(q)
+        if theta._step_rank(k[-1], p[-1], q[-1]) > n or not all(
+                row[1] for row in theta._closing_checks(k, p, q, a, R)):
+            violations.append((win, i))
+    return violations
+
+
+def _tie_violation(win, n, K, P, Q, optional):
+    """(tied rows, violations) on the whole NE path of a window without a
+    stray, whose OPTIONAL indices `diagram._label_by_rank` gives as
+    `optional`.  A tied row is a B2 row of `theta._entry_checks` that fails
+    with equality.  The one violation would be (window, failed, tied,
+    optional), where the path fails any other check (A1, A2, a row of
+    `_entry_checks`, A3 or B3), where the tied indices are not the
+    OPTIONAL ones, or where the placement
+    steps of the whole path (`theta._placement_run`) do not build the
+    window.  README "Recovery" proves there is none (lemma 4)."""
+    a, R = diagram._cut_and_r(Q)
+    if 0 in Q or None in R.values():
+        return 0, [(win, ["A1 or A2"], [], optional)]
+    failed, tied = [], []
+    for i in range(1, len(Q) + 1):
+        for row in theta._entry_checks(K, P, Q, a, R, i):
+            if row[1]:
+                continue
+            if row[0] == "B2" and row[3][0] == row[3][1]:
+                tied.append(row[2][0] - 1)  # B2 at i - 1, a 0-based path index
+            else:
+                failed.append((row[0], i))
+    failed += [row[0] for row in theta._closing_checks(K, P, Q, a, R) if not row[1]]
+    window = [0] * (n + 1)
+    theta._placement_run(K, P, Q, 0, len(Q) + 1, window, [False] * (n + 1))
+    if failed or tied != list(optional) or tuple(window[1:]) != win:
+        return len(tied), [(win, failed, tied, optional)]
+    return len(tied), []
+
+
+def _forced_disagreements(win, K, P, Q, off):
     """(corners, corners with several row mates, disagreements) over the
-    unessential corners of the windows of W_n with no OTHER corner, on
-    the fold of `_path_folds`.  Each corner u = (k, p, q) is tested in
-    the paper's form: forced when some path row i >= a with p_i = p and
-    q_i < q and some row mate j < a, with q_j = 1 - q, have
-    q - q_i = k_i - k + k_j - k_{R(i)}, with a and R(i) counted here.  A
-    disagreement is a (window, u) where that verdict is not the
-    library's, read as `diagram._label_by_rank` on u alone (u is its
-    stray exactly when it is not forced).  README "Recovery" proves there
-    are none (lemma 5)."""
-    corners = several = 0
+    unessential corners of a window with no OTHER corner.  Each corner
+    u = (k, p, q) is tested in the paper's form: forced when some path
+    row i >= a with p_i = p and q_i < q and some row mate j < a, with
+    q_j = 1 - q, have q - q_i = k_i - k + k_j - k_{R(i)}, with a and R(i)
+    counted here.  A disagreement is a (window, u) where that verdict is
+    not the library's, read as `diagram._label_by_rank` on u alone (u is
+    its stray exactly when it is not forced).  README "Recovery" proves
+    there are none (lemma 5)."""
+    several = 0
     disagreements = []
-    for win, column, K, P, Q, off, stray, _ in _path_folds(n):
-        if column > 1 or stray is not None:
-            continue
-        a = 1 + sum(1 for v in Q if v > 0)
-        for u in off:
-            k, p, q = u.k, u.p, u.q
-            mates = [j for j in range(1, a) if Q[j - 1] == 1 - q]
-            forced = False
-            for i in range(a, len(Q) + 1):
-                r = sum(1 for v in Q if v > -Q[i - 1])  # R(i)
-                k_r = K[r - 1] if r else 0
-                forced |= P[i - 1] == p and Q[i - 1] < q and any(
-                    q - Q[i - 1] == K[i - 1] - k + K[j - 1] - k_r for j in mates)
-            if forced != (diagram._label_by_rank(K, P, Q, [u])[0] is None):
-                disagreements.append((win, u))
-            corners += 1
-            several += len(mates) > 1
-    return corners, several, disagreements
+    a = 1 + sum(1 for v in Q if v > 0)
+    for u in off:
+        k, p, q = u.k, u.p, u.q
+        mates = [j for j in range(1, a) if Q[j - 1] == 1 - q]
+        forced = False
+        for i in range(a, len(Q) + 1):
+            r = sum(1 for v in Q if v > -Q[i - 1])  # R(i)
+            k_r = K[r - 1] if r else 0
+            forced |= P[i - 1] == p and Q[i - 1] < q and any(
+                q - Q[i - 1] == K[i - 1] - k + K[j - 1] - k_r for j in mates)
+        if forced != (diagram._label_by_rank(K, P, Q, [u])[0] is None):
+            disagreements.append((win, u))
+        several += len(mates) > 1
+    return len(off), several, disagreements
 
 
 def reference_inverse(w):
@@ -487,6 +495,20 @@ def constructible_windows(n):
     """Windows of every generated triple of rank n, cached per rank so
     that exhaustive cross-checks pay the generation cost once."""
     return frozenset(theta.construct(t).window for t in theta.generate_triples(n))
+
+
+def reference_triple_route(w):
+    """(True, triple) when the triple of `theta.recover` constructs w,
+    else (False, None), a refusal of `theta.construct` counting as no:
+    the triple route's verdict by the whole construction, kept apart
+    from the NE path check that the library's triple routes share."""
+    t = theta.recover(w)
+    try:
+        if t is not None and theta.construct(t).window == w.window:
+            return True, t
+    except (theta.InfeasibleRankError, theta.InvalidTripleError):
+        pass
+    return False, None
 
 
 def oracle_is_theta_vexillary(w):

@@ -12,6 +12,7 @@ from conftest import (
     naive_first_pattern,
     oracle_is_theta_vexillary,
     records_of,
+    reference_triple_route,
     signed_permutations,
     triple_of_records,
 )
@@ -152,25 +153,31 @@ def test_triple_route_rejects_pattern_container():
 
 
 def test_triple_route_refuses_a_forged_corner_set():
-    """A candidate triple that is not the window's own, as a forged corner
-    set would give, is refused by `_rebuilds` at each of its checks: a
-    triple building another window, one failing a condition (A3), and one
-    that does not fit the rank."""
+    """The triple route checks and places the NE path rows it is handed
+    against the letters (`classify._path_steps`), so rows that are not
+    the window's own, as a forged corner set would give, are refused:
+    the path of 2 1 3 against 1 2 3, whose steps place another window,
+    and rows that fail A3, before any step places.  `construct` refuses
+    the same rows as triples, and also a triple that does not fit the
+    rank, whose step rank no corner has (README, "Recovery", lemma 1)."""
     from thetavex import classify
 
-    identity = (1, 2, 3)
-    other = theta.recover(SignedPermutation([2, 1, 3]))
-    assert theta.construct(other).window != identity
-    assert classify._rebuilds(identity, other) == (False, None)
-    for window, candidate, error, message in (
-        ((-1, 2), theta.ThetaTriple((1,), (1,), (-1,), 2),
-         theta.InvalidTripleError, "A3 fails"),
-        ((1, 2), theta.ThetaTriple((2,), (2,), (1,), 2),
-         theta.InfeasibleRankError, "minimum feasible rank is 3"),
-    ):
-        with pytest.raises(error, match=message):
-            theta.construct(candidate)
-        assert classify._rebuilds(window, candidate) == (False, None)
+    def route(rows, window):
+        n = len(window)
+        return classify._path_steps(*rows, 1, {}, 0, window, True,
+                                    [0] * (n + 1), [False] * (n + 1))
+
+    identity, rows = (1, 2, 3), _path_rows((2, 1, 3))
+    assert route(rows, (2, 1, 3))[0]
+    assert theta.construct(theta.recover(SignedPermutation([2, 1, 3]))).window != identity
+    cut, filled = route(rows, identity)
+    assert cut == 0 and filled
+    a3_fails = ((1,), (1,), (-1,))
+    with pytest.raises(theta.InvalidTripleError, match="A3 fails"):
+        theta.construct(theta.ThetaTriple(*a3_fails, 2))
+    assert route(a3_fails, (-1, 2)) == (0, ())
+    with pytest.raises(theta.InfeasibleRankError, match="minimum feasible rank is 3"):
+        theta.construct(theta.ThetaTriple((2,), (2,), (1,), 2))
 
 
 def test_pattern_route_matches_naive_reference():
@@ -218,6 +225,31 @@ def test_pattern_route_at_large_rank(n):
         assert ok is (w in members)
         assert ok is classify_by_triple(w)[0]
         assert ok or is_occurrence(w, *hit)
+
+
+def test_triple_route_at_large_rank():
+    """`classify_by_triple` and the triple field of `build_report` equal
+    the rebuild reference (`reference_triple_route`) at ranks up to 200:
+    on -1 ... -n and -n ... -1, on each rank-4 triple built at rank 50,
+    and on the seeded random windows of
+    `test_corners_match_brute_force_large_rank`."""
+    windows = []
+    for n in (20, 50, 100, 200):
+        windows += [tuple(range(-1, -n - 1, -1)), tuple(range(-n, 0))]
+    triples = list(theta.generate_triples(4))
+    windows += [theta.construct(t.with_rank(50)).window for t in triples]
+    rng = random.Random(20180723)
+    for n in (20, 20, 35, 50, 50, 100, 200):
+        values = rng.sample(range(1, n + 1), n)
+        windows.append(tuple(v * rng.choice((1, -1)) for v in values))
+    members = 0
+    for win in windows:
+        w = SignedPermutation(win)
+        expected = reference_triple_route(w)
+        report = build_report(w)
+        assert classify_by_triple(w) == (report.verdicts[2], report.triple) == expected, win
+        members += expected[0]
+    assert members == 8 + len(triples) == 294
 
 
 @given(signed_permutations(max_n=5))
@@ -268,7 +300,8 @@ def test_report_agrees_with_the_public_routes():
     """`build_report` folds once for its corner and triple routes; each
     of its fields equals what the public route gives, on every window of
     W_1..W_5, on the W_6 members with OPTIONAL path corners and on the
-    four windows of the erratum."""
+    four windows of the erratum; its triple field equals the rebuild
+    reference (`reference_triple_route`) too."""
     optional = [w for w in map(theta.construct, theta.generate_triples(6))
                 if records_of(corners(w), "optional")]
     assert len(optional) == 1024
@@ -280,6 +313,7 @@ def test_report_agrees_with_the_public_routes():
         assert (report.verdicts[0], report.pattern_witness) == classify_by_patterns(w)
         assert (report.verdicts[1], report.corner_witness) == classify_by_corners(w)
         assert (report.verdicts[2], report.triple) == classify_by_triple(w)
+        assert (report.verdicts[2], report.triple) == reference_triple_route(w)
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +428,17 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     appends the row, and each leaf's fill step once, over the whole NE
     path: a B2 row that ties passes, so the 3 members of W_4 and the 67
     of W_5 with OPTIONAL path corners take the same route as the rest
-    (README, "Recovery", lemma 4), and the sweep calls no `_rebuilds`
-    and so no `construct`.  It compares no step rank with n (lemma 1),
-    so it calls no `theta._step_rank` either.  The sweep calls neither
-    `corners`, the whole-window fold (`diagram._fold`) nor the pattern
-    search; a report folds once for its corner and triple routes, calls
-    no `corners`, and rebuilds its triple with one `construct`, whose
-    five rows add five entry checks and five step ranks."""
+    (README, "Recovery", lemma 4), and the sweep calls no `construct`.
+    It compares no step rank with n (lemma 1), so it calls no
+    `theta._step_rank` either.  The sweep calls neither `corners`, the
+    whole-window fold (`diagram._fold`) nor the pattern search; a report
+    folds once for its corner and triple routes, calls no `corners`,
+    and checks and places its whole NE path as the sweep does: its six
+    rows, the OPTIONAL one included, add six entry checks and one
+    placement run, and no `construct` or step rank."""
     from thetavex import classify
 
-    calls = {"classify": 0, "theta": 0, "fold": 0, "column": 0, "rebuilds": 0, "entry": 0,
+    calls = {"classify": 0, "theta": 0, "fold": 0, "column": 0, "construct": 0, "entry": 0,
              "place": 0, "step": 0, "find_pattern": 0}
 
     def counting(name, fn):
@@ -417,7 +452,7 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
     monkeypatch.setattr(theta, "corners", counting("theta", diagram.corners))
     monkeypatch.setattr(classify, "_fold", counting("fold", diagram._fold))
     monkeypatch.setattr(classify, "_column", counting("column", diagram._column))
-    monkeypatch.setattr(classify, "_rebuilds", counting("rebuilds", classify._rebuilds))
+    monkeypatch.setattr(theta, "construct", counting("construct", theta.construct))
     monkeypatch.setattr(theta, "_entry_checks", counting("entry", theta._entry_checks))
     monkeypatch.setattr(theta, "_placement_run", counting("place", theta._placement_run))
     monkeypatch.setattr(theta, "_step_rank", counting("step", theta._step_rank))
@@ -427,11 +462,11 @@ def test_corner_columns_computed_once_per_suffix(monkeypatch):
         calls.update(column=0, entry=0, place=0)
         assert verify_equivalence(n).total == 2 ** n * factorial(n)
         assert calls == {"classify": 0, "theta": 0, "fold": 0, "column": columns,
-                         "rebuilds": 0, "entry": entry, "place": place, "step": 0,
+                         "construct": 0, "entry": entry, "place": place, "step": 0,
                          "find_pattern": 0}
     build_report(BIG)
-    assert calls == {"classify": 0, "theta": 0, "fold": 1, "column": 8836, "rebuilds": 1,
-                     "entry": 3728 + 5, "place": 4282, "step": 5, "find_pattern": 1}
+    assert calls == {"classify": 0, "theta": 0, "fold": 1, "column": 8836, "construct": 0,
+                     "entry": 3728 + 6, "place": 4281 + 1, "step": 0, "find_pattern": 1}
 
 
 def _windows_ending_with(n, suffix):
@@ -444,10 +479,11 @@ def _windows_ending_with(n, suffix):
 
 def test_sweep_matches_corners_and_recover():
     """The sweep walks or settles every window of W_1..W_6 once.  A
-    walked window gets the stray of `corners`, the verdict of
-    `_rebuilds` on the triple of `recover`, and through W_5 the pattern
-    verdict of `find_pattern`; every window that ends with a settled
-    suffix contains a pattern, has the suffix's stray and no triple."""
+    walked window gets the stray of `corners`, the verdict of the
+    rebuild reference (`reference_triple_route`), and through W_5 the
+    pattern verdict of `find_pattern`; every window that ends with a
+    settled suffix contains a pattern, has the suffix's stray and no
+    triple."""
     from thetavex import classify
 
     for n in range(1, 7):
@@ -465,7 +501,7 @@ def test_sweep_matches_corners_and_recover():
                 assert stray == cs.stray  # a record compares its kind too
                 triple = theta.recover(w)
                 assert triple == triple_of_records(cs, n)
-                assert member is classify._rebuilds(win, triple)[0]
+                assert member is reference_triple_route(w)[0]
                 if n <= 5:
                     assert contains == (find_pattern(w, PATTERNS) is not None)
             for suffix, contains, stray, member in settled:
@@ -480,9 +516,10 @@ def test_sweep_matches_corners_and_recover():
 
 
 def test_verify_matches_a_loop_over_the_three_routes():
-    """`verify_equivalence` equals a plain loop that runs the three
-    public classifiers on each window of W_1..W_6, sharing no code with
-    the sweep."""
+    """`verify_equivalence` equals a plain loop, outside the sweep's
+    recursion, that runs the pattern and corner classifiers and, for the
+    triple route, the rebuild reference (`reference_triple_route`),
+    which runs no path check, on each window of W_1..W_6."""
     for n in range(1, 7):
         total = members = 0
         mismatches = []
@@ -490,7 +527,7 @@ def test_verify_matches_a_loop_over_the_three_routes():
             w = SignedPermutation._of(win)
             total += 1
             verdicts = {classify_by_patterns(w)[0], classify_by_corners(w)[0],
-                        classify_by_triple(w)[0]}
+                        reference_triple_route(w)[0]}
             if len(verdicts) > 1:
                 mismatches.append(win)
             else:
@@ -567,12 +604,17 @@ def test_forced_misplacement_of_an_optional_member_is_a_mismatch(monkeypatch):
     step with the letters at the leaf: when that fill step places a wrong
     value, the window, and only it, is a mismatch.  So a member with
     OPTIONAL corners takes the one triple route of the sweep, not a
-    separate rebuild of its triple."""
+    separate rebuild of its triple; and `classify_by_triple` and
+    `build_report`, which run the same route on the whole path, refuse
+    the window too."""
     target = (4, -2, 1, 3)
+    w = SignedPermutation(target)
     assert _path_rows(target) == ((1, 2, 3), (2, 2, 2), (2, -1, -3))
-    assert theta.recover(SignedPermutation(target)) == ((1, 3), (2, 2), (2, -3), 4)
+    assert theta.recover(w) == ((1, 3), (2, 2), (2, -3), 4)
     _misplacing(monkeypatch, [target], fill=True)
     assert verify_equivalence(4) == (4, 384, 285, (target,))
+    report = build_report(w)
+    assert classify_by_triple(w) == (report.verdicts[2], report.triple) == (False, None)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

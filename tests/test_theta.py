@@ -10,10 +10,8 @@ from conftest import (
     assert_structural_facts,
     compare_coherence_checks,
     derive,
-    forced_corner_disagreements,
     mirrored_construction,
-    path_prefix_violations,
-    path_tie_violations,
+    path_lemma_checks,
     placed_coherence_failure,
     reference_min_rank,
     reference_optional_corners,
@@ -881,7 +879,7 @@ def test_corner_rows_fit_the_rank_and_pass_a3_and_b3():
     prefixes of the windows of W_1..W_6, 139,886 of them at W_6."""
     counts = []
     for n in range(1, 7):
-        prefixes, violations = path_prefix_violations(n)
+        prefixes, violations = path_lemma_checks(n)[0]
         assert violations == [], violations[:3]
         counts.append(prefixes)
     assert counts == [1, 8, 74, 794, 9852, 139886]
@@ -898,7 +896,7 @@ def test_path_ties_are_the_optional_rows():
     stray-free window of W_1..W_6: 1,108 tied rows on 1,094 of them."""
     counts = []
     for n in range(1, 7):
-        ties, members, violations = path_tie_violations(n)
+        ties, members, violations = path_lemma_checks(n)[1]
         assert violations == [], violations[:3]
         counts.append((ties, members))
     assert counts == [(0, 0), (0, 0), (0, 0), (3, 3), (67, 67), (1038, 1024)]
@@ -910,12 +908,12 @@ def test_forced_corners_read_the_last_row_mate():
     against a column mate, which reads the last row mate R(u) alone
     (README, "Recovery", lemma 5).  Checked on every unessential corner
     of the windows of W_1..W_6 with no OTHER corner, the reference
-    counting its own a and R(i) (`forced_corner_disagreements`).  Both
+    counting its own a and R(i) (`_forced_disagreements`).  Both
     W_6 corners with two row mates are forced by the last one only, so
     a library reading the first row mate fails here."""
     counts = []
     for n in range(1, 7):
-        found, several, disagreements = forced_corner_disagreements(n)
+        found, several, disagreements = path_lemma_checks(n)[2]
         assert disagreements == [], disagreements[:3]
         counts.append((found, several))
     assert counts == [(0, 0), (0, 0), (0, 0), (0, 0), (4, 0), (125, 2)]
